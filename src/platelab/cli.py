@@ -4,9 +4,7 @@ Configuration is a flat key = value file overridden by flags; every run is
 seeded.  Outputs are plain text: CSV tables with '#' metadata lines and
 floats at 17 significant digits, or JSON records with sorted keys.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 configuration
-error.  The PLATELAB_THREADS environment variable sets the worker count
-for the resolvent sweep; results are reduced by grid index, so the output
-is byte-identical at any worker count.
+error.
 """
 
 from __future__ import annotations
@@ -160,13 +158,6 @@ def _bc_pair(cfg):
 def load_pair_with_name(path):
     b1, b2 = lscheck.load_bc_file(path)
     return os.path.basename(path), (b1, b2), {}
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PLATELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +382,23 @@ def cmd_resolvent(cfg):
     alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
     gen = semigroup.build_generator(op, alpha)
     sigmas = parse_grid_spec(cfg.get("sigma_grid", "0:50:1"))
-    sweep = semigroup.resolvent_sweep(gen, sigmas, workers=_threads())
+    sweep = semigroup.resolvent_sweep(gen, sigmas)
+    unconverged = int((~sweep.converged).sum())
     rows = [(float(s), float(nrm), float(sl), float(d))
             for s, nrm, sl, d in zip(sweep.sigmas, sweep.norms,
                                      sweep.slack, sweep.nearest_dist)]
     write_csv(cfg.get("out"), {"bc": op.bc_name, "n": op.grid.n[0],
                                "C": fmt(sweep.C),
                                "skipped": len(sweep.skipped),
-                               "schema": "resolvent-v1"},
+                               "unconverged": unconverged,
+                               "max_iterations": int(sweep.iterations.max()),
+                               "schema": "resolvent-v2"},
               ["sigma", "norm", "slack", "nearest_eig_dist"], rows)
     if not np.all(np.isfinite(sweep.norms[~np.isnan(sweep.norms)])):
         raise CheckFailure("non-finite resolvent norm on the grid")
+    if unconverged:
+        raise CheckFailure(f"power iteration did not converge at {unconverged} "
+                           f"grid point(s); their norms are lower bounds")
     return EXIT_OK
 
 

@@ -54,14 +54,6 @@ class StateVector:
         if self.y.shape != self.v.shape:
             raise ValueError("position and velocity grids differ")
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.y, self.v])
-
-    @classmethod
-    def from_flat(cls, z: np.ndarray, t: float = 0.0) -> "StateVector":
-        n = z.size // 2
-        return cls(z[:n], z[n:], t)
-
     def copy(self) -> "StateVector":
         return StateVector(self.y.copy(), self.v.copy(), self.t)
 
@@ -322,16 +314,20 @@ def decay_fit(log: EnergyLog, n: int, amp: float) -> float:
 class ReducedGenerator:
     """Matrix of A restricted to the functional-kernel complement.
 
-    Q columns form a Euclidean-orthonormal basis of {Y : F_j(Y) = 0}; the
-    complement is A-invariant, so Ahat = Q^T A Q is the exact restriction.
-    Ghat is the energy Gram matrix in that basis (SPD there), and L its
-    Cholesky factor; operator norms are measured with it.
+    The complement {Y : F_j(Y) = 0} is A-invariant, so Ahat, the matrix of A
+    in a Euclidean-orthonormal basis of it (the standard basis when the
+    kernel is empty), is the exact restriction.  Ghat is the energy Gram
+    matrix in that basis (SPD there), and L its Cholesky factor; operator
+    norms are measured with it.  T is the complex upper-triangular Schur
+    factor of B = L^T Ahat L^(-T), the restriction in energy-orthonormal
+    coordinates: B = Z T Z^H with Z unitary, so the energy norm of any
+    function of Ahat is the Euclidean norm of the same function of T.
     """
 
-    Q: np.ndarray
     Ahat: np.ndarray
     Ghat: np.ndarray
     L: np.ndarray
+    T: np.ndarray
     eigenvalues: np.ndarray
 
     @property
@@ -339,90 +335,90 @@ class ReducedGenerator:
         return self.Ahat.shape[0]
 
 
-def _full_A_matrix(gen: Generator) -> np.ndarray:
-    n = gen.size
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = -np.eye(n)
-    A[n:, :n] = gen.op.dense()
-    A[n:, n:] = np.diag(gen.alpha)
-    return A
-
-
 def reduced_generator(gen: Generator) -> ReducedGenerator:
     if gen._reduced is not None:
         return gen._reduced
     n = gen.size
     w = gen.op.weight
+    P = gen.op.dense()
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = -np.eye(n)
+    A[n:, :n] = P
+    A[n:, n:] = np.diag(gen.alpha)
+    G = np.zeros((2 * n, 2 * n))
+    G[:n, :n] = w * P
+    G[n:, n:] = w * np.eye(n)
     if gen.kernel_dim:
         # F rows: F_j(Y) = w (alpha phi_j)^T y + w phi_j^T v
         F = np.hstack([w * (gen.alpha[:, None] * gen.kernel_damped).T,
                        w * gen.kernel_damped.T])
         Q = scipy.linalg.null_space(F)
+        AQ = A @ Q
+        del A
+        Ahat = Q.T @ AQ
+        # invariance check: AQ must stay in range(Q)
+        resid = np.linalg.norm(AQ - Q @ Ahat) / max(np.linalg.norm(AQ), 1e-300)
+        if resid > 1e-8:
+            raise AssertionError(f"reduced subspace is not invariant "
+                                 f"(residual {resid:.2e})")
+        del AQ
+        Ghat = Q.T @ G @ Q
+        Ghat = 0.5 * (Ghat + Ghat.T)
+        del G, Q
     else:
-        Q = np.eye(2 * n)
-    A = _full_A_matrix(gen)
-    AQ = A @ Q
-    Ahat = Q.T @ AQ
-    # invariance check: AQ must stay in range(Q)
-    resid = np.linalg.norm(AQ - Q @ Ahat) / max(np.linalg.norm(AQ), 1e-300)
-    if resid > 1e-8:
-        raise AssertionError(f"reduced subspace is not invariant (residual {resid:.2e})")
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, :n] = w * gen.op.dense()
-    G[n:, n:] = w * np.eye(n)
-    Ghat = Q.T @ G @ Q
-    Ghat = 0.5 * (Ghat + Ghat.T)
+        # the complement is the whole space: no projection to take
+        Ahat, Ghat = A, G
     L = scipy.linalg.cholesky(Ghat, lower=True)
-    eigs = scipy.linalg.eigvals(Ahat)
-    red = ReducedGenerator(Q, Ahat, Ghat, L, eigs)
+    # B = L^T Ahat L^(-T), formed as (L^(-1) (L^T Ahat)^T)^T
+    B = scipy.linalg.solve_triangular(L, (L.T @ Ahat).T, lower=True).T
+    Tr, Zr = scipy.linalg.schur(B, output="real")
+    del B
+    # eigenvalues of the quasi-triangular factor come in exact conjugate pairs
+    eigs = scipy.linalg.eigvals(Tr)
+    T, _ = scipy.linalg.rsf2csf(Tr, Zr)
+    del Tr, Zr
+    red = ReducedGenerator(Ahat, Ghat, L, T, eigs)
     gen._reduced = red
     return red
 
 
 def _weighted_opnorm_inv(red: ReducedGenerator, z: complex, seed: int = 0,
-                         tol: float = 1e-9, maxiter: int = 1000) -> float:
-    """|(z - Ahat)^(-1)| in the energy norm via power iteration on the
-    similarity-transformed resolvent Ltrans = L^T R L^(-T)."""
-    m = red.dim
-    lu = scipy.linalg.lu_factor(z * np.eye(m) - red.Ahat)
-    L = red.L
+                         tol: float = 1e-9, maxiter: int = 1000):
+    """|(z - Ahat)^(-1)| in the energy norm, which is |(z - T)^(-1)|_2, by
+    power iteration on (z - T)^(-H) (z - T)^(-1) with two triangular solves
+    per step.
 
-    def apply_T(x):
-        # Ltrans x = L^T (z - Ahat)^(-1) L^(-T) x
-        y = scipy.linalg.solve_triangular(L, x, lower=True, trans="T")
-        y = scipy.linalg.lu_solve(lu, y)
-        return L.T @ y
-
-    def apply_TH(x):
-        # adjoint: L^(-1) (z - Ahat)^(-H) L x   (L is real)
-        y = scipy.linalg.lu_solve(lu, L @ x, trans=2)
-        return scipy.linalg.solve_triangular(L, y, lower=True)
-
+    Returns (norm, iterations, converged).  When maxiter runs out, converged
+    is False and norm is only a lower bound.
+    """
+    M = -red.T
+    M[np.diag_indices_from(M)] += z
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=m) + 1j * rng.normal(size=m)
+    x = rng.normal(size=red.dim) + 1j * rng.normal(size=red.dim)
     x /= np.linalg.norm(x)
     sigma_old = 0.0
-    for _ in range(maxiter):
-        y = apply_T(x)
-        x2 = apply_TH(y)
+    for it in range(1, maxiter + 1):
+        y = scipy.linalg.solve_triangular(M, x, check_finite=False)
+        x2 = scipy.linalg.solve_triangular(M, y, trans="C", check_finite=False)
         nrm = np.linalg.norm(x2)
         if nrm == 0:
-            return 0.0
+            return 0.0, it, True
         x = x2 / nrm
         sigma = math.sqrt(nrm)
         if abs(sigma - sigma_old) <= tol * max(sigma, 1e-300):
-            break
+            return sigma, it, True
         sigma_old = sigma
-    return sigma
+    return sigma, maxiter, False
 
 
 def resolvent_norm(gen: Generator, z: complex, tol: float = 1e-9,
                    maxiter: int = 1000) -> float:
     """Operator norm of (z - reduced A)^(-1) in the energy inner product.
 
-    Direct factorization of the shifted matrix plus a largest-singular-value
-    power iteration in the weighted norm.  Raises when z sits on (or
-    numerically at) an eigenvalue of the reduced generator.
+    Largest-singular-value power iteration through the Schur factor of the
+    reduced generator.  Raises ValueError when z sits on (or numerically at)
+    an eigenvalue of the reduced generator, and RuntimeError when the
+    iteration does not converge within maxiter steps.
     """
     red = reduced_generator(gen)
     scale = max(np.abs(red.eigenvalues).max(), 1.0)
@@ -430,58 +426,66 @@ def resolvent_norm(gen: Generator, z: complex, tol: float = 1e-9,
     if dist < 1e-12 * scale:
         raise ValueError(f"z = {z} is within {dist:.2e} of the reduced "
                          f"spectrum; resolvent norm undefined")
-    return _weighted_opnorm_inv(red, complex(z), tol=tol, maxiter=maxiter)
+    nrm, _, converged = _weighted_opnorm_inv(red, complex(z), tol=tol,
+                                             maxiter=maxiter)
+    if not converged:
+        raise RuntimeError(f"power iteration at z = {z} did not converge in "
+                           f"{maxiter} iterations; {nrm} is only a lower "
+                           f"bound")
+    return nrm
 
 
 @dataclass
 class SweepResult:
+    """Per-point arrays over the grid.  Skipped points carry a nan norm and
+    0 iterations; converged is False only where the power iteration ran out
+    of maxiter, so that norm is a lower bound."""
+
     sigmas: np.ndarray
     norms: np.ndarray
     skipped: list
     C: float
     slack: np.ndarray
     nearest_dist: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def resolvent_sweep(gen: Generator, sigma_grid, tol: float = 1e-9,
-                    workers: int = 1) -> SweepResult:
+                    maxiter: int = 1000) -> SweepResult:
     """Resolvent norms along the imaginary axis and the least C with
     log |R(i s)| <= C (1 + sqrt|s|) on the grid.
 
     Grid points within eigenvalue-resolution of the spectrum are skipped and
     flagged.  The per-point slack C (1 + sqrt s) - log |R| is reported; the
     distance to the nearest reduced eigenvalue gives the universal lower
-    bound |R| >= 1/dist for cross-checking.
+    bound |R| >= 1/dist for cross-checking.  Each point costs O(dim^2) per
+    iteration on the Schur factor computed once by reduced_generator.
     """
     red = reduced_generator(gen)
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     scale = max(np.abs(red.eigenvalues).max(), 1.0)
-
-    def one(s):
+    norms = np.full(sigmas.size, np.nan)
+    dists = np.empty(sigmas.size)
+    iterations = np.zeros(sigmas.size, dtype=int)
+    converged = np.ones(sigmas.size, dtype=bool)
+    skipped = []
+    for i, s in enumerate(sigmas):
         z = 1j * s
-        dist = float(np.abs(red.eigenvalues - z).min())
-        if dist < 1e-12 * scale:
-            return None, dist
-        return _weighted_opnorm_inv(red, z, tol=tol), dist
+        dists[i] = np.abs(red.eigenvalues - z).min()
+        if dists[i] < 1e-12 * scale:
+            skipped.append(float(s))
+            continue
+        norms[i], iterations[i], converged[i] = _weighted_opnorm_inv(
+            red, z, tol=tol, maxiter=maxiter)
 
-    results = [None] * sigmas.size
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            for i, out in enumerate(ex.map(one, sigmas)):
-                results[i] = out
-    else:
-        results = [one(s) for s in sigmas]
-
-    norms = np.array([r[0] if r[0] is not None else np.nan for r in results])
-    dists = np.array([r[1] for r in results])
-    skipped = [float(s) for s, r in zip(sigmas, results) if r[0] is None]
     ok = ~np.isnan(norms)
     ratios = np.maximum(np.log(norms[ok]), 0.0) / (1.0 + np.sqrt(np.abs(sigmas[ok])))
     C = float(ratios.max()) if ratios.size else 0.0
     slack = np.full(sigmas.size, np.nan)
     slack[ok] = C * (1.0 + np.sqrt(np.abs(sigmas[ok]))) - np.log(norms[ok])
-    return SweepResult(sigmas, norms, skipped, C, slack, dists)
+    return SweepResult(sigmas, norms, skipped, C, slack, dists, iterations,
+                       converged)
 
 
 def halfplane_check(gen: Generator, count: Optional[int] = None) -> float:

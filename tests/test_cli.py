@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import platelab
+from platelab import semigroup
 from platelab.cli import main, read_config, parse_alpha_spec, parse_grid_spec
 
 
@@ -81,6 +84,20 @@ class TestArtifacts:
         data = np.loadtxt(lines[1:], delimiter=",")
         assert data.shape[0] == 11
         assert np.all(np.isfinite(data[:, 1]))
+        assert "# unconverged = 0" in text
+        assert "# schema = resolvent-v2" in text
+
+    def test_resolvent_unconverged_fails(self, tmp_path, monkeypatch, capsys):
+        sweep = semigroup.resolvent_sweep
+        monkeypatch.setattr(semigroup, "resolvent_sweep",
+                            lambda gen, grid: sweep(gen, grid, maxiter=1))
+        out = tmp_path / "res.csv"
+        assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
+                       "--sigma-grid", "0:5:1", "--out", str(out)) == 1
+        text = out.read_text()
+        assert "# unconverged = 6" in text
+        assert "# max_iterations = 1" in text
+        assert "did not converge" in capsys.readouterr().err
 
     def test_decay_fit_json(self, tmp_path):
         out = tmp_path / "fit.json"
@@ -146,14 +163,11 @@ class TestDeterminism:
                            "--seed", "9", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+    def test_resolvent_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("PLATELAB_THREADS", "1")
-        run_cli("resolvent", "--bc", "clamped", "--n", "48",
-                "--sigma-grid", "0:5:1", "--out", str(a))
-        monkeypatch.setenv("PLATELAB_THREADS", "4")
-        run_cli("resolvent", "--bc", "clamped", "--n", "48",
-                "--sigma-grid", "0:5:1", "--out", str(b))
+        for out in (a, b):
+            assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
+                           "--sigma-grid", "0:5:1", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -190,7 +204,11 @@ class TestConfigFile:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child finds the package where this process found it
+        src = os.path.dirname(os.path.dirname(platelab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "platelab.cli",
-                               "catalog"], capture_output=True, text=True)
+                               "catalog"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "hinged" in proc.stdout

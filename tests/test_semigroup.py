@@ -321,6 +321,18 @@ class TestReducedGenerator:
         conj_sorted = np.sort_complex(eigs.conj())
         assert np.allclose(eigs_sorted, conj_sorted, rtol=1e-8, atol=1e-8)
 
+    def test_eigenvalues_match_dense_solver(self, clamped_gen):
+        # eigenvalues come from the Schur factor; both sets must lie within
+        # 1e-10 max|lambda| of each other.  (The dense solve on Ahat is the
+        # less accurate side: Ahat is badly scaled, |Ahat| ~ 1/h^4.)
+        red = reduced_generator(clamped_gen)
+        ref = scipy.linalg.eigvals(red.Ahat)
+        tol = 1e-10 * np.abs(ref).max()
+        gap = np.abs(red.eigenvalues[:, None] - ref[None, :])
+        assert red.eigenvalues.size == ref.size
+        assert gap.min(axis=1).max() <= tol
+        assert gap.min(axis=0).max() <= tol
+
 
 class TestResolvent:
     def test_apriori_norm_bound(self, clamped_gen):
@@ -343,6 +355,28 @@ class TestResolvent:
             dense = np.linalg.svd(T, compute_uv=False)[0]
             assert nrm == pytest.approx(dense, rel=1e-6)
 
+    def test_matches_dense_svd_without_kernel(self, clamped_gen, rng):
+        # empty kernel: the reduction takes A itself, with no projection
+        red = reduced_generator(clamped_gen)
+        zs = [121j] + [complex(rng.uniform(-2, 0.5), rng.uniform(-150, 150))
+                       for _ in range(4)]
+        for z in zs:
+            nrm = resolvent_norm(clamped_gen, z)
+            R = np.linalg.inv(z * np.eye(red.dim) - red.Ahat)
+            T = red.L.T @ R @ np.linalg.inv(red.L.T)
+            dense = np.linalg.svd(T, compute_uv=False)[0]
+            assert nrm == pytest.approx(dense, rel=1e-6)
+
+    def test_unconverged_is_reported(self, clamped_gen):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            resolvent_norm(clamped_gen, 3j, maxiter=1)
+        sweep = resolvent_sweep(clamped_gen, [0.0, 3.0], maxiter=1)
+        assert not sweep.converged.any()
+        assert np.all(sweep.iterations == 1)
+        sweep = resolvent_sweep(clamped_gen, [0.0, 3.0])
+        assert sweep.converged.all()
+        assert np.all(sweep.iterations >= 2)
+
     def test_eigenvalue_proximity_raises(self, clamped_gen):
         lam = reduced_generator(clamped_gen).eigenvalues[0]
         with pytest.raises(ValueError):
@@ -360,9 +394,3 @@ class TestResolvent:
     def test_sweep_includes_origin(self, neumann_gen):
         sweep = resolvent_sweep(neumann_gen, [0.0])
         assert math.isfinite(sweep.norms[0])
-
-    def test_sweep_worker_independence(self, clamped_gen):
-        grid = np.arange(0.0, 10.0, 0.5)
-        s1 = resolvent_sweep(clamped_gen, grid, workers=1)
-        s2 = resolvent_sweep(clamped_gen, grid, workers=4)
-        assert np.array_equal(s1.norms, s2.norms)
