@@ -268,16 +268,24 @@ def cmd_ls_check(cfg):
     return EXIT_OK
 
 
-def cmd_subell(cfg):
+def _region(cfg):
+    """Inputs shared by subell and gamma-search; kappa0_prime is ratio_hi."""
     psi = parse_psi_spec(cfg.get("psi", "parabola:0.1"))
-    gamma = float(cfg.get("gamma", 1.0))
-    tau0 = float(cfg.get("tau0", cfg.get("kappa0", 1.0)))
-    lo = float(cfg.get("region_lo", 0.05))
-    hi = float(cfg.get("region_hi", 0.4))
-    m = int(cfg.get("region_n", 9))
-    # kappa0_prime plays the upper tau/sigma ratio bound when supplied
-    ratio_hi = float(cfg.get("kappa0_prime", cfg.get("ratio_hi", 64.0)))
+    try:
+        tau0 = float(cfg.get("tau0", cfg.get("kappa0", 1.0)))
+        lo = float(cfg.get("region_lo", 0.05))
+        hi = float(cfg.get("region_hi", 0.4))
+        m = int(cfg.get("region_n", 9))
+        ratio_hi = float(cfg.get("kappa0_prime", cfg.get("ratio_hi", 64.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad region setting: {exc}")
     grid = [np.array([t]) for t in np.linspace(lo, hi, m)]
+    return psi, tau0, (lo, hi, m), grid, ratio_hi
+
+
+def cmd_subell(cfg):
+    psi, tau0, (lo, hi, m), grid, ratio_hi = _region(cfg)
+    gamma = float(cfg.get("gamma", 1.0))
     wf = weights.WeightField(psi, gamma)
     out = {"grid": {"region": [lo, hi], "points": m,
                     "ratio_band": [tau0, ratio_hi]}}
@@ -296,16 +304,9 @@ def cmd_subell(cfg):
 
 
 def cmd_gamma_search(cfg):
-    psi = parse_psi_spec(cfg.get("psi", "parabola:0.1"))
-    tau0 = float(cfg.get("tau0", cfg.get("kappa0", 1.0)))
-    lo = float(cfg.get("region_lo", 0.05))
-    hi = float(cfg.get("region_hi", 0.4))
-    m = int(cfg.get("region_n", 9))
-    grid = [np.array([t]) for t in np.linspace(lo, hi, m)]
+    psi, tau0, _, grid, ratio_hi = _region(cfg)
     try:
-        res = weights.gamma_search(
-            psi, tau0, grid,
-            ratio_hi=float(cfg.get("kappa0_prime", cfg.get("ratio_hi", 64.0))))
+        res = weights.gamma_search(psi, tau0, grid, ratio_hi=ratio_hi)
     except (ValueError, RuntimeError) as exc:
         raise CheckFailure(str(exc))
     write_json(cfg.get("out"), {"gamma0": res.gamma0, "margins": res.margins,
@@ -341,11 +342,14 @@ def cmd_assemble(cfg):
 def cmd_spectrum(cfg):
     op = _operator(cfg)
     count = int(cfg.get("count", 5))
-    mu, _ = plate.spectrum(op, count)
+    mu, _ = plate.spectrum(op, count, vectors=False)
     rows = [(k, float(mu[k])) for k in range(count)]
-    write_csv(cfg.get("out"), {"bc": op.bc_name, "n": op.grid.n[0],
-                               "schema": "spectrum-v1"},
-              ["k", "mu"], rows)
+    g = op.grid
+    meta = {"bc": op.bc_name, "dim": g.dimension, "n": g.n[0], "count": count,
+            "length": fmt(g.lengths[0]), "schema": "spectrum-v2"}
+    if g.dimension == 2:
+        meta.update(n_y=g.n[1], length_y=fmt(g.lengths[1]))
+    write_csv(cfg.get("out"), meta, ["k", "mu"], rows)
     return EXIT_OK
 
 
@@ -490,7 +494,7 @@ def main(argv=None) -> int:
                 cfg[dest] = val
         _validate(cfg)
         return COMMANDS[ns.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, plate.SizeLimitError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CheckFailure as exc:

@@ -28,6 +28,7 @@ __all__ = [
     "Grid",
     "make_grid",
     "SpectralScale",
+    "SizeLimitError",
     "DiscretePlateOperator",
     "assemble",
     "check_symmetry",
@@ -40,12 +41,18 @@ __all__ = [
     "clamped_beam_beta",
 ]
 
+MAX_DENSE_UNKNOWNS = 3000   # cap of DiscretePlateOperator.dense()
+
 NODE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A")
 CELL_FAMILIES = ("neumann_pair", "ex2_dn2_dn3", "ex3_dn_dn3_A", "ex5_dn2A_dn3")
 
 
 def catalog_families():
     return NODE_FAMILIES + CELL_FAMILIES
+
+
+class SizeLimitError(ValueError):
+    """A problem size above what a dense path accepts."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,12 @@ class DiscretePlateOperator:
         return math.sqrt(max(self.inner(u, u), 0.0))
 
     def dense(self) -> np.ndarray:
+        """The matrix as an array, for the dense O(N^3) paths only."""
+        if self.size > MAX_DENSE_UNKNOWNS:
+            raise SizeLimitError(
+                f"dense matrix refused for {self.size} > {MAX_DENSE_UNKNOWNS} plate "
+                f"unknowns: 1-D eigenvectors, the reduction and the resolvent are "
+                f"dense O(N^3); spectrum eigenvalues and time stepping are banded")
         return self.matrix.toarray()
 
 
@@ -160,15 +173,10 @@ def _neumann_laplacian(n: int, h: float, length: float, coeff=None) -> sp.csr_ma
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-def _biharmonic_base(n_unknowns: int, h: float) -> np.ndarray:
-    """Dense banded [1 -4 6 -4 1]/h^4 rows; boundary rows patched by caller."""
-    M = np.zeros((n_unknowns, n_unknowns))
+def _biharmonic_base(n_unknowns: int, h: float) -> sp.csr_matrix:
+    """Banded [1 -4 6 -4 1]/h^4 rows; boundary rows patched by caller."""
     stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h ** 4
-    for i in range(n_unknowns):
-        for k, c in zip(range(i - 2, i + 3), stencil):
-            if 0 <= k < n_unknowns:
-                M[i, k] += c
-    return M
+    return sp.diags(stencil, range(-2, 3), shape=(n_unknowns,) * 2, format="csr")
 
 
 def _assemble_1d(grid: Grid, name: str, params: dict, coeff):
@@ -314,42 +322,54 @@ def check_symmetry(op: DiscretePlateOperator, trials: int = 20,
     return worst
 
 
-def _eigh_full(op: DiscretePlateOperator) -> SpectralScale:
-    if op.tensor_factors is not None:
-        evs, vecs = [], []
-        for L in op.tensor_factors:
-            lam, V = scipy.linalg.eigh(L.toarray())
-            evs.append(lam)
-            vecs.append(V)
-        lam0, lam1 = evs
-        pairs = [(float((a + b) ** 2), i, j)
-                 for i, a in enumerate(lam0) for j, b in enumerate(lam1)]
-        pairs.sort()
-        mu = np.array([p[0] for p in pairs])
-        cols = np.empty((op.size, len(pairs)))
-        for k, (_, i, j) in enumerate(pairs):
-            cols[:, k] = np.kron(vecs[0][:, i], vecs[1][:, j])
-        cols /= math.sqrt(op.weight)
-        return SpectralScale(mu, cols, op.weight, full=True)
+def lower_band(matrix) -> np.ndarray:
+    """LAPACK lower band storage ab[k, j] = M[j + k, j] of a symmetric matrix."""
+    low = sp.tril(matrix, format="coo")
+    ab = np.zeros((int((low.row - low.col).max()) + 1, matrix.shape[0]))
+    np.add.at(ab, (low.row - low.col, low.col), low.data)
+    return ab
 
-    if op.size > 3000:
-        raise ValueError("dense eigensolve refused for this size; use a "
-                         "tensor-structured family or a smaller grid")
-    lam, V = scipy.linalg.eigh(op.dense())
-    V = V / math.sqrt(op.weight)
-    return SpectralScale(lam, V, op.weight, full=True)
+
+def _tensor_pairs(op: DiscretePlateOperator, count: int):
+    """Lowest `count` eigenpairs of (L0 x I + I x L1)^2 from those of the two
+    factors, forming only the selected Kronecker columns."""
+    (lam0, V0), (lam1, V1) = (scipy.linalg.eigh(L.toarray())
+                              for L in op.tensor_factors)
+    sums = (lam0[:, None] + lam1[None, :]) ** 2
+    # a stable sort breaks ties by factor index (i, j)
+    i, j = np.unravel_index(np.argsort(sums, axis=None, kind="stable")[:count],
+                            sums.shape)
+    cols = (V0[:, None, i] * V1[None, :, j]).reshape(op.size, count)
+    return sums[i, j], cols / math.sqrt(op.weight)
 
 
 def spectral_scale(op: DiscretePlateOperator) -> SpectralScale:
+    """All eigenpairs, computed once and cached on the operator."""
     if op._scale is None:
-        op._scale = _eigh_full(op)
+        if op.tensor_factors is not None:
+            mu, V = _tensor_pairs(op, op.size)
+        else:
+            mu, V = scipy.linalg.eigh(op.dense())
+            V = V / math.sqrt(op.weight)
+        op._scale = SpectralScale(mu, V, op.weight, full=True)
     return op._scale
 
 
-def spectrum(op: DiscretePlateOperator, count: int):
-    """Lowest eigenpairs, ascending, grid-orthonormal eigenvectors."""
+def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
+    """Lowest eigenpairs, ascending, grid-orthonormal eigenvectors; with
+    vectors=False, (eigenvalues, None) from the band or the tensor factors.
+    1-D eigenvectors stay on the cached dense eigh: the decay experiments'
+    initial data depend on its LAPACK signs."""
     if count > op.size:
         raise ValueError(f"requested {count} eigenpairs of a size-{op.size} operator")
+    if op.tensor_factors is not None:
+        mu, V = _tensor_pairs(op, count)
+        return mu, V if vectors else None
+    if not vectors:
+        mu = scipy.linalg.eig_banded(lower_band(op.matrix), lower=True,
+                                     eigvals_only=True, select="i",
+                                     select_range=(0, max(count, 1) - 1))
+        return mu[:count], None
     s = spectral_scale(op)
     return s.eigenvalues[:count].copy(), s.eigenvectors[:, :count].copy()
 
@@ -374,14 +394,13 @@ def kernel(op: DiscretePlateOperator, tol: float = 1e-8, count: int = 16):
     """Eigenvectors spanning the numerical kernel: mu_j <= tol * mu_ref with
     mu_ref the median of the lowest `count` eigenvalues.  Empty when mu_0
     clears the threshold."""
-    s = spectral_scale(op)
-    mu = s.eigenvalues
-    count = min(count, mu.size)
+    count = min(count, op.size)
+    mu, V = spectrum(op, count)
     ref = mu[(count + 1) // 2]
     if ref <= 0:
-        ref = abs(mu[:count]).max()
+        ref = abs(mu).max()
     idx = np.where(mu <= tol * ref)[0]
-    return [s.eigenvectors[:, i].copy() for i in idx]
+    return [V[:, i].copy() for i in idx]
 
 
 def clamped_beam_beta(k: int = 1, tol: float = 1e-13) -> float:
@@ -427,7 +446,7 @@ def export_columnar(op: DiscretePlateOperator, directory, eig_count: int = 0):
         for k in order:
             fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
     if eig_count:
-        mu, _ = spectrum(op, eig_count)
+        mu, _ = spectrum(op, eig_count, vectors=False)
         with open(os.path.join(directory, "eigenvalues.txt"), "w") as fh:
             fh.write("# index eigenvalue\n")
             for i, m in enumerate(mu):

@@ -42,6 +42,21 @@ class TestExitCodes:
         assert run_cli("ls-check", "--bc", "clamped", "--kappa0", "2",
                        "--kappa0-prime", "1") == 2
 
+    def test_size_limits_are_config_errors(self, capsys, monkeypatch):
+        # dense eigenvectors for the initial data, then the dense reduction
+        assert run_cli("simulate", "--bc", "clamped", "--n", "3200") == 2
+        assert "3199 > 3000" in capsys.readouterr().err
+        monkeypatch.setattr("platelab.plate.MAX_DENSE_UNKNOWNS", 100)
+        assert run_cli("resolvent", "--bc", "hinged", "--dim", "2",
+                       "--n", "16", "--n-y", "12") == 2
+        assert "165 > 100" in capsys.readouterr().err
+
+    def test_bad_region_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ratio_hi = wide\n")
+        for cmd in ("subell", "gamma-search"):
+            assert run_cli(cmd, "--config", str(cfg)) == 2, cmd
+
     def test_tau_zero_prints_determinant(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("ls-check", "--bc", "hinged", "--tau", "0",
@@ -57,12 +72,34 @@ class TestArtifacts:
                        "--count", "5", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         meta = [l for l in lines if l.startswith("#")]
-        assert any("schema" in l for l in meta)
+        assert meta == ["# bc = hinged", "# count = 5", "# dim = 1",
+                        "# length = 1", "# n = 200", "# schema = spectrum-v2"]
         data = np.loadtxt([l for l in lines if not l.startswith("#")][1:],
                           delimiter=",")
         for k in range(1, 6):
             assert abs(data[k - 1, 1] - (k * math.pi) ** 4) / (k * math.pi) ** 4 \
                 < 0.005
+
+    def test_spectrum_2d_manifest(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--bc", "hinged", "--dim", "2", "--n", "16",
+                       "--n-y", "8", "--length-y", "0.5", "--count", "3",
+                       "--out", str(out)) == 0
+        meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert meta == ["# bc = hinged", "# count = 3", "# dim = 2",
+                        "# length = 1", "# length_y = 0.5", "# n = 16",
+                        "# n_y = 8", "# schema = spectrum-v2"]
+
+    def test_spectrum_beyond_dense_cap(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--bc", "clamped", "--n", "3200",
+                       "--out", str(out)) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        mu = np.loadtxt(lines[1:], delimiter=",")[:, 1]
+        assert mu.size == 5 and np.all(np.diff(mu) > 0)
+        # discretization error plus roundoff eps * |M| with |M| <= 16 / h^4
+        ref, h = 4.730040744862704 ** 4, 1.0 / 3200
+        assert abs(mu[0] - ref) <= 30 * h ** 2 * ref + 10 * 2.3e-16 * 16 / h ** 4
 
     def test_simulate_monotone_csv(self, tmp_path):
         out = tmp_path / "log.csv"
@@ -73,6 +110,18 @@ class TestArtifacts:
         data = np.loadtxt(lines[1:], delimiter=",")
         e = data[:, 1]
         assert np.all(np.diff(e) <= 1e-9 * e[0])
+
+    def test_simulate_2d_closes_ledger(self, tmp_path):
+        out = tmp_path / "log.csv"
+        dt = 0.01
+        assert run_cli("simulate", "--bc", "hinged", "--dim", "2", "--n", "24",
+                       "--n-y", "16", "--T", "1.0", "--dt", str(dt),
+                       "--out", str(out)) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        data = np.loadtxt(lines[1:], delimiter=",")
+        e, diss = data[:, 1], data[:, 2]
+        assert data.shape[0] == 101 and e[-1] < e[0]
+        assert abs(diss.sum() * dt - (e[0] - e[-1])) <= 1e-10 * e[0]
 
     def test_resolvent_table(self, tmp_path):
         out = tmp_path / "res.csv"

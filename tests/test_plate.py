@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from platelab.plate import (
     DiscretePlateOperator,
+    SizeLimitError,
     assemble,
     catalog_families,
     check_symmetry,
@@ -32,6 +34,65 @@ def dirichlet_matrix(n, h):
     return (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
 
 
+def zero_flux_matrix(n, h):
+    main = 2.0 * np.ones(n)
+    main[[0, -1]] = 1.0
+    off = -np.ones(n - 1)
+    return (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
+
+
+def ordered_square(L):
+    """L @ L for a tridiagonal L, each entry summed over k = i-1, i, i+1 in
+    that order with separate roundings (no fused multiply-add)."""
+    m = L.shape[0]
+    return np.array([[sum(L[i, k] * L[k, j]
+                          for k in range(max(i - 1, 0), min(i + 2, m)))
+                      for j in range(m)] for i in range(m)])
+
+
+def dense_reference(name, n):
+    """Dense 1-D operator built from the stencil: interior [1 -4 6 -4 1]/h^4
+    rows with the ghost-eliminated boundary rows, or the square of a
+    three-point Laplacian, at the default boundary parameters."""
+    h = 1.0 / n
+    if name == "hinged":
+        return ordered_square(dirichlet_matrix(n, h))
+    if name in ("neumann_pair", "ex3_dn_dn3_A"):
+        M = ordered_square(zero_flux_matrix(n, h))
+        if name == "ex3_dn_dn3_A":
+            M[0, 0] += 1.0 / h
+            M[-1, -1] += 1.0 / h
+        return M
+    m = n - 1 if name in ("clamped", "ex4_id_dn2_A") else n
+    M = np.zeros((m, m))
+    stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h ** 4
+    for i in range(m):
+        for k, c in zip(range(i - 2, i + 3), stencil):
+            if 0 <= k < m:
+                M[i, k] += c
+    if name == "clamped":
+        M[0, 0] += 1.0 / h ** 4
+        M[-1, -1] += 1.0 / h ** 4
+    elif name == "ex4_id_dn2_A":
+        c = (1.0 - h / 2.0) / (1.0 + h / 2.0)
+        M[0, 0] += -c / h ** 4
+        M[-1, -1] += -c / h ** 4
+    elif name == "ex2_dn2_dn3":
+        for a, b in ((0, 1), (-1, -2)):
+            M[a, a] += -5.0 / h ** 4
+            M[a, b] += 2.0 / h ** 4
+            M[b, a] += 2.0 / h ** 4
+            M[b, b] += -1.0 / h ** 4
+    else:  # ex5_dn2A_dn3 at a = 1
+        beta = 1.0 / (1.0 + h)
+        for a, b in ((0, 1), (m - 1, m - 2)):
+            M[a, a] += (3.0 - beta * (2.0 + h) - 6.0) / h ** 4
+            M[a, b] += (beta - 3.0 + 4.0) / h ** 4
+            M[b, a] += beta * (2.0 + h) / h ** 4
+            M[b, b] += -beta / h ** 4
+    return M
+
+
 class TestAssembly:
     def test_hinged_is_squared_dirichlet_laplacian(self):
         op = assemble(GRID, "hinged")
@@ -42,6 +103,13 @@ class TestAssembly:
         op = assemble(GRID, "clamped")
         L = dirichlet_matrix(GRID.n[0], GRID.h[0])
         assert np.abs(op.dense() - L @ L).max() > 1.0
+
+    @pytest.mark.parametrize("n", [16, 97, 200])
+    def test_matches_dense_stencil_reference(self, n):
+        for name in catalog_families():
+            op = assemble(make_grid(n), name)
+            assert np.array_equal(op.dense(), dense_reference(name, n)), name
+            assert np.all(op.matrix.data != 0.0), name
 
     def test_neumann_kernel_contains_constants(self):
         op = assemble(GRID, "neumann_pair")
@@ -196,6 +264,33 @@ class TestSpectrum:
         op = assemble(GRID, "hinged")
         with pytest.raises(ValueError):
             spectrum(op, op.size + 1)
+
+    def test_dense_eigenvector_cap(self):
+        op = assemble(make_grid(3200), "clamped")
+        with pytest.raises(SizeLimitError, match="3199"):
+            spectrum(op, 5)
+        mu, vecs = spectrum(op, 5, vectors=False)
+        assert vecs is None and np.all(np.diff(mu) > 0)
+
+    def test_eigenvalues_only_match_dense_solver(self):
+        ops = [assemble(GRID, name) for name in catalog_families()]
+        ops += [assemble(make_grid((16, 12)), name)
+                for name in ("hinged", "neumann_pair")]
+        for op in ops:
+            M = op.dense()
+            mu, vecs = spectrum(op, 6, vectors=False)
+            ref = scipy.linalg.eigvalsh(M)[:6]
+            tol = 10 * np.finfo(float).eps * np.abs(M).sum(axis=0).max()
+            assert vecs is None
+            assert np.abs(mu - ref).max() <= tol, (op.bc_name, op.grid.n)
+            assert spectrum(op, 0, vectors=False)[0].size == 0
+
+    def test_2d_lowest_pairs_match_full_tensor_scale(self):
+        for name, n in (("hinged", (16, 12)), ("neumann_pair", (12, 16))):
+            mu, vecs = spectrum(assemble(make_grid(n), name), 7)
+            full = spectral_scale(assemble(make_grid(n), name))
+            assert np.array_equal(mu, full.eigenvalues[:7]), name
+            assert np.array_equal(vecs, full.eigenvectors[:, :7]), name
 
     def test_2d_hinged_tensor_eigenvalues(self):
         a, b = 1.0, 2.0

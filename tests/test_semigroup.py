@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from platelab.plate import assemble, make_grid, spectrum
+from platelab.plate import (
+    DiscretePlateOperator,
+    SizeLimitError,
+    assemble,
+    kernel,
+    make_grid,
+    spectrum,
+)
 from platelab.semigroup import (
     EnergyLog,
+    Generator,
     MidpointStepper,
     StateVector,
     build_generator,
@@ -205,6 +213,41 @@ class TestStepper:
         with pytest.raises(ValueError):
             MidpointStepper(clamped_gen, 0.0)
 
+    @pytest.mark.parametrize("name,grid", [("clamped", GRID),
+                                           ("neumann_pair", GRID),
+                                           ("hinged", make_grid((24, 16)))])
+    def test_banded_step_matches_dense_solve(self, name, grid, rng):
+        op = assemble(grid, name)
+        gen = build_generator(op, bump_alpha(op))
+        dt = 0.01
+        Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
+        Z, _ = MidpointStepper(gen, dt).advance(Y)
+        P, a = op.dense(), gen.alpha
+        S = np.eye(op.size) + (dt ** 2 / 4) * P + (dt / 2) * np.diag(a)
+        rhs = Y.v - (dt ** 2 / 4) * (P @ Y.v) - (dt / 2) * a * Y.v - dt * (P @ Y.y)
+        v = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), rhs)
+        assert np.abs(Z.v - v).max() <= 1e-12 * np.abs(v).max()
+        y = Y.y + (dt / 2) * (Y.v + v)
+        assert np.abs(Z.y - y).max() <= 1e-12 * np.abs(y).max()
+
+    def test_banded_paths_build_no_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built on a banded path")
+
+        op1 = assemble(make_grid(1200), "clamped")
+        op2 = assemble(make_grid((64, 48)), "hinged")
+        monkeypatch.setattr(DiscretePlateOperator, "dense", refuse)
+        mu, _ = spectrum(op1, 5, vectors=False)
+        assert mu.size == 5
+        assert spectrum(op2, 5)[1].shape == (op2.size, 5)
+        assert kernel(op2) == []
+        gen1 = Generator(op1, bump_alpha(op1), np.zeros((op1.size, 0)),
+                         np.zeros((op1.size, 0)))
+        for gen in (gen1, build_generator(op2, bump_alpha(op2))):
+            Y = StateVector(np.ones(gen.size), np.zeros(gen.size))
+            Z, _ = MidpointStepper(gen, 0.5).advance(Y)
+            assert np.all(np.isfinite(Z.y))
+
 
 class TestSimulate:
     def test_undamped_conservation_1000_steps(self):
@@ -288,6 +331,14 @@ class TestReducedGenerator:
     def test_dimension(self, neumann_gen, clamped_gen):
         assert reduced_generator(neumann_gen).dim == 2 * neumann_gen.size - 1
         assert reduced_generator(clamped_gen).dim == 2 * clamped_gen.size
+
+    def test_size_cap(self, monkeypatch):
+        # a lowered cap keeps the test small should the guard ever regress
+        monkeypatch.setattr("platelab.plate.MAX_DENSE_UNKNOWNS", 100)
+        op = assemble(make_grid((16, 12)), "hinged")
+        gen = build_generator(op, bump_alpha(op))
+        with pytest.raises(SizeLimitError, match="165 > 100.*reduction"):
+            reduced_generator(gen)
 
     def test_apriori_bound(self, clamped_gen, neumann_gen, rng):
         # |(z - A)U| >= |Re z| |U| in the energy norm for Re z < 0
