@@ -7,3 +7,7 @@ damped plate semigroup with its resolvent and energy-decay experiments.
 """
 
 __version__ = "0.1.0"
+
+
+class SizeLimitError(ValueError):
+    """A problem size above what a dense path accepts."""

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import lscheck, plate, semigroup, weights
+from . import SizeLimitError, lscheck, weights
 from .symbols import TangentialPoint, WeightJet, quartic_roots, \
     classify_roots, factor_roots
 
@@ -84,7 +84,10 @@ def read_config(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
                                   f"got {raw.rstrip()!r}")
             key, _, val = line.partition("=")
-            cfg[key.strip()] = _coerce(val.strip())
+            key = key.strip()
+            if key not in _KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            cfg[key] = _coerce(val.strip())
     return cfg
 
 
@@ -115,6 +118,7 @@ def parse_alpha_spec(spec, nodes: np.ndarray) -> np.ndarray:
     if kind == "const":
         return float(parts[1]) * np.ones(nodes.shape[0])
     if kind == "file":
+        from . import plate
         return plate.load_damping_profile(parts[1], nodes)
     raise ConfigError(f"unknown damping spec {spec!r}")
 
@@ -209,10 +213,9 @@ def cmd_ls_check(cfg):
     mu0 = float(cfg.get("mu0", 0.25))
     mu1 = float(cfg.get("mu1", 0.25))
     nsamples = int(cfg.get("samples", 200))
-    rng = np.random.default_rng(seed)
     x0 = np.array([0.0, 0.0])
 
-    report = {"bc": name, "seed": seed, "unconjugated": [], "conjugated": {}}
+    report = {"bc": name, "seed": seed, "unconjugated": []}
     failures = []
 
     for radius in (0.5, 1.0, 2.0):
@@ -229,39 +232,10 @@ def cmd_ls_check(cfg):
         print(f"unconjugated determinant at |omega'| = 1: "
               f"{fmt(rep.determinant.real)}{rep.determinant.imag:+.17g}j")
 
-    agree = 0
-    marginal = 0
-    counterexample = None
-    for _ in range(nsamples):
-        xi = rng.normal(size=1)
-        tau = float(10.0 ** rng.uniform(-1, 1))
-        sigma = float(rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau))
-        dn = 1.0
-        dtang = rng.normal(size=1)
-        if np.linalg.norm(dtang):
-            dtang = mu0 * rng.uniform(0, 1) * dn * dtang / np.linalg.norm(dtang)
-        p = TangentialPoint(x0, xi, tau, sigma)
-        w = WeightJet(1.0, dtang, dn)
-        rep = lscheck.ls_conjugated(b1, b2, w, p)
-        if rep.marginal:
-            marginal += 1
-            continue
-        rank = lscheck.ls_rank_oracle(b1, b2, w, p)
-        pos = lscheck.positivity_margin(b1, b2, w, p)
-        consistent = (rep.verdict == (rank == 4)) and (rep.verdict == (pos > 1e-16))
-        if consistent and rep.verdict:
-            agree += 1
-        else:
-            counterexample = {"xi_prime": float(xi[0]), "tau": tau,
-                              "sigma": sigma, "dphi_tangential": float(dtang[0]),
-                              "verdict": rep.verdict, "rank": rank,
-                              "positivity": pos, "case": rep.case.value}
-            failures.append(("conjugated", counterexample))
-            break
-
-    report["conjugated"] = {"samples": nsamples, "passed": agree,
-                            "marginal_skipped": marginal,
-                            "counterexample": counterexample}
+    conj = lscheck.sample_conjugated(b1, b2, nsamples, seed, kappa0, mu0, mu1)
+    report["conjugated"] = conj
+    if conj["counterexample"] is not None:
+        failures.append(("conjugated", conj["counterexample"]))
     write_json(cfg.get("out"), report)
     if failures:
         raise CheckFailure(f"{len(failures)} check(s) failed", report)
@@ -315,6 +289,7 @@ def cmd_gamma_search(cfg):
 
 
 def _operator(cfg):
+    from . import plate
     n = int(cfg.get("n", 200))
     dim = int(cfg.get("dim", 1))
     length = float(cfg.get("length", 1.0))
@@ -330,18 +305,29 @@ def _operator(cfg):
         raise ConfigError(str(exc))
 
 
+def _count(cfg, op, default):
+    count = int(cfg.get("count", default))
+    if not 0 <= count <= op.size:
+        raise ConfigError(f"count must lie in [0, {op.size}] for the "
+                          f"size-{op.size} operator, got {count}")
+    return count
+
+
 def cmd_assemble(cfg):
+    from . import plate
     op = _operator(cfg)
+    count = _count(cfg, op, 0)
     outdir = cfg.get("out", "operator_export")
-    plate.export_columnar(op, outdir, eig_count=int(cfg.get("count", 0)))
-    print(f"wrote nodes/matrix{'/eigenvalues' if cfg.get('count') else ''} "
+    plate.export_columnar(op, outdir, eig_count=count)
+    print(f"wrote nodes/matrix{'/eigenvalues' if count else ''} "
           f"under {outdir}")
     return EXIT_OK
 
 
 def cmd_spectrum(cfg):
+    from . import plate
     op = _operator(cfg)
-    count = int(cfg.get("count", 5))
+    count = _count(cfg, op, 5)
     mu, _ = plate.spectrum(op, count, vectors=False)
     rows = [(k, float(mu[k])) for k in range(count)]
     g = op.grid
@@ -354,6 +340,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_simulate(cfg):
+    from . import plate, semigroup
     op = _operator(cfg)
     alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
     gen = semigroup.build_generator(op, alpha)
@@ -382,6 +369,7 @@ def cmd_simulate(cfg):
 
 
 def cmd_resolvent(cfg):
+    from . import semigroup
     op = _operator(cfg)
     alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
     gen = semigroup.build_generator(op, alpha)
@@ -407,6 +395,7 @@ def cmd_resolvent(cfg):
 
 
 def cmd_decay_fit(cfg):
+    from . import plate, semigroup
     op = _operator(cfg)
     alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
     gen = semigroup.build_generator(op, alpha)
@@ -465,6 +454,7 @@ _FLAGS = [
     ("--dphi-tangential", "dphi_tangential", float),
     ("--out", "out", str),
 ]
+_KEYS = frozenset(dest for _, dest, _ in _FLAGS)
 
 
 def build_parser():
@@ -494,7 +484,7 @@ def main(argv=None) -> int:
                 cfg[dest] = val
         _validate(cfg)
         return COMMANDS[ns.command](cfg)
-    except (ConfigError, plate.SizeLimitError) as exc:
+    except (ConfigError, SizeLimitError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CheckFailure as exc:

@@ -41,6 +41,7 @@ __all__ = [
     "ls_conjugated",
     "ls_rank_oracle",
     "positivity_margin",
+    "sample_conjugated",
     "perturbation_margin",
     "conjugation_thresholds",
 ]
@@ -580,6 +581,53 @@ def positivity_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     Mw, _ = _stability_matrix(b1, b2, w, p, metric, classify_tol, separation_band)
     s = np.linalg.svd(Mw, compute_uv=False)
     return float(s[-1] ** 2)
+
+
+def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
+                      samples: int, seed: int = 0, kappa0: float = 1.0,
+                      mu0: float = 0.25, mu1: float = 0.25) -> dict:
+    """Seeded three-route agreement test of the conjugated condition at
+    x = (0, 0): xi' standard normal, tau log-uniform in [0.1, 10], sigma
+    uniform below min(1/kappa0, mu1) tau, dphi = (dphi_t, 1) with
+    |dphi_t| <= mu0.
+
+    A sample agrees when the determinant verdict, rank == 4 and a positive
+    margin all hold.  Marginal samples are skipped; sampling stops at the
+    first disagreement, recorded as the counterexample (None if none).
+    Returns the keys samples, passed, marginal_skipped and counterexample.
+    """
+    rng = np.random.default_rng(seed)
+    x0 = np.array([0.0, 0.0])
+    agree = 0
+    marginal = 0
+    counterexample = None
+    for _ in range(samples):
+        xi = rng.normal(size=1)
+        tau = float(10.0 ** rng.uniform(-1, 1))
+        sigma = float(rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau))
+        dn = 1.0
+        dtang = rng.normal(size=1)
+        if np.linalg.norm(dtang):
+            dtang = mu0 * rng.uniform(0, 1) * dn * dtang / np.linalg.norm(dtang)
+        p = TangentialPoint(x0, xi, tau, sigma)
+        w = WeightJet(1.0, dtang, dn)
+        rep = ls_conjugated(b1, b2, w, p)
+        if rep.marginal:
+            marginal += 1
+            continue
+        rank = ls_rank_oracle(b1, b2, w, p)
+        pos = positivity_margin(b1, b2, w, p)
+        consistent = (rep.verdict == (rank == 4)) and (rep.verdict == (pos > 1e-16))
+        if consistent and rep.verdict:
+            agree += 1
+        else:
+            counterexample = {"xi_prime": float(xi[0]), "tau": tau,
+                              "sigma": sigma, "dphi_tangential": float(dtang[0]),
+                              "verdict": rep.verdict, "rank": rank,
+                              "positivity": pos, "case": rep.case.value}
+            break
+    return {"samples": samples, "passed": agree, "marginal_skipped": marginal,
+            "counterexample": counterexample}
 
 
 def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,

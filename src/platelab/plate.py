@@ -24,6 +24,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from . import SizeLimitError
+
 __all__ = [
     "Grid",
     "make_grid",
@@ -49,10 +51,6 @@ CELL_FAMILIES = ("neumann_pair", "ex2_dn2_dn3", "ex3_dn_dn3_A", "ex5_dn2A_dn3")
 
 def catalog_families():
     return NODE_FAMILIES + CELL_FAMILIES
-
-
-class SizeLimitError(ValueError):
-    """A problem size above what a dense path accepts."""
 
 
 @dataclass(frozen=True)

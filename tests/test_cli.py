@@ -51,6 +51,22 @@ class TestExitCodes:
                        "--n", "16", "--n-y", "12") == 2
         assert "165 > 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["spectrum", "assemble"])
+    def test_count_out_of_range_is_config_error(self, cmd, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        for count in ("100", "-3"):
+            assert run_cli(cmd, "--bc", "clamped", "--n", "16", "--count", count,
+                           "--out", out) == 2, count
+            assert "size-15 operator" in capsys.readouterr().err
+        assert run_cli(cmd, "--bc", "clamped", "--n", "16", "--count", "15",
+                       "--out", out) == 0
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bc = clamped\nsmaples = 5\n")
+        assert run_cli("ls-check", "--config", str(cfg)) == 2
+        assert "run.cfg:2: unknown key 'smaples'" in capsys.readouterr().err
+
     def test_bad_region_value_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ratio_hi = wide\n")
@@ -251,13 +267,48 @@ class TestConfigFile:
         assert np.allclose(g, [0, 0.5, 1.0, 1.5, 2.0])
 
 
+def _child_env():
+    """Environment in which a child finds the package where this process
+    found it."""
+    src = os.path.dirname(os.path.dirname(platelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+_ALGEBRA_CHILD = """
+import os, sys
+from platelab.cli import main
+out = os.path.join(sys.argv[1], "a")
+runs = [["catalog"], ["roots", "--tau", "2", "--sigma", "1"],
+        ["ls-check", "--bc", "clamped", "--samples", "5"],
+        ["subell", "--gamma", "25", "--region-n", "3"],
+        ["gamma-search", "--region-n", "3"]]
+for argv in runs:
+    assert main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(main(["spectrum", "--bc", "hinged", "--n", "16", "--out", out]),
+      "scipy.linalg" in sys.modules)
+"""
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child finds the package where this process found it
-        src = os.path.dirname(os.path.dirname(platelab.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "platelab.cli",
                                "catalog"], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+                              env=_child_env())
         assert proc.returncode == 0
         assert "hinged" in proc.stdout
+
+    def test_algebra_commands_load_no_scipy(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", _ALGEBRA_CHILD,
+                               str(tmp_path)], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        scipy_modules, spectrum_run = proc.stdout.splitlines()
+        assert scipy_modules == "[]"
+        assert spectrum_run == "0 True"
+
+    def test_size_limit_error_is_shared(self):
+        from platelab import plate
+        assert plate.SizeLimitError is platelab.SizeLimitError
+        assert issubclass(platelab.SizeLimitError, ValueError)

@@ -18,6 +18,7 @@ from platelab.lscheck import (
     ls_unconjugated,
     perturbation_margin,
     positivity_margin,
+    sample_conjugated,
     save_bc_file,
 )
 from platelab.symbols import MetricField, RootCase, TangentialPoint, WeightJet
@@ -246,6 +247,20 @@ class TestConjugated:
                 assert rep.verdict == (pos > 1e-16), (rep.case, rep.margin, pos)
                 checked += 1
         assert checked >= 1000
+
+    def test_sampling_records_first_counterexample(self):
+        # values recorded from `platelab ls-check --samples 300 --seed 0`,
+        # which pins the draw order of the seeded sampler
+        clamped = sample_conjugated(*catalog_bc("clamped"), 300, seed=0)
+        assert clamped == {"samples": 300, "passed": 293,
+                           "marginal_skipped": 7, "counterexample": None}
+        degenerate = sample_conjugated(*catalog_bc("degenerate_equal"), 300)
+        assert degenerate["passed"] == 2
+        cex = degenerate["counterexample"]
+        assert cex["xi_prime"] == pytest.approx(-0.6232744625373522, rel=1e-12)
+        assert cex["tau"] == pytest.approx(0.10126911166161184, rel=1e-12)
+        assert (cex["verdict"], cex["rank"]) == (False, 3)
+        assert cex["positivity"] <= 1e-16
 
     def test_positivity_margin_dilation_invariant(self, rng):
         b1, b2 = catalog_bc("clamped")
