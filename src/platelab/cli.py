@@ -1,15 +1,17 @@
 """Command-line front end: reproducible experiments over the library.
 
-Configuration is a flat key = value file overridden by flags; every run is
-seeded.  Outputs are plain text: CSV tables with '#' metadata lines and
-floats at 17 significant digits, or JSON records with sorted keys.  Exit
-codes: 0 all checks pass, 1 a mathematical check failed, 2 configuration
-error.
+Each command has its own keys (COMMANDS), set by a flat key = value file
+and overridden by flags; one parser per key (_KEYS) reads and range-checks
+both.  Every run is seeded.  Outputs are plain text: CSV tables with '#'
+metadata lines and floats at 17 significant digits, or JSON records with
+sorted keys.  Exit codes: 0 all checks pass, 1 a mathematical check failed,
+2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,7 +75,9 @@ def write_csv(path, meta: dict, header, rows):
             fh.write(text)
 
 
-def read_config(path) -> dict:
+def read_config(path, keys) -> dict:
+    """Values of a key = value file, each parsed and range-checked like its
+    flag; a key outside `keys` is an error naming the file and line."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -83,34 +87,33 @@ def read_config(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
                                   f"got {raw.rstrip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = _coerce(val.strip())
+            key, _, val = (s.strip() for s in line.partition("="))
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                  f"this command takes "
+                                  f"{', '.join(sorted(keys))}")
+            try:
+                cfg[key] = _KEYS[key](val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} = {val}: {exc}")
     return cfg
 
 
-def _coerce(val: str):
-    low = val.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        pass
-    return val
+def _spec_parser(parse):
+    """A malformed spec is a configuration error, not a traceback."""
+    @functools.wraps(parse)
+    def checked(spec, *args):
+        try:
+            return parse(spec, *args)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"bad spec {spec!r}: {exc}") from None
+    return checked
 
 
+@_spec_parser
 def parse_alpha_spec(spec, nodes: np.ndarray) -> np.ndarray:
     """Damping profile: 'bump:a:b:height', 'const:v', or 'file:path'."""
-    if isinstance(spec, (int, float)):
-        return float(spec) * np.ones(nodes.shape[0])
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     kind = parts[0]
     if kind == "bump":
         a, b, height = (float(p) for p in parts[1:4])
@@ -123,10 +126,11 @@ def parse_alpha_spec(spec, nodes: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown damping spec {spec!r}")
 
 
+@_spec_parser
 def parse_psi_spec(spec) -> weights.ScalarField:
     """Base weight: 'affine:c:slope', 'parabola:c' (c + x - x^2), or
     'peak:x0:x1:center'."""
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     kind = parts[0]
     if kind == "affine":
         return weights.AffineField(float(parts[1]), [float(parts[2])])
@@ -137,31 +141,26 @@ def parse_psi_spec(spec) -> weights.ScalarField:
     raise ConfigError(f"unknown weight spec {spec!r}")
 
 
+@_spec_parser
 def parse_grid_spec(spec):
-    lo, hi, step = (float(p) for p in str(spec).split(":"))
+    lo, hi, step = (float(p) for p in spec.split(":"))
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid spec {spec!r}")
     return np.arange(lo, hi + step / 2, step)
 
 
-def _bc_pair(cfg):
-    name = cfg.get("bc")
+def _bc_pair(cfg, path=None):
+    """Name, operator pair and parameters of the family, or of file `path`."""
+    name = cfg["bc"]
     if not name:
         raise ConfigError("missing 'bc'")
-    params = {}
-    if "bc_param_a" in cfg:
-        params["a"] = float(cfg["bc_param_a"])
-    if "bc_file" in cfg:
-        return load_pair_with_name(cfg["bc_file"])
+    params = {} if cfg["bc_param_a"] is None else {"a": cfg["bc_param_a"]}
     try:
+        if path is not None:
+            return os.path.basename(path), lscheck.load_bc_file(path), params
         return name, lscheck.catalog_bc(name, params or None), params
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
-
-
-def load_pair_with_name(path):
-    b1, b2 = lscheck.load_bc_file(path)
-    return os.path.basename(path), (b1, b2), {}
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +179,18 @@ def cmd_catalog(cfg):
                         "ls_holds": rep.verdict})
         except (ValueError, KeyError) as exc:
             out.append({"name": name, "error": str(exc)})
-    write_json(cfg.get("out"), {"catalog": out})
+    write_json(cfg["out"], {"catalog": out})
     return EXIT_OK
 
 
 def cmd_roots(cfg):
-    tau = float(cfg.get("tau", 1.0))
-    sigma = float(cfg.get("sigma", 0.0))
-    xi = float(cfg.get("xi_prime", 1.0))
-    dn = float(cfg.get("dphi_normal", 1.0))
-    dt = float(cfg.get("dphi_tangential", 0.0))
+    tau, sigma, xi = cfg["tau"], cfg["sigma"], cfg["xi_prime"]
+    dn, dt = cfg["dphi_normal"], cfg["dphi_tangential"]
     p = TangentialPoint([0.0, 0.0], [xi], tau, sigma)
     w = WeightJet(1.0, [dt], dn)
     conf = classify_roots(p, w)
     pairs = [factor_roots(p, w, j) for j in (1, 2)]
-    write_json(cfg.get("out"), {
+    write_json(cfg["out"], {
         "point": {"xi_prime": xi, "tau": tau, "sigma": sigma,
                   "dphi": [dt, dn]},
         "case": conf.case.value,
@@ -207,15 +203,10 @@ def cmd_roots(cfg):
 
 
 def cmd_ls_check(cfg):
-    name, (b1, b2), params = _bc_pair(cfg)
-    seed = int(cfg.get("seed", 0))
-    kappa0 = float(cfg.get("kappa0", 1.0))
-    mu0 = float(cfg.get("mu0", 0.25))
-    mu1 = float(cfg.get("mu1", 0.25))
-    nsamples = int(cfg.get("samples", 200))
+    name, (b1, b2), _ = _bc_pair(cfg, cfg["bc_file"])
     x0 = np.array([0.0, 0.0])
 
-    report = {"bc": name, "seed": seed, "unconjugated": []}
+    report = {"bc": name, "seed": cfg["seed"], "unconjugated": []}
     failures = []
 
     for radius in (0.5, 1.0, 2.0):
@@ -227,42 +218,38 @@ def cmd_ls_check(cfg):
             if not rep.verdict:
                 failures.append(("unconjugated", rec))
 
-    if float(cfg.get("tau", -1.0)) == 0.0:
+    if cfg["tau"] == 0.0:
         rep = lscheck.ls_unconjugated(b1, b2, x0, [1.0])
         print(f"unconjugated determinant at |omega'| = 1: "
               f"{fmt(rep.determinant.real)}{rep.determinant.imag:+.17g}j")
 
-    conj = lscheck.sample_conjugated(b1, b2, nsamples, seed, kappa0, mu0, mu1)
+    conj = lscheck.sample_conjugated(b1, b2, cfg["samples"], cfg["seed"],
+                                     cfg["kappa0"], cfg["mu0"], cfg["mu1"])
     report["conjugated"] = conj
     if conj["counterexample"] is not None:
         failures.append(("conjugated", conj["counterexample"]))
-    write_json(cfg.get("out"), report)
+    write_json(cfg["out"], report)
     if failures:
         raise CheckFailure(f"{len(failures)} check(s) failed", report)
     return EXIT_OK
 
 
 def _region(cfg):
-    """Inputs shared by subell and gamma-search; kappa0_prime is ratio_hi."""
-    psi = parse_psi_spec(cfg.get("psi", "parabola:0.1"))
-    try:
-        tau0 = float(cfg.get("tau0", cfg.get("kappa0", 1.0)))
-        lo = float(cfg.get("region_lo", 0.05))
-        hi = float(cfg.get("region_hi", 0.4))
-        m = int(cfg.get("region_n", 9))
-        ratio_hi = float(cfg.get("kappa0_prime", cfg.get("ratio_hi", 64.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad region setting: {exc}")
-    grid = [np.array([t]) for t in np.linspace(lo, hi, m)]
-    return psi, tau0, (lo, hi, m), grid, ratio_hi
+    """Base weight and region grid shared by subell and gamma-search."""
+    if cfg["ratio_hi"] < cfg["tau0"]:
+        raise ConfigError(f"need ratio_hi >= tau0, got ratio_hi = "
+                          f"{cfg['ratio_hi']} and tau0 = {cfg['tau0']}")
+    grid = [np.array([t]) for t in np.linspace(
+        cfg["region_lo"], cfg["region_hi"], cfg["region_n"])]
+    return parse_psi_spec(cfg["psi"]), grid
 
 
 def cmd_subell(cfg):
-    psi, tau0, (lo, hi, m), grid, ratio_hi = _region(cfg)
-    gamma = float(cfg.get("gamma", 1.0))
-    wf = weights.WeightField(psi, gamma)
-    out = {"grid": {"region": [lo, hi], "points": m,
-                    "ratio_band": [tau0, ratio_hi]}}
+    psi, grid = _region(cfg)
+    tau0, ratio_hi = cfg["tau0"], cfg["ratio_hi"]
+    wf = weights.WeightField(psi, cfg["gamma"])
+    out = {"grid": {"region": [cfg["region_lo"], cfg["region_hi"]],
+                    "points": cfg["region_n"], "ratio_band": [tau0, ratio_hi]}}
     ok = True
     for j in (1, 2):
         rep = weights.subellipticity_check(wf, j, grid, (tau0, ratio_hi), tau0=tau0)
@@ -270,43 +257,49 @@ def cmd_subell(cfg):
                               "characteristic_samples": len(rep.samples),
                               "refinement_levels": rep.refinement_levels}
         ok = ok and rep.margin > 0
-    out["gamma"] = gamma
-    write_json(cfg.get("out"), out)
+    out["gamma"] = cfg["gamma"]
+    write_json(cfg["out"], out)
     if not ok:
         raise CheckFailure("sub-ellipticity margin not positive", out)
     return EXIT_OK
 
 
 def cmd_gamma_search(cfg):
-    psi, tau0, _, grid, ratio_hi = _region(cfg)
+    psi, grid = _region(cfg)
     try:
-        res = weights.gamma_search(psi, tau0, grid, ratio_hi=ratio_hi)
+        res = weights.gamma_search(psi, cfg["tau0"], grid,
+                                   ratio_hi=cfg["ratio_hi"])
     except (ValueError, RuntimeError) as exc:
         raise CheckFailure(str(exc))
-    write_json(cfg.get("out"), {"gamma0": res.gamma0, "margins": res.margins,
-                                "evaluations": len(res.history)})
+    write_json(cfg["out"], {"gamma0": res.gamma0, "margins": res.margins,
+                            "evaluations": len(res.history)})
     return EXIT_OK
 
 
 def _operator(cfg):
     from . import plate
-    n = int(cfg.get("n", 200))
-    dim = int(cfg.get("dim", 1))
-    length = float(cfg.get("length", 1.0))
+    n, length = cfg["n"], cfg["length"]
     name, _, params = _bc_pair(cfg)
-    if dim == 1:
+    if cfg["dim"] == 1:
         grid = plate.make_grid(n, length)
     else:
-        grid = plate.make_grid((n, int(cfg.get("n_y", n))),
-                               (length, float(cfg.get("length_y", length))))
+        grid = plate.make_grid((n, cfg["n_y"] or n),
+                               (length, cfg["length_y"] or length))
     try:
         return plate.assemble(grid, name, params=params)
     except (KeyError, NotImplementedError) as exc:
         raise ConfigError(str(exc))
 
 
-def _count(cfg, op, default):
-    count = int(cfg.get("count", default))
+def _horizon(cfg):
+    T, dt = cfg["T"], cfg["dt"]
+    if not 0.5 < T / dt < math.inf:  # round(T / dt) steps, at least one
+        raise ConfigError(f"need T > dt / 2, got T = {T} and dt = {dt}")
+    return T, dt
+
+
+def _count(cfg, op):
+    count = cfg["count"]
     if not 0 <= count <= op.size:
         raise ConfigError(f"count must lie in [0, {op.size}] for the "
                           f"size-{op.size} operator, got {count}")
@@ -316,18 +309,17 @@ def _count(cfg, op, default):
 def cmd_assemble(cfg):
     from . import plate
     op = _operator(cfg)
-    count = _count(cfg, op, 0)
-    outdir = cfg.get("out", "operator_export")
-    plate.export_columnar(op, outdir, eig_count=count)
+    count = _count(cfg, op)
+    plate.export_columnar(op, cfg["out"], eig_count=count)
     print(f"wrote nodes/matrix{'/eigenvalues' if count else ''} "
-          f"under {outdir}")
+          f"under {cfg['out']}")
     return EXIT_OK
 
 
 def cmd_spectrum(cfg):
     from . import plate
     op = _operator(cfg)
-    count = _count(cfg, op, 5)
+    count = _count(cfg, op)
     mu, _ = plate.spectrum(op, count, vectors=False)
     rows = [(k, float(mu[k])) for k in range(count)]
     g = op.grid
@@ -335,56 +327,56 @@ def cmd_spectrum(cfg):
             "length": fmt(g.lengths[0]), "schema": "spectrum-v2"}
     if g.dimension == 2:
         meta.update(n_y=g.n[1], length_y=fmt(g.lengths[1]))
-    write_csv(cfg.get("out"), meta, ["k", "mu"], rows)
+    write_csv(cfg["out"], meta, ["k", "mu"], rows)
     return EXIT_OK
+
+
+def _damped(cfg):
+    """Operator and generator with the configured damping."""
+    from . import semigroup
+    op = _operator(cfg)
+    return op, semigroup.build_generator(op, parse_alpha_spec(cfg["alpha"],
+                                                              op.nodes))
 
 
 def cmd_simulate(cfg):
     from . import plate, semigroup
-    op = _operator(cfg)
-    alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
-    gen = semigroup.build_generator(op, alpha)
-    T = float(cfg.get("T", 10.0))
-    dt = float(cfg.get("dt", 0.01))
-    seed = int(cfg.get("seed", 0))
+    (T, dt), seed = _horizon(cfg), cfg["seed"]
+    op, gen = _damped(cfg)
     rng = np.random.default_rng(seed)
     mu, V = plate.spectrum(op, min(6, op.size))
     nk = gen.kernel_dim
     mix = rng.normal(size=3)
     y0 = sum(float(mix[i]) * V[:, nk + i] for i in range(3))
     Y0 = semigroup.StateVector(y0, np.zeros(op.size))
-    log, _ = semigroup.simulate(Y0, gen, T, dt,
-                                log_every=int(cfg.get("log_every", 1)))
+    log, _ = semigroup.simulate(Y0, gen, T, dt, log_every=cfg["log_every"])
     try:
         log.validate()
     except AssertionError as exc:
         raise CheckFailure(f"energy log failed validation: {exc}")
     rows = list(zip(log.times.tolist(), log.energies.tolist(),
                     log.dissipations.tolist()))
-    write_csv(cfg.get("out"), {"bc": op.bc_name, "n": op.grid.n[0],
-                               "T": fmt(T), "dt": fmt(dt), "seed": seed,
-                               "scheme": log.scheme, "schema": "energylog-v1"},
+    write_csv(cfg["out"], {"bc": op.bc_name, "n": op.grid.n[0],
+                           "T": fmt(T), "dt": fmt(dt), "seed": seed,
+                           "scheme": log.scheme, "schema": "energylog-v1"},
               ["t", "energy", "dissipation"], rows)
     return EXIT_OK
 
 
 def cmd_resolvent(cfg):
     from . import semigroup
-    op = _operator(cfg)
-    alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
-    gen = semigroup.build_generator(op, alpha)
-    sigmas = parse_grid_spec(cfg.get("sigma_grid", "0:50:1"))
-    sweep = semigroup.resolvent_sweep(gen, sigmas)
+    op, gen = _damped(cfg)
+    sweep = semigroup.resolvent_sweep(gen, parse_grid_spec(cfg["sigma_grid"]))
     unconverged = int((~sweep.converged).sum())
     rows = [(float(s), float(nrm), float(sl), float(d))
             for s, nrm, sl, d in zip(sweep.sigmas, sweep.norms,
                                      sweep.slack, sweep.nearest_dist)]
-    write_csv(cfg.get("out"), {"bc": op.bc_name, "n": op.grid.n[0],
-                               "C": fmt(sweep.C),
-                               "skipped": len(sweep.skipped),
-                               "unconverged": unconverged,
-                               "max_iterations": int(sweep.iterations.max()),
-                               "schema": "resolvent-v2"},
+    write_csv(cfg["out"], {"bc": op.bc_name, "n": op.grid.n[0],
+                           "C": fmt(sweep.C),
+                           "skipped": len(sweep.skipped),
+                           "unconverged": unconverged,
+                           "max_iterations": int(sweep.iterations.max()),
+                           "schema": "resolvent-v2"},
               ["sigma", "norm", "slack", "nearest_eig_dist"], rows)
     if not np.all(np.isfinite(sweep.norms[~np.isnan(sweep.norms)])):
         raise CheckFailure("non-finite resolvent norm on the grid")
@@ -396,12 +388,8 @@ def cmd_resolvent(cfg):
 
 def cmd_decay_fit(cfg):
     from . import plate, semigroup
-    op = _operator(cfg)
-    alpha = parse_alpha_spec(cfg.get("alpha", "bump:0.3:0.5:1.0"), op.nodes)
-    gen = semigroup.build_generator(op, alpha)
-    T = float(cfg.get("T", 1e3))
-    dt = float(cfg.get("dt", 0.5))
-    npow = int(cfg.get("n_power", 1))
+    (T, dt), npow = _horizon(cfg), cfg["n_power"]
+    op, gen = _damped(cfg)
     mu, V = plate.spectrum(op, min(4, op.size))
     nk = gen.kernel_dim
     Y0 = semigroup.StateVector(V[:, nk] + 0.5 * V[:, nk + 1], np.zeros(op.size))
@@ -409,62 +397,92 @@ def cmd_decay_fit(cfg):
     for _ in range(npow):
         Z = gen.apply_A(Z)
     amp = semigroup.hdot_norm(gen, Z) ** 2
-    log, _ = semigroup.simulate(Y0, gen, T, dt,
-                                log_every=int(cfg.get("log_every", 10)))
+    log, _ = semigroup.simulate(Y0, gen, T, dt, log_every=cfg["log_every"])
     try:
         C = semigroup.decay_fit(log, npow, amp)
     except ValueError as exc:
         raise CheckFailure(str(exc))
-    write_json(cfg.get("out"), {"C": C, "amp": amp, "T": T, "dt": dt,
-                                "n_power": npow,
-                                "final_energy": float(log.energies[-1])})
+    write_json(cfg["out"], {"C": C, "amp": amp, "T": T, "dt": dt,
+                            "n_power": npow,
+                            "final_energy": float(log.energies[-1])})
     return EXIT_OK
 
 
-COMMANDS = {
-    "catalog": cmd_catalog,
-    "roots": cmd_roots,
-    "ls-check": cmd_ls_check,
-    "subell": cmd_subell,
-    "gamma-search": cmd_gamma_search,
-    "assemble": cmd_assemble,
-    "spectrum": cmd_spectrum,
-    "simulate": cmd_simulate,
-    "resolvent": cmd_resolvent,
-    "decay-fit": cmd_decay_fit,
+# ---------------------------------------------------------------------------
+# keys: one parser per key, one {key: default} schema per command
+# ---------------------------------------------------------------------------
+
+def _checked(typ, ok, need):
+    """Parser of a flag or config value: typ(text), which must satisfy ok."""
+    def parse(text):
+        val = typ(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return val
+    parse.__name__ = typ.__name__
+    return parse
+
+
+_SIZE = _checked(int, lambda v: v >= 8, ">= 8")
+_REAL = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_NATURAL = _checked(int, lambda v: v >= 0, ">= 0")
+_STEP = _checked(int, lambda v: v >= 1, ">= 1")
+
+_KEYS = {
+    "bc": str, "bc_param_a": _REAL, "bc_file": str, "n": _SIZE, "n_y": _SIZE,
+    "dim": _checked(int, lambda v: v in (1, 2), "1 or 2"), "length": _POSITIVE,
+    "length_y": _POSITIVE, "count": int, "alpha": str, "T": _POSITIVE,
+    "dt": _POSITIVE, "log_every": _STEP, "sigma_grid": str, "seed": _NATURAL,
+    "samples": _NATURAL, "tau": _NONNEGATIVE, "kappa0": _POSITIVE,
+    "mu0": _REAL, "mu1": _REAL, "psi": str, "gamma": _POSITIVE,
+    "tau0": _POSITIVE, "ratio_hi": _REAL, "region_lo": _REAL,
+    "region_hi": _REAL, "region_n": _STEP, "n_power": _NATURAL,
+    "xi_prime": _REAL, "sigma": _NONNEGATIVE, "dphi_normal": _REAL,
+    "dphi_tangential": _REAL, "out": str,
 }
 
-_FLAGS = [
-    ("--bc", "bc", str), ("--bc-param-a", "bc_param_a", float),
-    ("--bc-file", "bc_file", str),
-    ("--n", "n", int), ("--n-y", "n_y", int), ("--dim", "dim", int),
-    ("--length", "length", float), ("--length-y", "length_y", float),
-    ("--count", "count", int), ("--alpha", "alpha", str),
-    ("--T", "T", float), ("--dt", "dt", float), ("--log-every", "log_every", int),
-    ("--sigma-grid", "sigma_grid", str), ("--seed", "seed", int),
-    ("--samples", "samples", int), ("--tau", "tau", float),
-    ("--kappa0", "kappa0", float), ("--kappa0-prime", "kappa0_prime", float),
-    ("--mu0", "mu0", float), ("--mu1", "mu1", float),
-    ("--psi", "psi", str), ("--gamma", "gamma", float),
-    ("--tau0", "tau0", float), ("--ratio-hi", "ratio_hi", float),
-    ("--region-lo", "region_lo", float), ("--region-hi", "region_hi", float),
-    ("--region-n", "region_n", int), ("--n-power", "n_power", int),
-    ("--xi-prime", "xi_prime", float), ("--sigma", "sigma", float),
-    ("--dphi-normal", "dphi_normal", float),
-    ("--dphi-tangential", "dphi_tangential", float),
-    ("--out", "out", str),
-]
-_KEYS = frozenset(dest for _, dest, _ in _FLAGS)
+# A default of None leaves the key unset: n_y and length_y then follow n and
+# length, and out = None writes to standard output.
+_BC = {"bc": None, "bc_param_a": None}
+_OPERATOR = {**_BC, "n": 200, "dim": 1, "length": 1.0, "n_y": None,
+             "length_y": None}
+_DAMPED = {**_OPERATOR, "alpha": "bump:0.3:0.5:1.0"}
+_REGION = {"psi": "parabola:0.1", "tau0": 1.0, "ratio_hi": 64.0,
+           "region_lo": 0.05, "region_hi": 0.4, "region_n": 9}
+
+COMMANDS = {
+    "catalog": (cmd_catalog, {"out": None}),
+    "roots": (cmd_roots, {"tau": 1.0, "sigma": 0.0, "xi_prime": 1.0,
+                          "dphi_normal": 1.0, "dphi_tangential": 0.0,
+                          "out": None}),
+    "ls-check": (cmd_ls_check, {**_BC, "bc_file": None, "seed": 0,
+                                "samples": 200, "tau": None, "kappa0": 1.0,
+                                "mu0": 0.25, "mu1": 0.25, "out": None}),
+    "subell": (cmd_subell, {**_REGION, "gamma": 1.0, "out": None}),
+    "gamma-search": (cmd_gamma_search, {**_REGION, "out": None}),
+    "assemble": (cmd_assemble, {**_OPERATOR, "count": 0,
+                                "out": "operator_export"}),
+    "spectrum": (cmd_spectrum, {**_OPERATOR, "count": 5, "out": None}),
+    "simulate": (cmd_simulate, {**_DAMPED, "T": 10.0, "dt": 0.01, "seed": 0,
+                                "log_every": 1, "out": None}),
+    "resolvent": (cmd_resolvent, {**_DAMPED, "sigma_grid": "0:50:1",
+                                  "out": None}),
+    "decay-fit": (cmd_decay_fit, {**_DAMPED, "T": 1e3, "dt": 0.5, "n_power": 1,
+                                  "log_every": 10, "out": None}),
+}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="platelab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key = value configuration file")
-        for flag, dest, typ in _FLAGS:
-            p.add_argument(flag, dest=dest, type=typ, default=None)
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=_KEYS[key], default=None)
     return ap
 
 
@@ -474,17 +492,15 @@ def main(argv=None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    cfg = {}
+    command, defaults = COMMANDS[ns.command]
+    cfg = dict(defaults)
     try:
         if ns.config:
-            cfg.update(read_config(ns.config))
-        for _, dest, _ in _FLAGS:
-            val = getattr(ns, dest, None)
-            if val is not None:
-                cfg[dest] = val
-        _validate(cfg)
-        return COMMANDS[ns.command](cfg)
-    except (ConfigError, SizeLimitError) as exc:
+            cfg.update(read_config(ns.config, defaults))
+        cfg.update((key, val) for key, val in vars(ns).items()
+                   if key in defaults and val is not None)
+        return command(cfg)
+    except (ConfigError, SizeLimitError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CheckFailure as exc:
@@ -492,22 +508,6 @@ def main(argv=None) -> int:
         if exc.payload:
             write_json(None, exc.payload)
         return EXIT_CHECK_FAILED
-    except (FileNotFoundError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-
-def _validate(cfg):
-    k0 = cfg.get("kappa0")
-    k0p = cfg.get("kappa0_prime")
-    if k0 is not None and k0 <= 0:
-        raise ConfigError("kappa0 must be positive")
-    if k0 is not None and k0p is not None and not (k0p > k0 > 0):
-        raise ConfigError("need kappa0_prime > kappa0 > 0")
-    if "dt" in cfg and float(cfg["dt"]) <= 0:
-        raise ConfigError("dt must be positive")
-    if "n" in cfg and int(cfg["n"]) < 8:
-        raise ConfigError("n must be at least 8")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ import pytest
 
 import platelab
 from platelab import semigroup
-from platelab.cli import main, read_config, parse_alpha_spec, parse_grid_spec
+from platelab.cli import COMMANDS, build_parser, main, read_config, \
+    parse_alpha_spec, parse_grid_spec
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
 
 
 def run_cli(*args):
@@ -39,8 +43,11 @@ class TestExitCodes:
         assert run_cli("simulate", "--bc", "clamped", "--dt", "-1") == 2
 
     def test_bad_kappa_band(self, capsys):
-        assert run_cli("ls-check", "--bc", "clamped", "--kappa0", "2",
-                       "--kappa0-prime", "1") == 2
+        assert run_cli("ls-check", "--bc", "clamped", "--kappa0", "0") == 2
+        assert "--kappa0" in capsys.readouterr().err
+        for cmd in ("subell", "gamma-search"):
+            assert run_cli(cmd, "--tau0", "2", "--ratio-hi", "1") == 2, cmd
+            assert "need ratio_hi >= tau0" in capsys.readouterr().err
 
     def test_size_limits_are_config_errors(self, capsys, monkeypatch):
         # dense eigenvectors for the initial data, then the dense reduction
@@ -72,6 +79,65 @@ class TestExitCodes:
         cfg.write_text("ratio_hi = wide\n")
         for cmd in ("subell", "gamma-search"):
             assert run_cli(cmd, "--config", str(cfg)) == 2, cmd
+
+    @pytest.mark.parametrize("args, config, named", [
+        (["simulate", "--bc", "clamped", "--tau", "3"], None, "--tau"),
+        (["spectrum", "--bc", "clamped", "--dim", "3"], None, "--dim"),
+        (["spectrum", "--bc", "hinged", "--dim", "2", "--n-y", "4"], None,
+         "--n-y"),
+        (["spectrum", "--bc", "clamped", "--length", "-1"], None, "--length"),
+        (["simulate", "--bc", "clamped", "--log-every", "0"], None,
+         "--log-every"),
+        (["ls-check", "--bc", "clamped", "--samples", "-3"], None,
+         "--samples"),
+        (["subell", "--gamma", "-1"], None, "--gamma"),
+        (["roots", "--sigma", "-1"], None, "--sigma"),
+        (["subell", "--kappa0-prime", "5"], None, "--kappa0-prime"),
+        (["gamma-search", "--region-n", "0"], None, "--region-n"),
+        (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "-1"], None,
+         "--T"),
+        (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "0.1"], None,
+         "T = 0.1"),
+        (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "inf"], None,
+         "--T"),
+        (["simulate", "--bc", "clamped", "--n", "16", "--dt", "inf"], None,
+         "--dt"),
+        (["subell", "--ratio-hi", "nan"], None, "--ratio-hi"),
+        (["spectrum", "--bc", "clamped", "--bc-file", "x.bc"], None,
+         "--bc-file"),
+        (["spectrum", "--bc", "ex4_id_dn2_A", "--bc-param-a", "-2"], None,
+         "parameter symbol"),
+        (["spectrum"], "bc = clamped\nn = 16.7\n", "n = 16.7"),
+        (["spectrum"], "bc = clamped\nsamples = 5\n", "'samples'"),
+    ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
+            "log-every-0", "samples-negative", "gamma-negative",
+            "sigma-negative", "kappa0-prime-removed", "region-n-0",
+            "T-negative", "T-below-half-step", "T-inf", "dt-inf",
+            "ratio-hi-nan", "bc-file-outside-ls-check",
+            "bc-param-inadmissible", "config-n-not-int",
+            "config-key-of-ls-check"])
+    def test_bad_input_names_its_key(self, args, config, named, tmp_path,
+                                     capsys):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            args = args + ["--config", str(cfg)]
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "bump:0.3"],
+        ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "file:{p}"],
+        ["gamma-search", "--psi", "affine:1"],
+        ["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid", "0:5"],
+    ], ids=["bump-short", "file-columns", "affine-short", "grid-no-step"])
+    def test_malformed_spec_is_config_error(self, args, tmp_path, capsys):
+        profile = tmp_path / "alpha.txt"
+        profile.write_text("0 0 1\n1 0 1\n")
+        args = [a.format(p=profile) for a in args]
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        assert "bad spec" in capsys.readouterr().err
 
     def test_tau_zero_prints_determinant(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -202,13 +268,13 @@ class TestArtifacts:
         assert math.isfinite(gamma0)
         out2 = tmp_path / "s.json"
         assert run_cli("subell", "--psi", "parabola:0.1", "--tau0", "0.01",
-                       "--kappa0-prime", "1e4", "--gamma", str(2 * gamma0),
+                       "--ratio-hi", "1e4", "--gamma", str(2 * gamma0),
                        "--out", str(out2)) == 0
         rep = json.loads(out2.read_text())
         assert rep["factor_2"]["margin"] > 0
         # too small a gamma fails the check with exit code 1
         assert run_cli("subell", "--psi", "parabola:0.1", "--tau0", "0.01",
-                       "--kappa0-prime", "1e4", "--gamma", "1.0",
+                       "--ratio-hi", "1e4", "--gamma", "1.0",
                        "--out", str(tmp_path / "f.json")) == 1
 
 
@@ -240,7 +306,7 @@ class TestConfigFile:
     def test_round_trip_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bc = hinged\nn = 200\ncount = 3\n# comment\n")
-        parsed = read_config(cfg)
+        parsed = read_config(cfg, COMMANDS["spectrum"][1])
         assert parsed == {"bc": "hinged", "n": 200, "count": 3}
         out = tmp_path / "s.csv"
         assert run_cli("spectrum", "--config", str(cfg), "--count", "2",
@@ -265,6 +331,27 @@ class TestConfigFile:
     def test_grid_spec(self):
         g = parse_grid_spec("0:2:0.5")
         assert np.allclose(g, [0, 0.5, 1.0, 1.5, 2.0])
+
+
+def _readme_commands():
+    """Argument lists of the `platelab ...` lines in the README CLI block."""
+    with open(README) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("platelab ")]
+
+
+class TestReadmeFlags:
+    def test_block_lists_every_command(self):
+        assert {argv[0] for argv in _readme_commands()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", _readme_commands(),
+                             ids=lambda argv: " ".join(argv))
+    def test_parser_accepts_readme_line(self, argv, capsys):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line rejected: {capsys.readouterr().err}")
 
 
 def _child_env():
