@@ -150,10 +150,18 @@ def parse_grid_spec(spec):
 
 
 def _bc_pair(cfg, path=None):
-    """Name, operator pair and parameters of the family, or of file `path`."""
-    name = cfg["bc"]
-    if not name:
+    """Name, operator pair and parameters of the family, or of file `path`,
+    which declares the pair and its parameter symbol in place of bc and
+    bc_param_a."""
+    if path is not None:
+        for key in ("bc", "bc_param_a"):
+            if cfg[key] is not None:
+                raise ConfigError(f"--{key.replace('_', '-')} cannot be combined "
+                                  f"with --bc-file, which declares the pair "
+                                  f"and its aprime")
+    elif not cfg["bc"]:
         raise ConfigError("missing 'bc'")
+    name = cfg["bc"]
     params = {} if cfg["bc_param_a"] is None else {"a": cfg["bc_param_a"]}
     try:
         if path is not None:
@@ -203,6 +211,9 @@ def cmd_roots(cfg):
 
 
 def cmd_ls_check(cfg):
+    if cfg["tau"] not in (None, 0.0):
+        raise ConfigError(f"--tau takes only 0, which prints the unconjugated "
+                          f"determinant; got {cfg['tau']}")
     name, (b1, b2), _ = _bc_pair(cfg, cfg["bc_file"])
     x0 = np.array([0.0, 0.0])
 

@@ -36,7 +36,6 @@ __all__ = [
     "catalog_names",
     "catalog_bc",
     "load_bc_file",
-    "save_bc_file",
     "ls_unconjugated",
     "ls_conjugated",
     "ls_rank_oracle",
@@ -82,11 +81,6 @@ class ParameterSymbol:
             return self.scale * complex(metric.r(x, xi)) ** (self.degree // 2)
         lead = complex(xi[0])
         return self.scale * lead * complex(metric.r(x, xi)) ** ((self.degree - 1) // 2)
-
-    def to_dict(self):
-        if self.func is not None:
-            raise ValueError("custom parameter symbols are not serializable")
-        return {"degree": self.degree, "scale": self.scale}
 
 
 class BoundaryOperatorSymbol:
@@ -173,26 +167,6 @@ class BoundaryOperatorSymbol:
         return self.eval_dz(p.x, p.xi_prime + 1j * p.tau * w.d_tangential,
                             complex(xi_d) + 1j * p.tau * w.d_normal, metric)
 
-    def check_homogeneity(self, metric: Optional[MetricField] = None,
-                          nsamples: int = 12, seed: int = 0,
-                          rtol: float = 1e-10, tdim: int = 1) -> float:
-        """Sampled verification of b(x, t xi', t xi_d) = t^k b(x, xi', xi_d)."""
-        rng = np.random.default_rng(seed)
-        metric = metric or MetricField.euclidean(tdim)
-        worst = 0.0
-        for _ in range(nsamples):
-            x = rng.normal(size=tdim + 1)
-            xi = rng.normal(size=tdim)
-            zd = complex(rng.normal(), rng.normal())
-            t = float(rng.uniform(0.3, 3.0))
-            v1 = self.eval(x, t * xi, t * zd, metric)
-            v0 = self.eval(x, xi, zd, metric)
-            ref = max(abs(v0) * t ** self.order, 1e-300)
-            worst = max(worst, abs(v1 - t ** self.order * v0) / ref)
-        if worst > rtol:
-            raise ValueError(f"{self.name}: homogeneity violated (rel err {worst:.2e})")
-        return worst
-
 
 _CATALOG = {}
 
@@ -210,10 +184,11 @@ def _register(name):
 
 
 def _admissibility_check(name: str, fn: Callable[[np.ndarray, np.ndarray], float],
-                         metric: MetricField, tdim: int, nsamples: int = 64):
-    """Sampled strict-inequality check on the unit sphere |omega'|_g = 1."""
+                         metric: MetricField, tdim: int):
+    """Sampled strict-inequality check at 64 points of the unit sphere
+    |omega'|_g = 1."""
     rng = np.random.default_rng(12345)
-    for _ in range(nsamples):
+    for _ in range(64):
         x = rng.normal(size=tdim + 1)
         omega = rng.normal(size=tdim)
         nrm = metric.tangential_norm(x, omega)
@@ -382,24 +357,6 @@ def load_bc_file(path) -> tuple:
     return b1, b2
 
 
-def save_bc_file(path, name: str, b1: BoundaryOperatorSymbol,
-                 b2: BoundaryOperatorSymbol):
-    lines = [f"name {name}"]
-    ap = b1.aprime or b2.aprime
-    if ap is not None:
-        d = ap.to_dict()
-        lines.append(f"aprime {d['degree']} {d['scale']:.17g}")
-    for label, b in (("b1", b1), ("b2", b2)):
-        lines.append(f"{label} order {b.order}")
-        for m in sorted(b.terms):
-            for t in b.terms[m]:
-                c = complex(t.coef)
-                lines.append(f"{label} term {m} {c.real:.17g} {c.imag:.17g} "
-                             f"{t.r_power} {t.a_power}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # reports and verdicts
 # ---------------------------------------------------------------------------
@@ -456,9 +413,7 @@ def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
 def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                   w: WeightJet, p: TangentialPoint,
                   metric: Optional[MetricField] = None,
-                  tol: float = DEFAULT_MARGIN_TOL,
-                  classify_tol: float = DEFAULT_CLASSIFY_TOL,
-                  separation_band: float = DEFAULT_SEPARATION_BAND) -> LSReport:
+                  tol: float = DEFAULT_MARGIN_TOL) -> LSReport:
     """Conjugated condition at (x, xi', tau, sigma), dispatching on the root
     configuration.
 
@@ -472,8 +427,8 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     p.require_nondegenerate()
     w.require_inward()
     metric = metric or MetricField.euclidean(p.xi_prime.size)
-    conf = classify_roots(p, w, tol=classify_tol, metric=metric,
-                          separation_band=separation_band)
+    conf = classify_roots(p, w, tol=DEFAULT_CLASSIFY_TOL, metric=metric,
+                          separation_band=DEFAULT_SEPARATION_BAND)
     lam = p.metric_scale(metric)
     k1, k2 = b1.order, b2.order
 
@@ -510,14 +465,14 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                     margin=margin, marginal=conf.marginal, scale=lam)
 
 
-def _stability_matrix(b1, b2, w, p, metric, classify_tol, separation_band):
+def _stability_matrix(b1, b2, w, p, metric):
     """Rows: xi_d-coefficient vectors of the conjugated boundary symbols and
     of kappa+ * xi_d^l, l = 0..3-m+, with kappa+ the monic factor carrying
     the upper roots.  Entries are weighted so that each becomes homogeneous
     of degree zero; a diagonal row/column scaling, so the rank is untouched.
     """
-    conf = classify_roots(p, w, tol=classify_tol, metric=metric,
-                          separation_band=separation_band)
+    conf = classify_roots(p, w, tol=DEFAULT_CLASSIFY_TOL, metric=metric,
+                          separation_band=DEFAULT_SEPARATION_BAND)
     upper = list(conf.upper_roots)
     if conf.case is RootCase.DOUBLE_UPPER:
         upper = [upper[0], upper[0]]
@@ -553,32 +508,27 @@ def _stability_matrix(b1, b2, w, p, metric, classify_tol, separation_band):
 
 def ls_rank_oracle(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                    w: WeightJet, p: TangentialPoint,
-                   metric: Optional[MetricField] = None,
-                   tol: float = DEFAULT_MARGIN_TOL,
-                   classify_tol: float = DEFAULT_CLASSIFY_TOL,
-                   separation_band: float = DEFAULT_SEPARATION_BAND) -> int:
+                   metric: Optional[MetricField] = None) -> int:
     """Rank of the m' x 4 coefficient matrix of {b1, b2} joined with the
     xi_d-shifts of the upper-root factor; 4 exactly when the conjugated
     condition holds.  Independent of the determinant dispatch."""
     metric = metric or MetricField.euclidean(p.xi_prime.size)
-    Mw, _ = _stability_matrix(b1, b2, w, p, metric, classify_tol, separation_band)
+    Mw, _ = _stability_matrix(b1, b2, w, p, metric)
     s = np.linalg.svd(Mw, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > DEFAULT_MARGIN_TOL * s[0]))
 
 
 def positivity_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                       w: WeightJet, p: TangentialPoint,
-                      metric: Optional[MetricField] = None,
-                      classify_tol: float = DEFAULT_CLASSIFY_TOL,
-                      separation_band: float = DEFAULT_SEPARATION_BAND) -> float:
+                      metric: Optional[MetricField] = None) -> float:
     """Smallest eigenvalue of the weighted Gram matrix M*M: the constant in
     the boundary quadratic-form lower bound.  Positive exactly when the
     conjugated condition holds; invariant under (xi', tau, sigma) dilation
     thanks to the homogeneity weights."""
     metric = metric or MetricField.euclidean(p.xi_prime.size)
-    Mw, _ = _stability_matrix(b1, b2, w, p, metric, classify_tol, separation_band)
+    Mw, _ = _stability_matrix(b1, b2, w, p, metric)
     s = np.linalg.svd(Mw, compute_uv=False)
     return float(s[-1] ** 2)
 

@@ -16,7 +16,6 @@ so the operator stays nonnegative.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,13 +28,11 @@ from . import SizeLimitError
 __all__ = [
     "Grid",
     "make_grid",
-    "SpectralScale",
     "SizeLimitError",
     "DiscretePlateOperator",
     "assemble",
     "check_symmetry",
     "spectrum",
-    "hkb_norm",
     "kernel",
     "catalog_families",
     "export_columnar",
@@ -81,28 +78,16 @@ class Grid:
         return h * (np.arange(self.n[axis]) + 0.5)         # cell centers
 
 
-def make_grid(n, lengths=None, dimension=None) -> Grid:
+def make_grid(n, lengths=None) -> Grid:
     if np.isscalar(n):
         n = (int(n),)
     n = tuple(int(k) for k in n)
-    if dimension is None:
-        dimension = len(n)
+    dimension = len(n)
     if lengths is None:
         lengths = (1.0,) * dimension
     elif np.isscalar(lengths):
         lengths = (float(lengths),) * dimension
     return Grid(dimension, n, tuple(float(l) for l in lengths))
-
-
-@dataclass
-class SpectralScale:
-    """Eigenpairs of a self-adjoint plate operator, grid-orthonormal, plus
-    the spectrally defined Sobolev-like norms."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray    # columns, orthonormal for the grid product
-    weight: float               # h^d
-    full: bool = True
 
 
 @dataclass
@@ -114,9 +99,8 @@ class DiscretePlateOperator:
     nodes: np.ndarray           # (N, d) unknown coordinates
     layout: str
     weight: float               # quadrature weight h^d of the grid product
-    metric: object = None       # coefficient function(s) when non-Euclidean
     tensor_factors: Optional[tuple] = None
-    _scale: Optional[SpectralScale] = None
+    _eigh: Optional[tuple] = None   # 1-D (mu, V), all pairs, grid-orthonormal
 
     @property
     def size(self) -> int:
@@ -275,7 +259,7 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
         M, layout = _assemble_1d(grid, name, params, metric)
         nodes = grid.axis_nodes(0, layout)[:, None]
         return DiscretePlateOperator(grid, name, params, M, nodes, layout,
-                                     weight=grid.h[0], metric=metric)
+                                     weight=grid.h[0])
 
     # 2-D tensor rectangles
     if name not in ("hinged", "neumann_pair"):
@@ -296,7 +280,7 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
     ys = grid.axis_nodes(1, layout)
     nodes = np.array([(x, y) for x in xs for y in ys])
     return DiscretePlateOperator(grid, name, params, M, nodes, layout,
-                                 weight=grid.h[0] * grid.h[1], metric=metric,
+                                 weight=grid.h[0] * grid.h[1],
                                  tensor_factors=tuple(Ls))
 
 
@@ -304,13 +288,12 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
 # spectral machinery
 # ---------------------------------------------------------------------------
 
-def check_symmetry(op: DiscretePlateOperator, trials: int = 20,
-                   seed: int = 0) -> float:
-    """max over random u, v of |<Mu,v> - <u,Mv>| / (|u| |v| ||M||)."""
-    rng = np.random.default_rng(seed)
+def check_symmetry(op: DiscretePlateOperator) -> float:
+    """max over 20 random u, v of |<Mu,v> - <u,Mv>| / (|u| |v| ||M||)."""
+    rng = np.random.default_rng(0)
     scale = float(np.abs(op.matrix).sum(axis=1).max())
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         u = rng.normal(size=op.size)
         v = rng.normal(size=op.size)
         lhs = op.inner(op.apply(u), v)
@@ -341,18 +324,6 @@ def _tensor_pairs(op: DiscretePlateOperator, count: int):
     return sums[i, j], cols / math.sqrt(op.weight)
 
 
-def spectral_scale(op: DiscretePlateOperator) -> SpectralScale:
-    """All eigenpairs, computed once and cached on the operator."""
-    if op._scale is None:
-        if op.tensor_factors is not None:
-            mu, V = _tensor_pairs(op, op.size)
-        else:
-            mu, V = scipy.linalg.eigh(op.dense())
-            V = V / math.sqrt(op.weight)
-        op._scale = SpectralScale(mu, V, op.weight, full=True)
-    return op._scale
-
-
 def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
     """Lowest eigenpairs, ascending, grid-orthonormal eigenvectors; with
     vectors=False, (eigenvalues, None) from the band or the tensor factors.
@@ -368,40 +339,58 @@ def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
                                      eigvals_only=True, select="i",
                                      select_range=(0, max(count, 1) - 1))
         return mu[:count], None
-    s = spectral_scale(op)
-    return s.eigenvalues[:count].copy(), s.eigenvectors[:, :count].copy()
+    if op._eigh is None:
+        mu, V = scipy.linalg.eigh(op.dense())
+        op._eigh = mu, V / math.sqrt(op.weight)
+    mu, V = op._eigh
+    return mu[:count].copy(), V[:, :count].copy()
 
 
-def hkb_norm(u: np.ndarray, k: float, scale: SpectralScale) -> float:
-    """Spectrally weighted norm (sum (1 + mu_j)^(k/2) |u_j|^2)^(1/2)."""
-    coeffs = scale.weight * (scale.eigenvectors.T @ u)
-    total = scale.weight * float(np.vdot(u, u).real)
-    captured = float(np.vdot(coeffs, coeffs).real)
-    # coefficients are <u, phi_j>_grid; with an incomplete cache some mass
-    # is unaccounted for
-    if not scale.full or scale.eigenvectors.shape[1] < scale.eigenvectors.shape[0]:
-        tail = total - captured
-        if tail > 1e-10 * max(total, 1e-300):
-            warnings.warn(f"spectral cache truncates {tail:.3e} of the squared "
-                          f"norm; H^k value is a lower bound")
-    vals = (1.0 + scale.eigenvalues) ** (k / 2.0)
-    return math.sqrt(float(np.sum(vals * np.abs(coeffs) ** 2)))
+def _structural_kernel(op: DiscretePlateOperator, nk: int):
+    """Exact kernel basis when the stationary space has closed form
+    (constants, affine functions): eigensolver vectors carry O(eps |M|)
+    residuals that would leak through the exact-invariance identities.
+    Candidates are accepted only after a residual check against M; None
+    unless they cover all nk kernel dimensions."""
+    scale = float(np.abs(op.matrix).sum(axis=1).max())
+    cands = [np.ones(op.size)]
+    if op.grid.dimension == 1:
+        cands.append(op.nodes[:, 0].copy())
+    good = []
+    for c in cands:
+        resid = np.abs(op.apply(c)).max()
+        if resid <= 1e-12 * scale * np.abs(c).max():
+            good.append(c)
+    if len(good) < nk:
+        return None
+    # grid-orthonormalize the first nk accepted candidates
+    B = np.column_stack(good[:nk])
+    for k in range(nk):
+        for j in range(k):
+            B[:, k] -= op.inner(B[:, k], B[:, j]) * B[:, j]
+        B[:, k] /= op.norm(B[:, k])
+    return B
 
 
-def kernel(op: DiscretePlateOperator, tol: float = 1e-8, count: int = 16):
-    """Eigenvectors spanning the numerical kernel: mu_j <= tol * mu_ref with
-    mu_ref the median of the lowest `count` eigenvalues.  Empty when mu_0
-    clears the threshold."""
-    count = min(count, op.size)
+def kernel(op: DiscretePlateOperator):
+    """Grid-orthonormal basis of the numerical kernel, whose dimension is the
+    number of eigenvalues mu_j <= 1e-8 mu_ref, mu_ref the median of the
+    lowest 16.  The basis is the closed-form one when it covers that
+    dimension, the eigenvectors otherwise.  Empty when mu_0 clears the
+    threshold."""
+    count = min(16, op.size)
     mu, V = spectrum(op, count)
     ref = mu[(count + 1) // 2]
     if ref <= 0:
         ref = abs(mu).max()
-    idx = np.where(mu <= tol * ref)[0]
-    return [V[:, i].copy() for i in idx]
+    idx = np.where(mu <= 1e-8 * ref)[0]
+    basis = _structural_kernel(op, idx.size) if idx.size else None
+    if basis is None:
+        basis = V[:, idx]
+    return [basis[:, k].copy() for k in range(idx.size)]
 
 
-def clamped_beam_beta(k: int = 1, tol: float = 1e-13) -> float:
+def clamped_beam_beta(k: int = 1) -> float:
     """k-th positive root of cos(b) cosh(b) = 1 by bisection; the clamped
     beam eigenvalues are beta^4 on the unit interval."""
     f = lambda b: math.cos(b) * math.cosh(b) - 1.0
@@ -415,7 +404,7 @@ def clamped_beam_beta(k: int = 1, tol: float = 1e-13) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(hi - lo) < tol:
+        if abs(hi - lo) < 1e-13:
             break
         if flo * fm <= 0:
             hi = mid

@@ -28,7 +28,6 @@ __all__ = [
     "RootCase",
     "RootConfiguration",
     "branch_sqrt",
-    "re_sqrt_indicator",
     "factor_radicand",
     "factor_symbol_eval",
     "factor_roots",
@@ -145,17 +144,6 @@ class MetricField:
         b = np.asarray(b)
         return np.array([a @ dg[k] @ b for k in range(x.size)])
 
-    def check_ellipticity(self, points, c_floor: float = 1e-12) -> float:
-        """Smallest eigenvalue of g(x) over the sample; raises unless it
-        stays above c_floor (r(x, xi') >= c |xi'|^2)."""
-        worst = math.inf
-        for x in points:
-            ev = float(np.linalg.eigvalsh(self.gmatrix(x))[0])
-            worst = min(worst, ev)
-        if worst < c_floor:
-            raise ValueError(f"metric loses ellipticity: min eigenvalue {worst:.3e}")
-        return worst
-
 
 @dataclass(frozen=True)
 class TangentialPoint:
@@ -205,13 +193,12 @@ class TangentialPoint:
 
 @dataclass(frozen=True)
 class WeightJet:
-    """First-order data of the weight at a point: value, gradient split into
-    tangential and normal parts, and optionally the full spatial Hessian."""
+    """First-order data of the weight at a point: value and gradient split
+    into tangential and normal parts."""
 
     phi: float
     d_tangential: np.ndarray
     d_normal: float
-    hessian: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "d_tangential",
@@ -259,12 +246,6 @@ def branch_sqrt(m: complex) -> complex:
     if z.real < 0 or (z.real == 0 and z.imag < 0):
         z = -z
     return z
-
-
-def re_sqrt_indicator(m: complex, x0: float) -> float:
-    """Sign of |Re sqrt(m)| - |x0|: returns 4 x0^2 Re m - 4 x0^4 + (Im m)^2,
-    negative/zero/positive exactly when |Re z| </=/> |x0| for z^2 = m."""
-    return 4.0 * x0 ** 2 * m.real - 4.0 * x0 ** 4 + m.imag ** 2
 
 
 def factor_radicand(p: TangentialPoint, w: WeightJet, j: int,

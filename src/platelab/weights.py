@@ -12,7 +12,7 @@ test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,9 +56,6 @@ class ScalarField:
     def hess(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class AffineField(ScalarField):
     def __init__(self, const: float, slope):
@@ -74,9 +71,6 @@ class AffineField(ScalarField):
 
     def hess(self, x):
         return np.zeros((self.dim, self.dim))
-
-    def to_dict(self):
-        return {"kind": "affine", "const": self.const, "slope": self.slope.tolist()}
 
 
 class Polynomial1DField(ScalarField):
@@ -107,9 +101,6 @@ class Polynomial1DField(ScalarField):
             else np.zeros(0)
         v = self._horner(dd, float(np.atleast_1d(x)[0])) if dd.size else 0.0
         return np.array([[v]])
-
-    def to_dict(self):
-        return {"kind": "poly1d", "coeffs": self.coeffs.tolist()}
 
 
 class PeakField1D(ScalarField):
@@ -149,9 +140,6 @@ class PeakField1D(ScalarField):
     def hess(self, x):
         s, b = self._side(float(np.atleast_1d(x)[0]))
         return np.array([[-2.0 * self.a - 12.0 * b * s ** 2]])
-
-    def to_dict(self):
-        return {"kind": "peak1d", "x0": self.x0, "x1": self.x1, "peak": self.peak}
 
 
 class TensorProductField(ScalarField):
@@ -194,22 +182,6 @@ class TensorProductField(ScalarField):
                     H[i, j] = grads[i] * grads[j] * rest
         return H
 
-    def to_dict(self):
-        return {"kind": "tensor", "factors": [f.to_dict() for f in self.factors]}
-
-
-def field_from_dict(d: dict) -> ScalarField:
-    kind = d["kind"]
-    if kind == "affine":
-        return AffineField(d["const"], d["slope"])
-    if kind == "poly1d":
-        return Polynomial1DField(d["coeffs"])
-    if kind == "peak1d":
-        return PeakField1D(d["x0"], d["x1"], d["peak"])
-    if kind == "tensor":
-        return TensorProductField([field_from_dict(f) for f in d["factors"]])
-    raise ValueError(f"unknown field kind {kind!r}")
-
 
 @dataclass
 class WeightField:
@@ -237,13 +209,6 @@ class WeightField:
         dphi = g * phi * pg
         hess = g * phi * (g * np.outer(pg, pg) + ph)
         return phi, dphi, hess
-
-    def to_dict(self):
-        return {"gamma": self.gamma, "psi": self.psi.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(field_from_dict(d["psi"]), d["gamma"])
 
 
 @dataclass(frozen=True)
@@ -493,14 +458,14 @@ class GammaSearchResult:
 
 def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
                  ratio_hi: float = 64.0, metric: Optional[MetricField] = None,
-                 gamma_max: float = 2.0 ** 20, grad_floor: float = 1e-8,
-                 bisect_rounds: int = 4, **check_kw) -> GammaSearchResult:
-    """Least gamma (within a factor-of-two bracket, then bisected) making the
-    sub-ellipticity margin positive for both factors on the region.
+                 **check_kw) -> GammaSearchResult:
+    """Least gamma (within a factor-of-two bracket up to 2^20, then four
+    bisection rounds) making the sub-ellipticity margin positive for both
+    factors on the region, sampled over the ratio band (tau0, ratio_hi).
 
     Fails with diagnostics when the recipe hypotheses are violated on the
-    region (psi must stay nonnegative and |dpsi| bounded away from zero):
-    no gamma can repair either.
+    region (psi must stay nonnegative and |dpsi| >= 1e-8): no gamma can
+    repair either.
     """
     worst = math.inf
     worst_x = None
@@ -512,12 +477,12 @@ def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
         gnorm = float(np.linalg.norm(psi.grad(x)))
         if gnorm < worst:
             worst, worst_x = gnorm, x
-    if worst < grad_floor:
+    if worst < 1e-8:
         raise ValueError(
             f"|dpsi| = {worst:.3e} at x = {worst_x}: gradient lower bound "
             f"violated on the region; move the region away from critical points")
 
-    band = (tau0, max(ratio_hi, 2 * tau0))
+    band = (tau0, ratio_hi)
 
     def margins_at(gamma):
         wf = WeightField(psi, gamma)
@@ -531,15 +496,15 @@ def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
     history.append((gamma, m))
     while not all(v > 0 for v in m.values()):
         gamma *= 2.0
-        if gamma > gamma_max:
-            raise RuntimeError(f"no admissible gamma up to {gamma_max}")
+        if gamma > 2.0 ** 20:
+            raise RuntimeError(f"no admissible gamma up to {2.0 ** 20}")
         m = margins_at(gamma)
         history.append((gamma, m))
 
     if gamma > 1.0:
         lo, hi = gamma / 2.0, gamma
         m_hi = m
-        for _ in range(bisect_rounds):
+        for _ in range(4):
             mid = 0.5 * (lo + hi)
             mm = margins_at(mid)
             history.append((mid, mm))

@@ -17,6 +17,10 @@ from platelab.cli import COMMANDS, build_parser, main, read_config, \
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "README.md")
 
+# the clamped pair in the declarative .bc format
+CLAMPED_BC = ("name myclamped\nb1 order 0\nb1 term 0 1 0 0 0\n"
+              "b2 order 1\nb2 term 1 0 -1 0 0\n")
+
 
 def run_cli(*args):
     return main(list(args))
@@ -35,6 +39,13 @@ class TestExitCodes:
         code = run_cli("ls-check", "--bc", "degenerate_equal",
                        "--samples", "60", "--out", str(out))
         assert code == 1
+
+    def test_ls_check_bc_file_alone(self, tmp_path, capsys):
+        bc, out = tmp_path / "my.bc", tmp_path / "r.json"
+        bc.write_text(CLAMPED_BC)
+        assert run_cli("ls-check", "--bc-file", str(bc), "--samples", "20",
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["bc"] == "my.bc"
 
     def test_unknown_bc_is_config_error(self, capsys):
         assert run_cli("spectrum", "--bc", "nonsense") == 2
@@ -109,15 +120,24 @@ class TestExitCodes:
          "parameter symbol"),
         (["spectrum"], "bc = clamped\nn = 16.7\n", "n = 16.7"),
         (["spectrum"], "bc = clamped\nsamples = 5\n", "'samples'"),
+        (["ls-check", "--bc", "clamped", "--bc-file", "{bc}"], None,
+         "--bc cannot be combined with --bc-file"),
+        (["ls-check", "--bc-param-a", "7", "--bc-file", "{bc}"], None,
+         "--bc-param-a cannot be combined with --bc-file"),
+        (["ls-check", "--bc", "clamped", "--tau", "0.5"], None, "--tau"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
             "T-negative", "T-below-half-step", "T-inf", "dt-inf",
             "ratio-hi-nan", "bc-file-outside-ls-check",
             "bc-param-inadmissible", "config-n-not-int",
-            "config-key-of-ls-check"])
+            "config-key-of-ls-check", "bc-with-bc-file",
+            "bc-param-a-with-bc-file", "ls-check-tau-nonzero"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
+        bc = tmp_path / "my.bc"
+        bc.write_text(CLAMPED_BC)
+        args = [a.format(bc=bc) for a in args]
         if config is not None:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config)

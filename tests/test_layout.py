@@ -1,0 +1,87 @@
+"""Caller guard: every public name of the package has a caller.
+
+A name in a module's __all__ must be referenced somewhere in src/platelab
+outside its own definition, by an acceptance criterion, or by the
+benchmark's trace pass (perfbench/layers.py).  Names kept without a caller
+are listed in EXEMPT with the reason.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "platelab"
+
+EXEMPT = {
+    "perturbation_margin": "paper quantity (LS is an open condition); "
+                           "CLI wiring is ROADMAP item 4",
+    "conjugation_thresholds": "paper quantity (the (mu0, mu1) regime); "
+                              "CLI wiring is ROADMAP item 4",
+    "build_global_weight": "paper quantity (global Carleman weight); "
+                           "CLI wiring is ROADMAP item 4",
+    "factor_symbol_eval": "reference evaluation that tests compare against",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(tree, strings=False):
+    """(name, line) of every identifier use in the tree; with strings, also
+    string constants (perfbench/layers.py names the functions it wraps)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _public_names():
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                for elt in node.value.elts:
+                    yield path, elt.value
+
+
+def _definition_lines(tree, name):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name == name:
+            return range(node.lineno, node.end_lineno + 1)
+    return range(0)
+
+
+def _callers():
+    """name -> set of (file, line) references outside __all__ lists."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, line in _references(_parse(path)):
+            found.setdefault(name, set()).add((path, line))
+    for path, strings in ((ROOT / "tests" / "test_acceptance.py", False),
+                          (ROOT / "perfbench" / "layers.py", True)):
+        for name, line in _references(_parse(path), strings):
+            found.setdefault(name, set()).add((path, line))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    callers = _callers()
+    public = list(_public_names())
+    assert set(EXEMPT) <= {name for _, name in public}
+    orphans = []
+    for path, name in public:
+        own = _definition_lines(_parse(path), name)
+        uses = [(f, line) for f, line in callers.get(name, ())
+                if not (f == path and line in own)]
+        if not uses and name not in EXEMPT:
+            orphans.append(f"{path.stem}.{name}")
+    assert not orphans, f"public names without a caller: {orphans}"

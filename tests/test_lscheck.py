@@ -19,7 +19,6 @@ from platelab.lscheck import (
     perturbation_margin,
     positivity_margin,
     sample_conjugated,
-    save_bc_file,
 )
 from platelab.symbols import MetricField, RootCase, TangentialPoint, WeightJet
 
@@ -127,11 +126,17 @@ class TestCatalog:
             catalog_bc("freeform")
 
     def test_homogeneity_sampled(self, rng):
+        # b(x, t xi', t xi_d) = t^k b(x, xi', xi_d) for either operator
         for name in catalog_names():
             a = sample_params(name, rng)
-            b1, b2 = catalog_bc(name, {"a": a} if a is not None else None)
-            assert b1.check_homogeneity() <= 1e-10
-            assert b2.check_homogeneity() <= 1e-10
+            for b in catalog_bc(name, {"a": a} if a is not None else None):
+                for _ in range(12):
+                    x, xi = rng.normal(size=2), rng.normal(size=1)
+                    zd = complex(rng.normal(), rng.normal())
+                    t = float(rng.uniform(0.3, 3.0))
+                    scaled = t ** b.order * b.eval(x, xi, zd)
+                    assert abs(b.eval(x, t * xi, t * zd) - scaled) <= \
+                        1e-10 * max(abs(scaled), 1e-300), b.name
 
     def test_homogeneity_construction_guard(self):
         with pytest.raises(ValueError):
@@ -156,9 +161,17 @@ class TestCatalog:
 
 class TestBCFile:
     def test_round_trip(self, tmp_path):
+        # ex5_dn2A_dn3 at a = 0.7 written out by hand
         b1, b2 = catalog_bc("ex5_dn2A_dn3", {"a": 0.7})
         path = tmp_path / "pair.bc"
-        save_bc_file(path, "ex5ish", b1, b2)
+        path.write_text("name ex5ish\n"
+                        "aprime 1 0.7\n"
+                        "b1 order 2\n"
+                        "b1 term 1 0 -1 0 1\n"
+                        "b1 term 2 -1 0 0 0\n"
+                        "b2 order 3\n"
+                        "b2 term 1 0 2 1 0\n"
+                        "b2 term 3 0 1 0 0\n")
         c1, c2 = load_bc_file(path)
         for om in (0.3, 1.0, 2.0):
             orig = ls_unconjugated(b1, b2, X0, [om])

@@ -1,4 +1,4 @@
-"""Discrete bi-Laplacians: symmetry, spectra, kernels, norms, exports."""
+"""Discrete bi-Laplacians: symmetry, spectra, kernels, exports."""
 
 import math
 
@@ -15,11 +15,9 @@ from platelab.plate import (
     check_symmetry,
     clamped_beam_beta,
     export_columnar,
-    hkb_norm,
     kernel,
     load_damping_profile,
     make_grid,
-    spectral_scale,
     spectrum,
 )
 
@@ -287,10 +285,11 @@ class TestSpectrum:
 
     def test_2d_lowest_pairs_match_full_tensor_scale(self):
         for name, n in (("hinged", (16, 12)), ("neumann_pair", (12, 16))):
-            mu, vecs = spectrum(assemble(make_grid(n), name), 7)
-            full = spectral_scale(assemble(make_grid(n), name))
-            assert np.array_equal(mu, full.eigenvalues[:7]), name
-            assert np.array_equal(vecs, full.eigenvectors[:, :7]), name
+            op = assemble(make_grid(n), name)
+            mu, vecs = spectrum(op, 7)
+            full_mu, full_vecs = spectrum(op, op.size)
+            assert np.array_equal(mu, full_mu[:7]), name
+            assert np.array_equal(vecs, full_vecs[:, :7]), name
 
     def test_2d_hinged_tensor_eigenvalues(self):
         a, b = 1.0, 2.0
@@ -304,47 +303,6 @@ class TestSpectrum:
         assert check_symmetry(op) <= 1e-10
 
 
-class TestHkbNorm:
-    def test_k0_is_grid_l2(self, rng):
-        op = assemble(GRID, "clamped")
-        scale = spectral_scale(op)
-        for _ in range(10):
-            u = rng.normal(size=op.size)
-            assert hkb_norm(u, 0.0, scale) == pytest.approx(op.norm(u), rel=1e-10)
-
-    def test_single_mode(self):
-        op = assemble(GRID, "hinged")
-        scale = spectral_scale(op)
-        mu, vecs = spectrum(op, 4)
-        for k_exp in (-2.0, 0.0, 1.0, 4.0):
-            val = hkb_norm(vecs[:, 2], k_exp, scale)
-            assert val == pytest.approx((1.0 + mu[2]) ** (k_exp / 4.0), rel=1e-9)
-
-    def test_norm_axioms(self, rng):
-        op = assemble(GRID, "hinged")
-        scale = spectral_scale(op)
-        for _ in range(20):
-            u = rng.normal(size=op.size)
-            v = rng.normal(size=op.size)
-            c = float(rng.normal())
-            k_exp = float(rng.uniform(-3, 5))
-            assert hkb_norm(c * u, k_exp, scale) == pytest.approx(
-                abs(c) * hkb_norm(u, k_exp, scale), rel=1e-9)
-            assert hkb_norm(u + v, k_exp, scale) <= \
-                hkb_norm(u, k_exp, scale) + hkb_norm(v, k_exp, scale) + 1e-12
-
-    def test_truncation_warning(self, rng):
-        from platelab.plate import SpectralScale
-        op = assemble(GRID, "hinged")
-        full = spectral_scale(op)
-        partial = SpectralScale(full.eigenvalues[:10],
-                                full.eigenvectors[:, :10], full.weight,
-                                full=False)
-        u = rng.normal(size=op.size)
-        with pytest.warns(UserWarning, match="truncates"):
-            hkb_norm(u, 2.0, partial)
-
-
 class TestKernel:
     def test_kernel_dimensions(self):
         expected = {"hinged": 0, "clamped": 0, "ex4_id_dn2_A": 0,
@@ -352,6 +310,21 @@ class TestKernel:
                     "ex5_dn2A_dn3": 1}
         for name, dim in expected.items():
             assert len(kernel(assemble(GRID, name))) == dim, name
+
+    def test_closed_form_basis(self):
+        # constants and affine functions, exact to the residual check, not
+        # eigensolver vectors with O(eps |M|) residuals
+        ops = [assemble(GRID, name)
+               for name in ("neumann_pair", "ex2_dn2_dn3", "ex5_dn2A_dn3")]
+        ops.append(assemble(make_grid((16, 12)), "neumann_pair"))
+        for op in ops:
+            K = np.column_stack(kernel(op))
+            scale = float(np.abs(op.matrix).sum(axis=1).max())
+            assert np.abs(op.matrix @ K).max() <= \
+                1e-12 * scale * np.abs(K).max(), op.bc_name
+            assert np.abs(op.weight * K.T @ K - np.eye(K.shape[1])).max() \
+                <= 1e-12, op.bc_name
+            assert np.ptp(K[:, 0]) == 0.0, op.bc_name
 
     def test_two_disconnected_intervals(self):
         # block-diagonal fixture: two independent zero-flux plates carry a

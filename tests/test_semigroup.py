@@ -30,7 +30,6 @@ from platelab.semigroup import (
     resolvent_norm,
     resolvent_sweep,
     simulate,
-    step,
 )
 
 N = 80
@@ -78,13 +77,6 @@ class TestBuildGenerator:
         op = assemble(GRID, "clamped")
         with pytest.raises(ValueError, match="nonnegative"):
             build_generator(op, -bump_alpha(op))
-
-    def test_observation_region_floor(self):
-        op = assemble(GRID, "clamped")
-        gen = build_generator(op, bump_alpha(op), obs=(0.35, 0.45), delta=0.5)
-        assert gen.delta >= 0.5
-        with pytest.raises(ValueError, match="observation"):
-            build_generator(op, bump_alpha(op), obs=(0.1, 0.2), delta=0.5)
 
 
 class TestProjections:
@@ -179,7 +171,7 @@ class TestStepper:
         phi0 = gen.kernel_damped[:, 0]
         Y = StateVector(phi0, np.zeros_like(phi0))
         dt = 0.7
-        Y1 = step(Y, gen, dt)
+        Y1 = MidpointStepper(gen, dt).advance(Y)[0]
         # P phi0 cancels to eps * |P| * |phi0| in the matvec; the step can
         # move the state by no more than the propagated solve noise
         floor = 50 * np.finfo(float).eps * np.abs(gen.op.matrix.data).max() \
@@ -206,7 +198,7 @@ class TestStepper:
         gen = build_generator(op, np.zeros(op.size))
         Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
         n0 = hdot_norm(gen, Y)
-        Y1 = step(Y, gen, 0.05)
+        Y1 = MidpointStepper(gen, 0.05).advance(Y)[0]
         assert hdot_norm(gen, Y1) == pytest.approx(n0, rel=1e-10)
 
     def test_dt_validation(self, clamped_gen):
@@ -241,8 +233,7 @@ class TestStepper:
         assert mu.size == 5
         assert spectrum(op2, 5)[1].shape == (op2.size, 5)
         assert kernel(op2) == []
-        gen1 = Generator(op1, bump_alpha(op1), np.zeros((op1.size, 0)),
-                         np.zeros((op1.size, 0)))
+        gen1 = Generator(op1, bump_alpha(op1), np.zeros((op1.size, 0)))
         for gen in (gen1, build_generator(op2, bump_alpha(op2))):
             Y = StateVector(np.ones(gen.size), np.zeros(gen.size))
             Z, _ = MidpointStepper(gen, 0.5).advance(Y)

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from platelab.symbols import (
     MetricField,
@@ -19,7 +17,6 @@ from platelab.symbols import (
     factor_symbol_eval,
     im_sign_criterion,
     quartic_roots,
-    re_sqrt_indicator,
 )
 
 from conftest import companion_roots, conjugated_quartic_coeffs, match_roots
@@ -135,14 +132,6 @@ class TestFactorRoots:
             lam = max(t * p.lambda_T_sigma, 1e-30)
             assert abs(rp_t.pi_1 - t * rp.pi_1) <= 1e-10 * lam
             assert abs(rp_t.pi_2 - t * rp.pi_2) <= 1e-10 * lam
-
-    def test_metric_ellipticity_check(self):
-        good = variable_metric()
-        pts = [np.array([0.1, 0.2, 0.0]), np.array([-1.0, 0.5, 0.3])]
-        assert good.check_ellipticity(pts) > 0
-        bad = MetricField.diagonal(1, coeffs=[lambda x: x[0]])
-        with pytest.raises(ValueError, match="ellipticity"):
-            bad.check_ellipticity([np.array([-1.0, 0.0])])
 
     def test_variable_metric_consistency(self, rng):
         g = variable_metric()
@@ -266,20 +255,6 @@ class TestImSignCriterion:
             assert im_sign_criterion(p, w, j) == (rp.pi_2.imag < 0)
             checked += 1
 
-    def test_re_sqrt_indicator(self, rng):
-        # |Re z| vs |x0| for z^2 = m is decided by the sign of the cubic-free
-        # expression, checked directly against complex arithmetic
-        for _ in range(2000):
-            z = complex(rng.normal(), rng.normal())
-            x0 = float(rng.normal())
-            if abs(x0) < 1e-9:
-                continue
-            ind = re_sqrt_indicator(z * z, x0)
-            diff = abs(z.real) - abs(x0)
-            if abs(diff) < 1e-12:
-                continue
-            assert (ind < 0) == (diff < 0)
-
     def test_sufficient_lower_root_constant(self, rng):
         # with |dphi_t| <= K0 dphi_n and C = 2 >= sqrt(1 + K0^2) (K0 = 1,
         # Euclidean): C |xi'| + sigma <= tau dphi_n forces both pi_{j,2} low
@@ -320,12 +295,3 @@ class TestImSignCriterion:
         C = 1.05 * fit
         for xi, tau, g in gen(2, 4000):
             assert xi <= C * tau * math.sqrt(g ** 2 + 1 / kappa0 ** 2)
-
-    @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_indicator_hypothesis(self, re, im, x0):
-        z = complex(re, im)
-        diff = abs(z.real) - abs(x0)
-        if abs(diff) < 1e-9:
-            return
-        assert (re_sqrt_indicator(z * z, x0) < 0) == (diff < 0)

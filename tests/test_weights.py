@@ -16,7 +16,6 @@ from platelab.weights import (
     WeightField,
     build_global_weight,
     characteristic_points,
-    field_from_dict,
     gamma_search,
     mu_search,
     poisson_bracket,
@@ -63,13 +62,6 @@ class TestJets:
                 assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
                 fd2 = (np.asarray(f.grad(x + ek)) - f.grad(x - ek)) / (2 * h)
                 assert H[:, k] == pytest.approx(fd2, rel=1e-5, abs=1e-6)
-
-    def test_serialization_round_trip(self):
-        wf = WeightField(TensorProductField([PeakField1D(0, 1, 0.3),
-                                             Polynomial1DField([1.0, 2.0])]), 4.0)
-        clone = WeightField.from_dict(wf.to_dict())
-        x = np.array([0.2, 0.7])
-        assert clone.phi_jet(x)[0] == pytest.approx(wf.phi_jet(x)[0])
 
 
 class TestPoissonBracket:
@@ -225,6 +217,19 @@ class TestGammaSearch:
                                refine=False).gamma0
         assert g_small <= g_big * (1 + 1e-12)
 
+    def test_samples_the_subell_band(self, monkeypatch):
+        # subell checks (tau0, ratio_hi); so must the search, even when
+        # ratio_hi < 2 tau0
+        bands = []
+
+        def spy(wf, j, region, band, **kw):
+            bands.append(band)
+            return subellipticity_check(wf, j, region, band, **kw)
+
+        monkeypatch.setattr("platelab.weights.subellipticity_check", spy)
+        gamma_search(PARABOLA, 1.0, REGION, ratio_hi=1.5, refine=False)
+        assert bands and set(bands) == {(1.0, 1.5)}
+
 
 class TestMuSearch:
     def test_finite_mu_after_gamma_search(self):
@@ -301,8 +306,3 @@ class TestGlobalWeight:
     def test_empty_exclusion_rejected(self):
         with pytest.raises(ValueError):
             build_global_weight(("interval", (0.0, 1.0)), (0.6, 0.6))
-
-    def test_field_dict_round_trip(self):
-        wf = build_global_weight(("interval", (0.0, 1.0)), (0.4, 0.6), gamma=2.0)
-        clone = field_from_dict(wf.psi.to_dict())
-        assert clone.value([0.3]) == pytest.approx(wf.psi.value([0.3]))
