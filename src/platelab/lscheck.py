@@ -131,16 +131,6 @@ class BoundaryOperatorSymbol:
             out[m] = acc
         return out
 
-    def eval(self, x, xi, xi_d: complex, metric: Optional[MetricField] = None) -> complex:
-        c = self.coeff_vector(x, xi, metric)
-        z = complex(xi_d)
-        return c[0] + z * (c[1] + z * (c[2] + z * c[3]))
-
-    def eval_dz(self, x, xi, xi_d: complex, metric: Optional[MetricField] = None) -> complex:
-        c = self.coeff_vector(x, xi, metric)
-        z = complex(xi_d)
-        return c[1] + z * (2.0 * c[2] + z * 3.0 * c[3])
-
     def conjugated_coeff_vector(self, p: TangentialPoint, w: WeightJet,
                                 metric: Optional[MetricField] = None) -> np.ndarray:
         """Coefficients of b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n) in
@@ -156,16 +146,11 @@ class BoundaryOperatorSymbol:
                 out[ell] += c[m] * math.comb(m, ell) * s ** (m - ell)
         return out
 
-    def conjugated_eval(self, p: TangentialPoint, w: WeightJet, xi_d: complex,
-                        metric: Optional[MetricField] = None) -> complex:
-        """b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n)."""
-        return self.eval(p.x, p.xi_prime + 1j * p.tau * w.d_tangential,
-                         complex(xi_d) + 1j * p.tau * w.d_normal, metric)
 
-    def conjugated_eval_dz(self, p: TangentialPoint, w: WeightJet, xi_d: complex,
-                           metric: Optional[MetricField] = None) -> complex:
-        return self.eval_dz(p.x, p.xi_prime + 1j * p.tau * w.d_tangential,
-                            complex(xi_d) + 1j * p.tau * w.d_normal, metric)
+def _horner_dz(c, z: complex) -> tuple:
+    """Value and xi_d-derivative at z of the cubic with coefficients c."""
+    return (c[0] + z * (c[1] + z * (c[2] + z * c[3])),
+            c[1] + z * (2.0 * c[2] + z * 3.0 * c[3]))
 
 
 _CATALOG = {}
@@ -399,10 +384,8 @@ def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
         raise ValueError("undefined: the unconjugated condition is posed only "
                          "for omega' != 0")
     zd = 1j * nrm
-    m11 = b1.eval(x, omega_prime, zd, metric)
-    m12 = b2.eval(x, omega_prime, zd, metric)
-    m21 = b1.eval_dz(x, omega_prime, zd, metric)
-    m22 = b2.eval_dz(x, omega_prime, zd, metric)
+    m11, m21 = _horner_dz(b1.coeff_vector(x, omega_prime, metric), zd)
+    m12, m22 = _horner_dz(b2.coeff_vector(x, omega_prime, metric), zd)
     det = m11 * m22 - m12 * m21
     power = b1.order + b2.order - 1
     margin = abs(det) / nrm ** power
@@ -437,27 +420,29 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                         determinant=None, margin=math.inf,
                         marginal=conf.marginal, scale=lam)
 
+    # b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n) and its xi_d-derivative
+    arg = p.xi_prime + 1j * p.tau * w.d_tangential
+    c1 = b1.coeff_vector(p.x, arg, metric)
+    c2 = b2.coeff_vector(p.x, arg, metric)
+
+    def at(rho):
+        z = complex(rho) + 1j * p.tau * w.d_normal
+        return _horner_dz(c1, z), _horner_dz(c2, z)
+
     if conf.case is RootCase.ONE_UPPER:
-        rho = conf.upper_roots[0]
-        v1 = b1.conjugated_eval(p, w, rho, metric)
-        v2 = b2.conjugated_eval(p, w, rho, metric)
+        (v1, d1), (v2, d2) = at(conf.upper_roots[0])
         margin = math.sqrt(abs(v1) ** 2 / lam ** (2 * k1)
                            + abs(v2) ** 2 / lam ** (2 * k2))
-        det = v1 * b2.conjugated_eval_dz(p, w, rho, metric) \
-            - v2 * b1.conjugated_eval_dz(p, w, rho, metric)
+        det = v1 * d2 - v2 * d1
     elif conf.case is RootCase.TWO_UPPER:
         r1, r2 = conf.upper_roots
-        det = (b1.conjugated_eval(p, w, r1, metric)
-               * b2.conjugated_eval(p, w, r2, metric)
-               - b2.conjugated_eval(p, w, r1, metric)
-               * b1.conjugated_eval(p, w, r2, metric))
+        (v11, _), (v21, _) = at(r1)
+        (v12, _), (v22, _) = at(r2)
+        det = v11 * v22 - v21 * v12
         margin = abs(det) / lam ** (k1 + k2)
     else:  # DOUBLE_UPPER
-        rho = conf.upper_roots[0]
-        det = (b1.conjugated_eval(p, w, rho, metric)
-               * b2.conjugated_eval_dz(p, w, rho, metric)
-               - b2.conjugated_eval(p, w, rho, metric)
-               * b1.conjugated_eval_dz(p, w, rho, metric))
+        (v1, d1), (v2, d2) = at(conf.upper_roots[0])
+        det = v1 * d2 - v2 * d1
         margin = abs(det) / lam ** (k1 + k2 - 1)
 
     verdict = None if conf.marginal else bool(margin > tol)
@@ -618,12 +603,13 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
             zp = xi_prime + eps * nrm * zeta
             zd = 1j * nrm + eps * nrm * delta
             zd2 = 1j * nrm + eps * nrm * delta2
-            det1 = (b1.eval(x, zp, zd, metric) * b2.eval_dz(x, zp, zd, metric)
-                    - b2.eval(x, zp, zd, metric) * b1.eval_dz(x, zp, zd, metric))
+            cv1 = b1.coeff_vector(x, zp, metric)
+            cv2 = b2.coeff_vector(x, zp, metric)
+            (v1, d1), (v2, d2) = _horner_dz(cv1, zd), _horner_dz(cv2, zd)
+            det1 = v1 * d2 - v2 * d1
             if abs(det1) < c1 * nrm ** power:
                 return False
-            det2 = (b1.eval(x, zp, zd, metric) * b2.eval(x, zp, zd2, metric)
-                    - b2.eval(x, zp, zd, metric) * b1.eval(x, zp, zd2, metric))
+            det2 = v1 * _horner_dz(cv2, zd2)[0] - v2 * _horner_dz(cv1, zd2)[0]
             if abs(det2) < c1 * abs(eps * nrm * (delta - delta2)) * nrm ** (power - 1):
                 return False
         return True

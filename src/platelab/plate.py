@@ -94,7 +94,6 @@ def make_grid(n, lengths=None) -> Grid:
 class DiscretePlateOperator:
     grid: Grid
     bc_name: str
-    params: dict
     matrix: sp.csr_matrix
     nodes: np.ndarray           # (N, d) unknown coordinates
     layout: str
@@ -258,7 +257,7 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
     if grid.dimension == 1:
         M, layout = _assemble_1d(grid, name, params, metric)
         nodes = grid.axis_nodes(0, layout)[:, None]
-        return DiscretePlateOperator(grid, name, params, M, nodes, layout,
+        return DiscretePlateOperator(grid, name, M, nodes, layout,
                                      weight=grid.h[0])
 
     # 2-D tensor rectangles
@@ -279,7 +278,7 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
     xs = grid.axis_nodes(0, layout)
     ys = grid.axis_nodes(1, layout)
     nodes = np.array([(x, y) for x in xs for y in ys])
-    return DiscretePlateOperator(grid, name, params, M, nodes, layout,
+    return DiscretePlateOperator(grid, name, M, nodes, layout,
                                  weight=grid.h[0] * grid.h[1],
                                  tensor_factors=tuple(Ls))
 

@@ -128,22 +128,6 @@ class MetricField:
         val = self.bilinear(x, xi, xi)
         return math.sqrt(float(np.real(val)))
 
-    def grad_xi(self, x, xi) -> np.ndarray:
-        """d/dxi of r(x, xi) = 2 g(x) xi."""
-        if self.tdim == 0:
-            return np.zeros(0)
-        return 2.0 * (self.gmatrix(x) @ np.asarray(xi))
-
-    def grad_x_bilinear(self, x, a, b) -> np.ndarray:
-        """Spatial gradient of r~(x, a, b) at frozen covectors a, b."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.tdim == 0:
-            return np.zeros(x.size)
-        dg = self.dgmatrix(x)
-        a = np.asarray(a)
-        b = np.asarray(b)
-        return np.array([a @ dg[k] @ b for k in range(x.size)])
-
 
 @dataclass(frozen=True)
 class TangentialPoint:
@@ -232,10 +216,7 @@ class RootCase(enum.Enum):
 class RootConfiguration:
     case: RootCase
     upper_roots: tuple
-    lower_roots: tuple
     marginal: bool
-    separation: float
-    tolerance: float
     pairs: tuple = ()
 
 
@@ -307,21 +288,17 @@ def classify_roots(p: TangentialPoint, w: WeightJet,
 
     pairs = (factor_roots(p, w, 1, metric), factor_roots(p, w, 2, metric))
     upper = []
-    lower = []
     marginal = False
     for rp in pairs:
         im_rel = rp.pi_2.imag / scale
         if im_rel >= -tol:
             upper.append(rp.pi_2)
-        else:
-            lower.append(rp.pi_2)
         if abs(im_rel) <= tol:
             marginal = True
         # pi_1 is lower by construction; if it crosses the axis (tau ~ 0
         # with a negative real radicand) the two-root picture degenerates.
         if rp.pi_1.imag / scale >= -tol and p.tau > 0:
             marginal = True
-        lower.append(rp.pi_1)
 
     separation = abs(pairs[0].pi_2 - pairs[1].pi_2) / scale
 
@@ -339,10 +316,7 @@ def classify_roots(p: TangentialPoint, w: WeightJet,
 
     return RootConfiguration(case=case,
                              upper_roots=tuple(upper),
-                             lower_roots=tuple(lower),
                              marginal=marginal,
-                             separation=separation,
-                             tolerance=tol,
                              pairs=pairs)
 
 

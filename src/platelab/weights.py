@@ -11,6 +11,7 @@ test oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,7 +28,6 @@ __all__ = [
     "TensorProductField",
     "WeightField",
     "BracketJet",
-    "BracketSample",
     "poisson_bracket",
     "symbol_jets",
     "characteristic_points",
@@ -47,14 +47,16 @@ class ScalarField:
 
     dim: int
 
-    def value(self, x) -> float:
+    def jet(self, x):
+        """(value, gradient of shape (d,), Hessian of shape (d, d)) at x."""
         raise NotImplementedError
 
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
 
-    def hess(self, x) -> np.ndarray:
-        raise NotImplementedError
+def _horner(c, t):
+    v = 0.0
+    for ck in c[::-1]:
+        v = v * t + ck
+    return v
 
 
 class AffineField(ScalarField):
@@ -63,44 +65,25 @@ class AffineField(ScalarField):
         self.slope = np.atleast_1d(np.asarray(slope, dtype=float))
         self.dim = self.slope.size
 
-    def value(self, x):
-        return self.const + float(self.slope @ np.atleast_1d(x))
-
-    def grad(self, x):
-        return self.slope.copy()
-
-    def hess(self, x):
-        return np.zeros((self.dim, self.dim))
+    def jet(self, x):
+        return (self.const + float(self.slope @ np.atleast_1d(x)),
+                self.slope.copy(), np.zeros((self.dim, self.dim)))
 
 
 class Polynomial1DField(ScalarField):
     """Polynomial of one variable, coefficients in increasing degree."""
 
     def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        c = np.asarray(coeffs, dtype=float)
+        self.coeffs = c
+        self.dcoeffs = [k * c[k] for k in range(1, c.size)]
+        self.ddcoeffs = [k * (k - 1) * c[k] for k in range(2, c.size)]
         self.dim = 1
 
-    def _horner(self, c, t):
-        v = 0.0
-        for ck in c[::-1]:
-            v = v * t + ck
-        return v
-
-    def value(self, x):
-        return self._horner(self.coeffs, float(np.atleast_1d(x)[0]))
-
-    def grad(self, x):
-        c = self.coeffs
-        d = np.array([k * c[k] for k in range(1, c.size)]) if c.size > 1 else np.zeros(0)
-        return np.array([self._horner(d, float(np.atleast_1d(x)[0]))]) if d.size \
-            else np.zeros(1)
-
-    def hess(self, x):
-        c = self.coeffs
-        dd = np.array([k * (k - 1) * c[k] for k in range(2, c.size)]) if c.size > 2 \
-            else np.zeros(0)
-        v = self._horner(dd, float(np.atleast_1d(x)[0])) if dd.size else 0.0
-        return np.array([[v]])
+    def jet(self, x):
+        t = float(np.atleast_1d(x)[0])
+        return (_horner(self.coeffs, t), np.array([_horner(self.dcoeffs, t)]),
+                np.array([[_horner(self.ddcoeffs, t)]]))
 
 
 class PeakField1D(ScalarField):
@@ -124,22 +107,12 @@ class PeakField1D(ScalarField):
         assert self.bl >= 0 and self.br >= 0
         self.dim = 1
 
-    def _side(self, t):
-        s = t - self.peak
+    def jet(self, x):
+        s = float(np.atleast_1d(x)[0]) - self.peak
         b = self.bl if s < 0 else self.br
-        return s, b
-
-    def value(self, x):
-        s, b = self._side(float(np.atleast_1d(x)[0]))
-        return 1.0 - self.a * s ** 2 - b * s ** 4
-
-    def grad(self, x):
-        s, b = self._side(float(np.atleast_1d(x)[0]))
-        return np.array([-2.0 * self.a * s - 4.0 * b * s ** 3])
-
-    def hess(self, x):
-        s, b = self._side(float(np.atleast_1d(x)[0]))
-        return np.array([[-2.0 * self.a - 12.0 * b * s ** 2]])
+        return (1.0 - self.a * s ** 2 - b * s ** 4,
+                np.array([-2.0 * self.a * s - 4.0 * b * s ** 3]),
+                np.array([[-2.0 * self.a - 12.0 * b * s ** 2]]))
 
 
 class TensorProductField(ScalarField):
@@ -149,38 +122,27 @@ class TensorProductField(ScalarField):
         self.factors = list(factors)
         self.dim = len(self.factors)
 
-    def value(self, x):
+    def jet(self, x):
         x = np.atleast_1d(x)
+        jets = [f.jet(x[i:i + 1]) for i, f in enumerate(self.factors)]
+        vals = [jt[0] for jt in jets]
+        grads = [jt[1][0] for jt in jets]
+        hesss = [jt[2][0, 0] for jt in jets]
         v = 1.0
-        for i, f in enumerate(self.factors):
-            v *= f.value(x[i:i + 1])
-        return v
-
-    def grad(self, x):
-        x = np.atleast_1d(x)
-        vals = [f.value(x[i:i + 1]) for i, f in enumerate(self.factors)]
-        grads = [f.grad(x[i:i + 1])[0] for i, f in enumerate(self.factors)]
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            out[i] = grads[i] * np.prod([vals[k] for k in range(self.dim) if k != i])
-        return out
-
-    def hess(self, x):
-        x = np.atleast_1d(x)
-        vals = [f.value(x[i:i + 1]) for i, f in enumerate(self.factors)]
-        grads = [f.grad(x[i:i + 1])[0] for i, f in enumerate(self.factors)]
-        hesss = [f.hess(x[i:i + 1])[0, 0] for i, f in enumerate(self.factors)]
+        for vi in vals:
+            v *= vi
+        grad = np.zeros(self.dim)
         H = np.zeros((self.dim, self.dim))
         for i in range(self.dim):
+            others = np.prod([vals[k] for k in range(self.dim) if k != i])
+            grad[i] = grads[i] * others
+            H[i, i] = hesss[i] * others
             for j in range(self.dim):
-                if i == j:
-                    H[i, i] = hesss[i] * np.prod(
-                        [vals[k] for k in range(self.dim) if k != i])
-                else:
+                if j != i:
                     rest = np.prod([vals[k] for k in range(self.dim)
                                     if k not in (i, j)])
                     H[i, j] = grads[i] * grads[j] * rest
-        return H
+        return v, grad, H
 
 
 @dataclass
@@ -201,9 +163,7 @@ class WeightField:
         return self.psi.dim
 
     def phi_jet(self, x):
-        pv = self.psi.value(x)
-        pg = self.psi.grad(x)
-        ph = self.psi.hess(x)
+        pv, pg, ph = self.psi.jet(x)
         g = self.gamma
         phi = math.exp(g * pv)
         dphi = g * phi * pg
@@ -217,18 +177,6 @@ class BracketJet:
     value: float
     dx: np.ndarray
     dxi: np.ndarray
-
-
-@dataclass(frozen=True)
-class BracketSample:
-    x: np.ndarray
-    xi: np.ndarray
-    tau: float
-    sigma: float
-    q_s: float
-    q_a: float
-    bracket: float
-    margin: float
 
 
 def poisson_bracket(f: BracketJet, g: BracketJet) -> float:
@@ -248,38 +196,39 @@ def symbol_jets(wf: WeightField, x, xi, tau: float, sigma: float, j: int,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     d = x.size
     tdim = d - 1
-    metric = metric or MetricField.euclidean(tdim)
 
     phi, dphi, hess = wf.phi_jet(x)
     dpt, dpn = dphi[:tdim], dphi[tdim]
     xit, xid = xi[:tdim], xi[tdim]
 
-    r_xi = float(np.real(metric.r(x, xit))) if tdim else 0.0
-    r_dp = float(np.real(metric.r(x, dpt))) if tdim else 0.0
-    r_mix = float(np.real(metric.bilinear(x, xit, dpt))) if tdim else 0.0
+    # metric terms and their spatial gradients; all vanish in 1-D
+    dqs_dxi = np.zeros(d)
+    dqa_dxi = np.zeros(d)
+    if tdim:
+        metric = metric or MetricField.euclidean(tdim)
+        g = metric.gmatrix(x)
+        dg = metric.dgmatrix(x)
+        r_xi = float(np.real(xit @ g @ xit))
+        r_dp = float(np.real(dpt @ g @ dpt))
+        r_mix = float(np.real(xit @ g @ dpt))
+        dqs_dxi[:tdim] = 2.0 * (g @ xit)
+        dqa_dxi[:tdim] = 2.0 * tau * (g @ dpt)
+        dr_xi = np.array([xit @ dg[k] @ xit for k in range(d)])
+        dr_dp = np.array([dpt @ dg[k] @ dpt for k in range(d)])
+        dr_mix = np.array([xit @ dg[k] @ dpt for k in range(d)])
+    else:
+        r_xi = r_dp = r_mix = 0.0
+        dr_xi = dr_dp = dr_mix = np.zeros(d)
 
     qs = xid ** 2 + r_xi - tau ** 2 * (dpn ** 2 + r_dp) + (-1) ** j * sigma ** 2
     qa = 2.0 * tau * (xid * dpn + r_mix)
 
-    # xi-derivatives
-    dqs_dxi = np.zeros(d)
-    dqa_dxi = np.zeros(d)
-    if tdim:
-        dqs_dxi[:tdim] = metric.grad_xi(x, xit)
-        dqa_dxi[:tdim] = 2.0 * tau * (metric.gmatrix(x) @ dpt)
     dqs_dxi[tdim] = 2.0 * xid
     dqa_dxi[tdim] = 2.0 * tau * dpn
 
     # x-derivatives; hess columns give d/dx_k of each gradient component
     dqs_dx = np.zeros(d)
     dqa_dx = np.zeros(d)
-    if tdim:
-        dr_xi = metric.grad_x_bilinear(x, xit, xit)
-        dr_dp = metric.grad_x_bilinear(x, dpt, dpt)
-        dr_mix = metric.grad_x_bilinear(x, xit, dpt)
-    else:
-        dr_xi = dr_dp = dr_mix = np.zeros(d)
-    g = metric.gmatrix(x) if tdim else None
     for k in range(d):
         hcol = hess[:, k]
         dpt_k = hcol[:tdim]
@@ -308,7 +257,8 @@ def characteristic_points(wf: WeightField, x, j: int,
                           directions: Optional[Sequence] = None,
                           metric: Optional[MetricField] = None,
                           residual_tol: float = 1e-8):
-    """Real solutions of q^j = 0 above a spatial point.
+    """Real solutions (x, xi, tau, sigma, qs, qa) of q^j = 0 above a spatial
+    point, with the symbol jets (qs, qa) of symbol_jets at each.
 
     The imaginary part fixes xi_d = -r~(x, xi', dphi_t)/dphi_n on each
     tangential ray; the real part then determines the ray magnitude (d >= 2)
@@ -372,16 +322,17 @@ def _filter_residual(wf, metric, pts, j, residual_tol):
         qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
         lam2 = float(np.dot(xi, xi)) + tau ** 2
         if math.hypot(qs.value, qa.value) <= residual_tol * lam2:
-            kept.append((x, xi, tau, sigma))
+            kept.append((x, xi, tau, sigma, qs, qa))
     return kept
 
 
 @dataclass
 class SubellipticityReport:
+    """samples holds the (x, xi, tau, sigma, qs, qa) tuples of
+    characteristic_points that the margin was taken over."""
     margin: float
     vacuous: bool
     samples: tuple
-    grid_size: int
     refinement_levels: int
 
     def __bool__(self):
@@ -416,15 +367,13 @@ def subellipticity_check(wf: WeightField, j: int, region_grid: Sequence,
             x = np.atleast_1d(np.asarray(x, dtype=float))
             tdim = x.size - 1
             dirs = _default_directions(tdim, ndir) if tdim else None
-            for (xx, xi, tau, sigma) in characteristic_points(
-                    wf, x, j, rhos, taus, dirs, metric, residual_tol):
-                qs, qa = symbol_jets(wf, xx, xi, tau, sigma, j, metric)
+            for pt in characteristic_points(wf, x, j, rhos, taus, dirs,
+                                            metric, residual_tol):
+                _, xi, tau, _, qs, qa = pt
                 br = poisson_bracket(qs, qa)
                 lam3 = _lambda_tau(xi, tau) ** 3
-                m = br / lam3
-                samples.append(BracketSample(xx, xi, tau, sigma,
-                                             qs.value, qa.value, br, m))
-                margin = min(margin, m)
+                samples.append(pt)
+                margin = min(margin, br / lam3)
         return margin, samples
 
     ndir, nrat = ndirections, nratios
@@ -445,7 +394,6 @@ def subellipticity_check(wf: WeightField, j: int, region_grid: Sequence,
     vacuous = len(samples) == 0
     return SubellipticityReport(margin=margin, vacuous=vacuous,
                                 samples=tuple(samples),
-                                grid_size=len(region_grid),
                                 refinement_levels=levels)
 
 
@@ -471,10 +419,11 @@ def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
     worst_x = None
     for x in region_grid:
         x = np.atleast_1d(x)
-        if psi.value(x) < 0:
-            raise ValueError(f"psi({x}) = {psi.value(x):.3e} < 0: the recipe "
+        pv, pg, _ = psi.jet(x)
+        if pv < 0:
+            raise ValueError(f"psi({x}) = {pv:.3e} < 0: the recipe "
                              f"requires a nonnegative base weight")
-        gnorm = float(np.linalg.norm(psi.grad(x)))
+        gnorm = float(np.linalg.norm(pg))
         if gnorm < worst:
             worst, worst_x = gnorm, x
     if worst < 1e-8:
@@ -572,7 +521,7 @@ def mu_search(wf: WeightField, j: int, region_grid: Sequence,
         x = np.atleast_1d(np.asarray(x, dtype=float))
         samples = [(xi, tau, sigma) for xi, tau, sigma in sphere]
         rhos = [0.0] + list(np.geomspace(1e-3, 1.0 / tau0, 7))
-        for (_, xi_c, tau_c, sig_c) in characteristic_points(
+        for (_, xi_c, tau_c, sig_c, _, _) in characteristic_points(
                 wf, x, j, rhos, (1.0,), None, metric):
             scale = math.sqrt(float(xi_c @ xi_c) + tau_c ** 2 + sig_c ** 2)
             base = (xi_c / scale, tau_c / scale, sig_c / scale)
@@ -634,7 +583,7 @@ def build_global_weight(domain, exclusion, gamma: float = 1.0,
         if not (x0 < a < b < x1):
             raise ValueError("exclusion set must be nonempty and strictly interior")
         psi = PeakField1D(x0, x1, 0.5 * (a + b))
-        _verify_global_weight_interval(psi, x0, x1, (a, b), grid_n)
+        _verify_global_weight(psi, [(x0, x1)], lambda p: a < p[0] < b, grid_n)
         return WeightField(psi, gamma)
 
     if kind == "rectangle":
@@ -645,53 +594,31 @@ def build_global_weight(domain, exclusion, gamma: float = 1.0,
         if not (x0 < cx - rad and cx + rad < x1 and y0 < cy - rad and cy + rad < y1):
             raise ValueError("exclusion disc must be strictly interior")
         psi = TensorProductField([PeakField1D(x0, x1, cx), PeakField1D(y0, y1, cy)])
-        _verify_global_weight_rectangle(psi, (x0, x1), (y0, y1),
-                                        ((cx, cy), rad), grid_n)
+        _verify_global_weight(
+            psi, [(x0, x1), (y0, y1)],
+            lambda p: (p[0] - cx) ** 2 + (p[1] - cy) ** 2 <= rad ** 2, grid_n)
         return WeightField(psi, gamma)
 
     raise ValueError(f"unsupported domain kind {kind!r}")
 
 
-def _verify_global_weight_interval(psi, x0, x1, exclusion, n):
-    a, b = exclusion
-    if abs(psi.value([x0])) > 1e-12 or abs(psi.value([x1])) > 1e-12:
-        raise RuntimeError("weight does not vanish on the boundary")
-    # outward normal derivative: -psi' at x0, +psi' at x1
-    if -psi.grad([x0])[0] >= 0 or psi.grad([x1])[0] >= 0:
-        raise RuntimeError("outward normal derivative not strictly negative")
-    xs = np.linspace(x0, x1, n + 1)[1:-1]
-    for t in xs:
-        if psi.value([t]) <= 0:
-            raise RuntimeError(f"weight not positive at {t}")
-        if not (a < t < b) and abs(psi.grad([t])[0]) == 0:
-            raise RuntimeError(f"critical point at {t} escapes the exclusion set")
-
-
-def _verify_global_weight_rectangle(psi, xint, yint, exclusion, n):
-    (x0, x1), (y0, y1) = xint, yint
-    (cx, cy), rad = exclusion
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    # boundary: vanishing everywhere; normal derivative checked on open edges
-    for t in xs:
-        for yb in (y0, y1):
-            if abs(psi.value([t, yb])) > 1e-12:
+def _verify_global_weight(psi, box, excluded, n):
+    """Check psi on the (n+1)^d tensor grid of the box [(lo, hi), ...]: it
+    vanishes on every face, its outward normal derivative is negative on the
+    open faces (grid points on exactly one face), it is positive inside, and
+    dpsi != 0 at interior points where excluded(x) is false."""
+    axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
+    for idx in itertools.product(range(n + 1), repeat=len(box)):
+        x = np.array([ax[i] for ax, i in zip(axes, idx)])
+        v, g, _ = psi.jet(x)
+        faces = [(k, 1.0 if i == n else -1.0)
+                 for k, i in enumerate(idx) if i in (0, n)]
+        if faces:
+            if abs(v) > 1e-12:
                 raise RuntimeError("weight does not vanish on the boundary")
-    for t in ys:
-        for xb in (x0, x1):
-            if abs(psi.value([xb, t])) > 1e-12:
-                raise RuntimeError("weight does not vanish on the boundary")
-    for t in xs[1:-1]:
-        if psi.grad([t, y0])[1] <= 0 or -psi.grad([t, y1])[1] <= 0:
-            raise RuntimeError("normal derivative not negative on an open edge")
-    for t in ys[1:-1]:
-        if psi.grad([x0, t])[0] <= 0 or -psi.grad([x1, t])[0] <= 0:
-            raise RuntimeError("normal derivative not negative on an open edge")
-    for tx in xs[1:-1]:
-        for ty in ys[1:-1]:
-            if psi.value([tx, ty]) <= 0:
-                raise RuntimeError(f"weight not positive at ({tx},{ty})")
-            if (tx - cx) ** 2 + (ty - cy) ** 2 > rad ** 2:
-                if np.linalg.norm(psi.grad([tx, ty])) == 0:
-                    raise RuntimeError(
-                        f"critical point at ({tx},{ty}) escapes the exclusion set")
+            if len(faces) == 1 and faces[0][1] * g[faces[0][0]] >= 0:
+                raise RuntimeError("outward normal derivative not strictly negative")
+        elif v <= 0:
+            raise RuntimeError(f"weight not positive at {x}")
+        elif not excluded(x) and np.linalg.norm(g) == 0:
+            raise RuntimeError(f"critical point at {x} escapes the exclusion set")

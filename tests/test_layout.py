@@ -1,9 +1,12 @@
-"""Caller guard: every public name of the package has a caller.
+"""Layout guards.
 
-A name in a module's __all__ must be referenced somewhere in src/platelab
-outside its own definition, by an acceptance criterion, or by the
-benchmark's trace pass (perfbench/layers.py).  Names kept without a caller
-are listed in EXEMPT with the reason.
+Caller guard: a name in a module's __all__ must be referenced somewhere in
+src/platelab outside its own definition, by an acceptance criterion, or by
+the benchmark's trace pass (perfbench/layers.py).  Names kept without a
+caller are listed in EXEMPT with the reason.
+
+Field guard: every annotated class field and every `self.NAME =` attribute
+in src/platelab is read somewhere in src/, tests/ or perfbench/.
 """
 
 import ast
@@ -85,3 +88,37 @@ def test_every_public_name_has_a_caller():
         if not uses and name not in EXEMPT:
             orphans.append(f"{path.stem}.{name}")
     assert not orphans, f"public names without a caller: {orphans}"
+
+
+def _fields():
+    """(file, class, name) of every annotated class field and every
+    attribute assigned through self in src/platelab."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) \
+                        and isinstance(node.target, ast.Name):
+                    yield path, cls.name, node.target.id
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    yield path, cls.name, node.attr
+
+
+def test_every_field_is_read():
+    """Matched by attribute name, like the caller guard: a read of any
+    attribute of that name anywhere counts."""
+    reads = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    unread = sorted({f"{path.stem}.{cls}.{name}"
+                     for path, cls, name in _fields() if name not in reads})
+    assert not unread, f"fields never read: {unread}"

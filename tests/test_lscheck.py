@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from platelab.lscheck import (
     BoundaryOperatorSymbol,
@@ -134,8 +135,9 @@ class TestCatalog:
                     x, xi = rng.normal(size=2), rng.normal(size=1)
                     zd = complex(rng.normal(), rng.normal())
                     t = float(rng.uniform(0.3, 3.0))
-                    scaled = t ** b.order * b.eval(x, xi, zd)
-                    assert abs(b.eval(x, t * xi, t * zd) - scaled) <= \
+                    scaled = t ** b.order * polyval(zd, b.coeff_vector(x, xi))
+                    assert abs(polyval(t * zd, b.coeff_vector(x, t * xi))
+                               - scaled) <= \
                         1e-10 * max(abs(scaled), 1e-300), b.name
 
     def test_homogeneity_construction_guard(self):

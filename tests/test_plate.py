@@ -138,7 +138,7 @@ class TestAssembly:
         op = assemble(GRID, "hinged")
         M = op.dense()
         M[0, 3] += 17.0 / GRID.h[0] ** 4
-        bad = DiscretePlateOperator(op.grid, "broken", {}, sp.csr_matrix(M),
+        bad = DiscretePlateOperator(op.grid, "broken", sp.csr_matrix(M),
                                     op.nodes, op.layout, op.weight)
         assert check_symmetry(bad) > 1e-6
 
@@ -332,7 +332,7 @@ class TestKernel:
         op1 = assemble(GRID, "neumann_pair")
         M = sp.block_diag([op1.matrix, op1.matrix], format="csr")
         nodes = np.vstack([op1.nodes, op1.nodes + 2.0])
-        op2 = DiscretePlateOperator(op1.grid, "neumann_pair", {}, M, nodes,
+        op2 = DiscretePlateOperator(op1.grid, "neumann_pair", M, nodes,
                                     "cell", op1.weight)
         assert len(kernel(op2)) == 2
 

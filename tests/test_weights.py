@@ -14,6 +14,7 @@ from platelab.weights import (
     Polynomial1DField,
     TensorProductField,
     WeightField,
+    _verify_global_weight,
     build_global_weight,
     characteristic_points,
     gamma_search,
@@ -34,6 +35,12 @@ def make_wf2d(gamma=2.0):
     return WeightField(AffineField(0.3, [0.2, 1.0]), gamma)
 
 
+def same_jet(f, g):
+    """Bitwise equality of two BracketJets."""
+    return f.value == g.value and np.array_equal(f.dx, g.dx) \
+        and np.array_equal(f.dxi, g.dxi)
+
+
 class TestJets:
     def test_chain_rule(self, rng):
         psi = Polynomial1DField([0.2, 0.7, -0.3, 0.05])
@@ -41,7 +48,7 @@ class TestJets:
         for _ in range(50):
             x = np.array([float(rng.uniform(0, 1))])
             phi, dphi, hess = wf.phi_jet(x)
-            pv, pg, ph = psi.value(x), psi.grad(x), psi.hess(x)
+            pv, pg, ph = psi.jet(x)
             assert phi == pytest.approx(math.exp(3.0 * pv), rel=1e-12)
             assert dphi[0] == pytest.approx(3.0 * phi * pg[0], rel=1e-12)
             expect_h = 3.0 * phi * (3.0 * pg[0] ** 2 + ph[0, 0])
@@ -53,14 +60,13 @@ class TestJets:
         h = 1e-6
         for _ in range(20):
             x = np.array([rng.uniform(0.1, 0.9), rng.uniform(0.2, 1.8)])
-            g = f.grad(x)
-            H = f.hess(x)
+            _, g, H = f.jet(x)
             for k in range(2):
                 ek = np.zeros(2)
                 ek[k] = h
-                fd = (f.value(x + ek) - f.value(x - ek)) / (2 * h)
+                fd = (f.jet(x + ek)[0] - f.jet(x - ek)[0]) / (2 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-                fd2 = (np.asarray(f.grad(x + ek)) - f.grad(x - ek)) / (2 * h)
+                fd2 = (f.jet(x + ek)[1] - f.jet(x - ek)[1]) / (2 * h)
                 assert H[:, k] == pytest.approx(fd2, rel=1e-5, abs=1e-6)
 
 
@@ -135,8 +141,9 @@ class TestCharacteristicSet:
         pts = characteristic_points(wf, np.array([0.2]), 2,
                                     ratios=[0.0, 0.3, 4.0], taus=(1.0, 2.0))
         assert pts
-        for (x, xi, tau, sigma) in pts:
+        for (x, xi, tau, sigma, qs_c, qa_c) in pts:
             qs, qa = symbol_jets(wf, x, xi, tau, sigma, 2)
+            assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
             lam2 = float(xi @ xi) + tau ** 2
             assert math.hypot(qs.value, qa.value) <= 1e-10 * lam2
 
@@ -151,8 +158,9 @@ class TestCharacteristicSet:
             pts = characteristic_points(wf, np.array([0.4, 0.3]), j,
                                         ratios=[0.0, 0.4], taus=(1.0,))
             assert pts
-            for (x, xi, tau, sigma) in pts:
+            for (x, xi, tau, sigma, qs_c, qa_c) in pts:
                 qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
+                assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
                 assert math.hypot(qs.value, qa.value) <= \
                     1e-9 * (float(xi @ xi) + tau ** 2)
 
@@ -245,9 +253,12 @@ class TestMuSearch:
 
     def test_negative_control_aborts(self):
         wf = WeightField(PARABOLA, 1.0)
-        with pytest.raises(MuSearchError):
+        with pytest.raises(MuSearchError) as err:
             mu_search(wf, 2, REGION, tau0=TAU0, nsphere=100, target=0.05,
                       mu_max=2 ** 10)
+        assert err.value.mu_max == 2 ** 10
+        assert err.value.worst < 0.05
+        assert len(err.value.worst_point) == 4
 
     def test_t_homogeneity_degree_four(self, rng):
         wf = WeightField(PARABOLA, 2.0)
@@ -271,29 +282,30 @@ class TestGlobalWeight:
     def test_interval_construction(self):
         wf = build_global_weight(("interval", (0.0, 1.0)), (0.45, 0.55))
         psi = wf.psi
-        assert psi.value([0.0]) == pytest.approx(0.0, abs=1e-14)
-        assert psi.value([1.0]) == pytest.approx(0.0, abs=1e-14)
-        assert psi.grad([0.0])[0] > 0 > psi.grad([1.0])[0]
+        (v0, g0, _), (v1, g1, _) = psi.jet([0.0]), psi.jet([1.0])
+        assert v0 == pytest.approx(0.0, abs=1e-14)
+        assert v1 == pytest.approx(0.0, abs=1e-14)
+        assert g0[0] > 0 > g1[0]
         xs = np.linspace(0.01, 0.99, 199)
-        crit = [t for t in xs if abs(psi.grad([t])[0]) < 1e-12]
+        crit = [t for t in xs if abs(psi.jet([t])[1][0]) < 1e-12]
         assert all(0.45 < t < 0.55 for t in crit)
-        assert min(psi.value([t]) for t in xs) > 0
+        assert min(psi.jet([t])[0] for t in xs) > 0
 
     def test_off_center_exclusion(self):
         wf = build_global_weight(("interval", (0.0, 1.0)), (0.7, 0.8))
         psi = wf.psi
-        grads = [psi.grad([t])[0] for t in np.linspace(0.01, 0.69, 80)]
+        grads = [psi.jet([t])[1][0] for t in np.linspace(0.01, 0.69, 80)]
         assert all(g > 0 for g in grads)
-        grads = [psi.grad([t])[0] for t in np.linspace(0.81, 0.99, 40)]
+        grads = [psi.jet([t])[1][0] for t in np.linspace(0.81, 0.99, 40)]
         assert all(g < 0 for g in grads)
 
     def test_rectangle_with_disc(self):
         wf = build_global_weight(("rectangle", ((0.0, 1.0), (0.0, 2.0))),
                                  ((0.5, 1.2), 0.2))
         psi = wf.psi
-        assert psi.value([0.5, 0.0]) == pytest.approx(0.0, abs=1e-14)
-        assert psi.value([0.3, 0.7]) > 0
-        g = psi.grad([0.5, 1.2])
+        assert psi.jet([0.5, 0.0])[0] == pytest.approx(0.0, abs=1e-14)
+        assert psi.jet([0.3, 0.7])[0] > 0
+        g = psi.jet([0.5, 1.2])[1]
         assert np.linalg.norm(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_exclusion_touching_boundary_rejected(self):
@@ -306,3 +318,19 @@ class TestGlobalWeight:
     def test_empty_exclusion_rejected(self):
         with pytest.raises(ValueError):
             build_global_weight(("interval", (0.0, 1.0)), (0.6, 0.6))
+
+    def test_verifier_rejects_nonvanishing_boundary(self):
+        for box in ([(0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)]):
+            psi = AffineField(0.3, [1.0] * len(box))
+            with pytest.raises(RuntimeError, match="does not vanish"):
+                _verify_global_weight(psi, box, lambda x: False, 20)
+
+    def test_verifier_rejects_escaped_critical_point(self):
+        peak = PeakField1D(0.0, 1.0, 0.5)
+        with pytest.raises(RuntimeError, match="escapes the exclusion set"):
+            _verify_global_weight(peak, [(0.0, 1.0)],
+                                  lambda x: 0.7 < x[0] < 0.8, 20)
+        with pytest.raises(RuntimeError, match="escapes the exclusion set"):
+            _verify_global_weight(
+                TensorProductField([peak, peak]), [(0.0, 1.0), (0.0, 1.0)],
+                lambda x: (x[0] - 0.2) ** 2 + (x[1] - 0.2) ** 2 <= 0.1 ** 2, 20)
