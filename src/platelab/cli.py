@@ -263,7 +263,10 @@ def cmd_subell(cfg):
                     "points": cfg["region_n"], "ratio_band": [tau0, ratio_hi]}}
     ok = True
     for j in (1, 2):
-        rep = weights.subellipticity_check(wf, j, grid, (tau0, ratio_hi), tau0=tau0)
+        try:
+            rep = weights.subellipticity_check(wf, j, grid, (tau0, ratio_hi), tau0=tau0)
+        except ValueError as exc:   # dphi = 0 at a region point
+            raise CheckFailure(str(exc))
         out[f"factor_{j}"] = {"margin": rep.margin, "vacuous": rep.vacuous,
                               "characteristic_samples": len(rep.samples),
                               "refinement_levels": rep.refinement_levels}
@@ -346,8 +349,11 @@ def _damped(cfg):
     """Operator and generator with the configured damping."""
     from . import semigroup
     op = _operator(cfg)
-    return op, semigroup.build_generator(op, parse_alpha_spec(cfg["alpha"],
-                                                              op.nodes))
+    alpha = parse_alpha_spec(cfg["alpha"], op.nodes)
+    try:
+        return op, semigroup.build_generator(op, alpha)
+    except semigroup.DampingError as exc:
+        raise ConfigError(f"--alpha {cfg['alpha']}: {exc}")
 
 
 def cmd_simulate(cfg):

@@ -19,8 +19,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .symbols import (
-    DEFAULT_CLASSIFY_TOL,
-    DEFAULT_SEPARATION_BAND,
     MetricField,
     RootCase,
     TangentialPoint,
@@ -370,11 +368,12 @@ class LSReport:
 
 
 def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                    x, omega_prime, metric: Optional[MetricField] = None,
-                    tol: float = DEFAULT_MARGIN_TOL) -> LSReport:
+                    x, omega_prime, metric: Optional[MetricField] = None
+                    ) -> LSReport:
     """2x2 determinant test at xi_d = i|omega'|_x.
 
-    The verdict compares |det| against tol times the homogeneity power
+    The verdict compares |det| against DEFAULT_MARGIN_TOL times the
+    homogeneity power
     |omega'|^(k1+k2-1); posed only for omega' != 0.
     """
     omega_prime = np.asarray(omega_prime, dtype=float).reshape(-1)
@@ -389,14 +388,14 @@ def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     det = m11 * m22 - m12 * m21
     power = b1.order + b2.order - 1
     margin = abs(det) / nrm ** power
-    return LSReport(verdict=bool(margin > tol), case=RootCase.DOUBLE_UPPER,
+    return LSReport(verdict=bool(margin > DEFAULT_MARGIN_TOL),
+                    case=RootCase.DOUBLE_UPPER,
                     determinant=det, margin=margin, marginal=False, scale=nrm)
 
 
 def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                   w: WeightJet, p: TangentialPoint,
-                  metric: Optional[MetricField] = None,
-                  tol: float = DEFAULT_MARGIN_TOL) -> LSReport:
+                  metric: Optional[MetricField] = None) -> LSReport:
     """Conjugated condition at (x, xi', tau, sigma), dispatching on the root
     configuration.
 
@@ -410,8 +409,7 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     p.require_nondegenerate()
     w.require_inward()
     metric = metric or MetricField.euclidean(p.xi_prime.size)
-    conf = classify_roots(p, w, tol=DEFAULT_CLASSIFY_TOL, metric=metric,
-                          separation_band=DEFAULT_SEPARATION_BAND)
+    conf = classify_roots(p, w, metric)
     lam = p.metric_scale(metric)
     k1, k2 = b1.order, b2.order
 
@@ -445,7 +443,7 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
         det = v1 * d2 - v2 * d1
         margin = abs(det) / lam ** (k1 + k2 - 1)
 
-    verdict = None if conf.marginal else bool(margin > tol)
+    verdict = None if conf.marginal else bool(margin > DEFAULT_MARGIN_TOL)
     return LSReport(verdict=verdict, case=conf.case, determinant=det,
                     margin=margin, marginal=conf.marginal, scale=lam)
 
@@ -456,8 +454,7 @@ def _stability_matrix(b1, b2, w, p, metric):
     the upper roots.  Entries are weighted so that each becomes homogeneous
     of degree zero; a diagonal row/column scaling, so the rank is untouched.
     """
-    conf = classify_roots(p, w, tol=DEFAULT_CLASSIFY_TOL, metric=metric,
-                          separation_band=DEFAULT_SEPARATION_BAND)
+    conf = classify_roots(p, w, metric)
     upper = list(conf.upper_roots)
     if conf.case is RootCase.DOUBLE_UPPER:
         upper = [upper[0], upper[0]]
@@ -568,8 +565,7 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
 def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                         x, xi_prime, metric: Optional[MetricField] = None,
                         sample_budget: int = 64, seed: int = 0,
-                        eps_hi: float = 1.0, iters: int = 14,
-                        tol: float = DEFAULT_MARGIN_TOL) -> float:
+                        eps_hi: float = 1.0, iters: int = 14) -> float:
     """Largest eps (on a bisected grid) such that both perturbed determinant
     lower bounds hold with C1 = half the unperturbed margin, over sampled
     complex perturbations with |zeta'| + |delta| + |delta~| = eps |xi'|_x.
@@ -581,7 +577,7 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
     metric = metric or MetricField.euclidean(xi_prime.size)
     base = ls_unconjugated(b1, b2, x, xi_prime, metric)
-    if base.margin <= tol:
+    if base.margin <= DEFAULT_MARGIN_TOL:
         warnings.warn("unperturbed margin below tolerance; no perturbation radius")
         return 0.0
     c1 = 0.5 * base.margin
@@ -629,8 +625,8 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
 def conjugation_thresholds(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                            boundary_sample: Sequence, kappa_grid: Sequence[float],
                            metric: Optional[MetricField] = None,
-                           tdim: int = 1, nsamples: int = 60, seed: int = 0,
-                           tol: float = DEFAULT_MARGIN_TOL) -> tuple:
+                           tdim: int = 1, nsamples: int = 60, seed: int = 0
+                           ) -> tuple:
     """Empirical thresholds (mu0, mu1): largest grid values such that the
     conjugated condition holds at every sampled point with
     |dphi_t| <= mu0 dphi_n and sigma <= mu1 tau dphi_n.
@@ -650,7 +646,7 @@ def conjugation_thresholds(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbo
             om = rng.normal(size=tdim)
             if np.linalg.norm(om) == 0:
                 continue
-            if not ls_unconjugated(b1, b2, x, om, metric, tol=tol).verdict:
+            if not ls_unconjugated(b1, b2, x, om, metric).verdict:
                 return (0.0, 0.0)
 
     # frozen sample of directions/ratios reused for every candidate pair
@@ -678,7 +674,7 @@ def conjugation_thresholds(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbo
                 sigma = mu1 * f1 * tau * dn
                 pt = TangentialPoint(np.asarray(x, dtype=float), xi, tau, sigma)
                 jet = WeightJet(1.0, dt, dn)
-                rep = ls_conjugated(b1, b2, jet, pt, metric, tol=tol)
+                rep = ls_conjugated(b1, b2, jet, pt, metric)
                 # marginal samples sit on classification boundaries; only a
                 # definite failure disqualifies the candidate pair
                 if rep.verdict is False:

@@ -116,19 +116,26 @@ class Generator:
         return w * (self.kernel_damped.T @ (self.alpha * Y.y + Y.v))
 
 
+class DampingError(ValueError):
+    """Damping that no generator accepts: non-finite, negative, or blind to
+    a stationary mode."""
+
+
 def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
     """Generator with precomputed kernel projection data.
 
-    alpha_profile: damping values over the unknowns.  Rejects negative
-    damping, and rejects damping whose weighted Gram matrix on the
+    alpha_profile: damping values over the unknowns.  Rejects non-finite or
+    negative damping, and rejects damping whose weighted Gram matrix on the
     stationary kernel is not positive definite (no projection can then
     separate the stationary states).
     """
     alpha = np.asarray(alpha_profile, dtype=float)
     if alpha.shape != (op.size,):
         raise ValueError(f"damping profile shape {alpha.shape} != ({op.size},)")
+    if not np.all(np.isfinite(alpha)):
+        raise DampingError("damping must be finite")
     if np.any(alpha < 0):
-        raise ValueError("damping must be nonnegative")
+        raise DampingError("damping must be nonnegative")
 
     kvecs = plate_kernel(op)
     nk = len(kvecs)
@@ -139,7 +146,7 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
         G = w * (K.T @ (alpha[:, None] * K))
         ev = scipy.linalg.eigvalsh(G)
         if ev[0] <= 1e-12 * max(ev[-1], 1e-300):
-            raise ValueError(
+            raise DampingError(
                 "damping-weighted Gram matrix is singular on the stationary "
                 f"kernel (eigenvalues {ev}); the damping does not control "
                 "some stationary mode")
@@ -167,11 +174,10 @@ def kernel_projection(Y: StateVector, gen: Generator):
     return Yn, Yd
 
 
-def energy(Y: StateVector, gen_or_op) -> float:
-    """E = (|v|^2 + <P y, y>)/2 in the grid product; stationary kernel
+def energy(Y: StateVector, gen: Generator) -> float:
+    """E = (<P y, y> + |v|^2)/2 in the grid product; stationary kernel
     states are invisible to it."""
-    op = gen_or_op.op if isinstance(gen_or_op, Generator) else gen_or_op
-    return 0.5 * (op.inner(Y.v, Y.v) + op.inner(op.apply(Y.y), Y.y))
+    return 0.5 * hdot_inner(gen, Y, Y)
 
 
 def hdot_inner(gen: Generator, Y: StateVector, Z: StateVector) -> float:

@@ -271,17 +271,16 @@ def quartic_roots(p: TangentialPoint, w: WeightJet,
 
 
 def classify_roots(p: TangentialPoint, w: WeightJet,
-                   tol: float = DEFAULT_CLASSIFY_TOL,
-                   metric: Optional[MetricField] = None,
-                   separation_band: float = DEFAULT_SEPARATION_BAND
-                   ) -> RootConfiguration:
+                   metric: Optional[MetricField] = None) -> RootConfiguration:
     """Count the factor roots pi_{j,2} lying in the closed upper half-plane.
 
-    Roots with Im >= -tol*lambda are counted as upper.  Configurations within
-    tol*lambda of the real axis, or with two upper roots separated by less
-    than separation_band*lambda while sigma > tol*lambda, are flagged
+    With tol = DEFAULT_CLASSIFY_TOL, roots with Im >= -tol*lambda are
+    counted as upper.  Configurations within tol*lambda of the real axis,
+    or with two upper roots separated by less than
+    DEFAULT_SEPARATION_BAND*lambda while sigma > tol*lambda, are flagged
     marginal: the case dispatch is not numerically trustworthy there.
     """
+    tol = DEFAULT_CLASSIFY_TOL
     w.require_inward()
     p.require_nondegenerate()
     scale = max(p.lambda_T_sigma, 1e-300)
@@ -311,7 +310,7 @@ def classify_roots(p: TangentialPoint, w: WeightJet,
         upper = [upper[0]]
     else:
         case = RootCase.TWO_UPPER
-        if separation <= separation_band:
+        if separation <= DEFAULT_SEPARATION_BAND:
             marginal = True
 
     return RootConfiguration(case=case,

@@ -11,7 +11,6 @@ test oracles.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -48,12 +47,17 @@ class ScalarField:
     dim: int
 
     def jet(self, x):
-        """(value, gradient of shape (d,), Hessian of shape (d, d)) at x."""
+        """Values (m,), gradients (m, d) and Hessians (m, d, d) at points x."""
         raise NotImplementedError
 
 
+def _points(x, d):
+    """x as an (m, d) array of points; a d-vector is the m = 1 case."""
+    return np.asarray(x, dtype=float).reshape(-1, d)
+
+
 def _horner(c, t):
-    v = 0.0
+    v = np.zeros_like(t)
     for ck in c[::-1]:
         v = v * t + ck
     return v
@@ -66,8 +70,9 @@ class AffineField(ScalarField):
         self.dim = self.slope.size
 
     def jet(self, x):
-        return (self.const + float(self.slope @ np.atleast_1d(x)),
-                self.slope.copy(), np.zeros((self.dim, self.dim)))
+        x = _points(x, self.dim)
+        return (self.const + x @ self.slope, np.tile(self.slope, (len(x), 1)),
+                np.zeros((len(x), self.dim, self.dim)))
 
 
 class Polynomial1DField(ScalarField):
@@ -81,9 +86,9 @@ class Polynomial1DField(ScalarField):
         self.dim = 1
 
     def jet(self, x):
-        t = float(np.atleast_1d(x)[0])
-        return (_horner(self.coeffs, t), np.array([_horner(self.dcoeffs, t)]),
-                np.array([[_horner(self.ddcoeffs, t)]]))
+        t = _points(x, 1)[:, 0]
+        return (_horner(self.coeffs, t), _horner(self.dcoeffs, t)[:, None],
+                _horner(self.ddcoeffs, t)[:, None, None])
 
 
 class PeakField1D(ScalarField):
@@ -108,11 +113,11 @@ class PeakField1D(ScalarField):
         self.dim = 1
 
     def jet(self, x):
-        s = float(np.atleast_1d(x)[0]) - self.peak
-        b = self.bl if s < 0 else self.br
+        s = _points(x, 1)[:, 0] - self.peak
+        b = np.where(s < 0, self.bl, self.br)
         return (1.0 - self.a * s ** 2 - b * s ** 4,
-                np.array([-2.0 * self.a * s - 4.0 * b * s ** 3]),
-                np.array([[-2.0 * self.a - 12.0 * b * s ** 2]]))
+                (-2.0 * self.a * s - 4.0 * b * s ** 3)[:, None],
+                (-2.0 * self.a - 12.0 * b * s ** 2)[:, None, None])
 
 
 class TensorProductField(ScalarField):
@@ -123,26 +128,20 @@ class TensorProductField(ScalarField):
         self.dim = len(self.factors)
 
     def jet(self, x):
-        x = np.atleast_1d(x)
-        jets = [f.jet(x[i:i + 1]) for i, f in enumerate(self.factors)]
-        vals = [jt[0] for jt in jets]
-        grads = [jt[1][0] for jt in jets]
-        hesss = [jt[2][0, 0] for jt in jets]
-        v = 1.0
-        for vi in vals:
-            v *= vi
-        grad = np.zeros(self.dim)
-        H = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            others = np.prod([vals[k] for k in range(self.dim) if k != i])
-            grad[i] = grads[i] * others
-            H[i, i] = hesss[i] * others
-            for j in range(self.dim):
-                if j != i:
-                    rest = np.prod([vals[k] for k in range(self.dim)
-                                    if k not in (i, j)])
-                    H[i, j] = grads[i] * grads[j] * rest
-        return v, grad, H
+        x = _points(x, self.dim)
+        # jets[k][n]: n-th derivative of factor k along its own column
+        jets = [[a.reshape(len(x)) for a in f.jet(x[:, k])]
+                for k, f in enumerate(self.factors)]
+
+        def product(orders):
+            return np.prod([jets[k][n] for k, n in enumerate(orders)], axis=0)
+
+        # d/dx_i d/dx_j differentiates factor k (k == i) + (k == j) times
+        axes = range(self.dim)
+        grad = np.array([product([int(k == i) for k in axes]) for i in axes])
+        H = np.array([[product([(k == i) + (k == j) for k in axes])
+                       for j in axes] for i in axes])
+        return product([0] * self.dim), grad.T, np.moveaxis(H, -1, 0)
 
 
 @dataclass
@@ -165,174 +164,160 @@ class WeightField:
     def phi_jet(self, x):
         pv, pg, ph = self.psi.jet(x)
         g = self.gamma
-        phi = math.exp(g * pv)
-        dphi = g * phi * pg
-        hess = g * phi * (g * np.outer(pg, pg) + ph)
+        phi = np.exp(g * pv)
+        dphi = (g * phi)[:, None] * pg
+        hess = (g * phi)[:, None, None] * (g * np.einsum("mi,mj->mij", pg, pg) + ph)
         return phi, dphi, hess
 
 
 @dataclass(frozen=True)
 class BracketJet:
-    """Value and first derivatives of a symbol on phase space."""
-    value: float
+    """Values (m,) and first derivatives (m, d) of a symbol at m
+    phase-space points."""
+    value: np.ndarray
     dx: np.ndarray
     dxi: np.ndarray
 
-
-def poisson_bracket(f: BracketJet, g: BracketJet) -> float:
-    """{f, g} = sum_j (d_xi_j f d_x_j g - d_x_j f d_xi_j g)."""
-    return float(f.dxi @ g.dx - f.dx @ g.dxi)
+    def __getitem__(self, rows):
+        return BracketJet(self.value[rows], self.dx[rows], self.dxi[rows])
 
 
-def symbol_jets(wf: WeightField, x, xi, tau: float, sigma: float, j: int,
+def poisson_bracket(f: BracketJet, g: BracketJet):
+    """{f, g} = sum_j (d_xi_j f d_x_j g - d_x_j f d_xi_j g) at each point."""
+    return np.sum(f.dxi * g.dx, axis=-1) - np.sum(f.dx * g.dxi, axis=-1)
+
+
+def symbol_jets(wf: WeightField, x, xi, tau, sigma, j: int,
                 metric: Optional[MetricField] = None):
-    """Jets of q_s^j and q_a at a real phase-space point.
+    """Jets of q_s^j and q_a at m real phase-space points.
 
-    Coordinates: x and xi are d-vectors, tangential components first, the
-    normal component last.  q_s^j = |xi|_x^2 - tau^2 |dphi|_x^2 + (-1)^j sigma^2
+    Coordinates: x and xi are (m, d) arrays (a d-vector is one point),
+    tangential components first, the normal component last; tau and sigma
+    are scalars or (m,) arrays.
+    q_s^j = |xi|_x^2 - tau^2 |dphi|_x^2 + (-1)^j sigma^2
     and q_a = 2 tau (xi_d dphi_n + r~(x, xi', dphi_t)).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d = x.size
+    x = _points(x, wf.dim)
+    xi = _points(xi, wf.dim)
+    tau = np.asarray(tau, dtype=float)
+    tcol = tau[..., None]
+    m, d = x.shape
     tdim = d - 1
 
     phi, dphi, hess = wf.phi_jet(x)
-    dpt, dpn = dphi[:tdim], dphi[tdim]
-    xit, xid = xi[:tdim], xi[tdim]
+    dpt, dpn = dphi[:, :tdim], dphi[:, tdim]
+    xit, xid = xi[:, :tdim], xi[:, tdim]
+    # hess[:, i, k] = d/dx_k of gradient component i
+    dpt_x, dpn_x = hess[:, :tdim], hess[:, tdim]
 
     # metric terms and their spatial gradients; all vanish in 1-D
-    dqs_dxi = np.zeros(d)
-    dqa_dxi = np.zeros(d)
+    r_xi = r_dp = r_mix = dr_xi = dr_dp = dr_mix = g_dp = g_mix = 0.0
+    g_xit = g_dpt = np.zeros((m, 0))
     if tdim:
+        # a MetricField takes one point per call
         metric = metric or MetricField.euclidean(tdim)
-        g = metric.gmatrix(x)
-        dg = metric.dgmatrix(x)
-        r_xi = float(np.real(xit @ g @ xit))
-        r_dp = float(np.real(dpt @ g @ dpt))
-        r_mix = float(np.real(xit @ g @ dpt))
-        dqs_dxi[:tdim] = 2.0 * (g @ xit)
-        dqa_dxi[:tdim] = 2.0 * tau * (g @ dpt)
-        dr_xi = np.array([xit @ dg[k] @ xit for k in range(d)])
-        dr_dp = np.array([dpt @ dg[k] @ dpt for k in range(d)])
-        dr_mix = np.array([xit @ dg[k] @ dpt for k in range(d)])
-    else:
-        r_xi = r_dp = r_mix = 0.0
-        dr_xi = dr_dp = dr_mix = np.zeros(d)
+        g = np.array([metric.gmatrix(p) for p in x]).reshape(m, tdim, tdim)
+        dg = np.array([metric.dgmatrix(p) for p in x]).reshape(m, d, tdim, tdim)
+        r_xi = np.einsum("mi,mij,mj->m", xit, g, xit)
+        r_dp = np.einsum("mi,mij,mj->m", dpt, g, dpt)
+        r_mix = np.einsum("mi,mij,mj->m", xit, g, dpt)
+        g_xit = np.einsum("mij,mj->mi", g, xit)
+        g_dpt = np.einsum("mij,mj->mi", g, dpt)
+        dr_xi = np.einsum("mi,mkij,mj->mk", xit, dg, xit)
+        dr_dp = np.einsum("mi,mkij,mj->mk", dpt, dg, dpt)
+        dr_mix = np.einsum("mi,mkij,mj->mk", xit, dg, dpt)
+        g_dp = 2.0 * np.einsum("mi,mij,mjk->mk", dpt, g, dpt_x)
+        g_mix = np.einsum("mi,mij,mjk->mk", xit, g, dpt_x)
 
     qs = xid ** 2 + r_xi - tau ** 2 * (dpn ** 2 + r_dp) + (-1) ** j * sigma ** 2
     qa = 2.0 * tau * (xid * dpn + r_mix)
 
-    dqs_dxi[tdim] = 2.0 * xid
-    dqa_dxi[tdim] = 2.0 * tau * dpn
+    dqs_dxi = np.column_stack([2.0 * g_xit, 2.0 * xid])
+    dqa_dxi = np.column_stack([2.0 * tcol * g_dpt, 2.0 * tau * dpn])
 
-    # x-derivatives; hess columns give d/dx_k of each gradient component
-    dqs_dx = np.zeros(d)
-    dqa_dx = np.zeros(d)
-    for k in range(d):
-        hcol = hess[:, k]
-        dpt_k = hcol[:tdim]
-        dpn_k = hcol[tdim]
-        grad_sq_k = 2.0 * dpn * dpn_k + dr_dp[k]
-        if tdim:
-            grad_sq_k += 2.0 * float(dpt @ (g @ dpt_k))
-        dqs_dx[k] = dr_xi[k] - tau ** 2 * grad_sq_k
-        mix_k = dr_mix[k]
-        if tdim:
-            mix_k += float(xit @ (g @ dpt_k))
-        dqa_dx[k] = 2.0 * tau * (xid * dpn_k + mix_k)
+    grad_sq_x = 2.0 * dpn[:, None] * dpn_x + dr_dp + g_dp
+    dqs_dx = dr_xi - tcol ** 2 * grad_sq_x
+    dqa_dx = 2.0 * tcol * (xid[:, None] * dpn_x + (dr_mix + g_mix))
 
-    qs_jet = BracketJet(qs, dqs_dx, dqs_dxi)
-    qa_jet = BracketJet(qa, dqa_dx, dqa_dxi)
-    return qs_jet, qa_jet
-
-
-def _lambda_tau(xi, tau) -> float:
-    return math.sqrt(float(np.dot(xi, xi)) + tau ** 2)
+    return BracketJet(qs, dqs_dx, dqs_dxi), BracketJet(qa, dqa_dx, dqa_dxi)
 
 
 def characteristic_points(wf: WeightField, x, j: int,
                           ratios: Sequence[float],
                           taus: Sequence[float] = (1.0,),
                           directions: Optional[Sequence] = None,
-                          metric: Optional[MetricField] = None,
-                          residual_tol: float = 1e-8):
-    """Real solutions (x, xi, tau, sigma, qs, qa) of q^j = 0 above a spatial
-    point, with the symbol jets (qs, qa) of symbol_jets at each.
+                          metric: Optional[MetricField] = None):
+    """Real solutions (x, xi, tau, sigma) of q^j = 0 above the rows of the
+    (m, d) array x, as arrays over the kept samples, followed by the symbol
+    jets (qs, qa) of symbol_jets at them.
 
     The imaginary part fixes xi_d = -r~(x, xi', dphi_t)/dphi_n on each
     tangential ray; the real part then determines the ray magnitude (d >= 2)
-    or the admissible sigma (d = 1).  ratios are sigma/tau values.  Points
-    failing the residual filter |q| <= residual_tol * lambda^2 are dropped.
+    or the admissible sigma (d = 1).  ratios are sigma/tau values.  Samples
+    failing the residual filter |q| <= 1e-8 lambda^2 are dropped.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    tdim = d - 1
-    metric = metric or MetricField.euclidean(tdim)
-    phi, dphi, _ = wf.phi_jet(x)
-    dpt, dpn = dphi[:tdim], dphi[tdim]
-    if dpn == 0.0 and np.linalg.norm(dphi) == 0.0:
-        raise ValueError("weight gradient vanishes: characteristic solve undefined")
-    grad_sq = dpn ** 2 + (float(np.real(metric.r(x, dpt))) if tdim else 0.0)
+    x = _points(x, wf.dim)
+    tdim = x.shape[1] - 1
+    _, dphi, _ = wf.phi_jet(x)
+    flat = np.linalg.norm(dphi, axis=1) == 0.0
+    if flat.any():
+        raise ValueError(f"weight gradient vanishes at x = {x[np.argmax(flat)]}: "
+                         f"characteristic solve undefined")
+    # no characteristic ray leaves a point with dphi_n = 0 (only in d >= 2)
+    x, dphi = x[dphi[:, tdim] != 0], dphi[dphi[:, tdim] != 0]
+    dpt, dpn = dphi[:, :tdim], dphi[:, tdim]
+    ratios = np.asarray(ratios, dtype=float)
+    taus = np.asarray(taus, dtype=float)
 
-    pts = []
     if tdim == 0:
         # q_a = 0 forces xi = 0; q_s^j then vanishes only for j = 2 at
         # sigma = tau |phi'|, which must fall inside the sampled ratio band
-        if j == 2:
-            rho_star = abs(dpn)
-            if rho_star <= max(ratios, default=0.0) + 1e-15:
-                for tau in taus:
-                    if tau > 0:
-                        pts.append((x, np.zeros(1), tau, rho_star * tau))
-        return _filter_residual(wf, metric, pts, j, residual_tol)
+        rho_star = np.abs(dpn)
+        hit = (j == 2) & (rho_star <= max(ratios, default=0.0) + 1e-15)
+        ix, it = np.nonzero(hit[:, None] & (taus > 0))
+        tau = taus[it]
+        xi = np.zeros((len(ix), 1))
+        sigma = rho_star[ix] * tau
+    else:
+        metric = metric or MetricField.euclidean(tdim)
+        g = np.array([metric.gmatrix(p) for p in x]).reshape(-1, tdim, tdim)
+        if directions is None:
+            directions = _default_directions(tdim)
+        e = np.array(directions, dtype=float).reshape(-1, tdim)
+        e = e / np.linalg.norm(e, axis=1, keepdims=True)
+        grad_sq = dpn ** 2 + np.einsum("mi,mij,mj->m", dpt, g, dpt)
+        c_e = np.einsum("ei,mij,mj->me", e, g, dpt) / dpn[:, None]
+        denom = c_e ** 2 + np.einsum("ei,mij,ej->me", e, g, e)
+        num = grad_sq[:, None] + (-1) ** (j + 1) * ratios ** 2
+        # one sample per (point, direction, tau, ratio) with num, denom > 0
+        ok = ((denom > 0)[:, :, None, None] & (taus > 0)[:, None]
+              & (num > 0)[:, None, None, :])
+        ix, ie, it, ir = np.nonzero(ok)
+        tau = taus[it]
+        s = tau * np.sqrt(num[ix, ir] / denom[ix, ie])
+        xi = np.column_stack([s[:, None] * e[ie], -s * c_e[ix, ie]])
+        sigma = ratios[ir] * tau
 
-    if directions is None:
-        directions = _default_directions(tdim)
-    for e in directions:
-        e = np.asarray(e, dtype=float)
-        e = e / np.linalg.norm(e)
-        if dpn == 0:
-            continue
-        c_e = float(np.real(metric.bilinear(x, e, dpt))) / dpn if tdim else 0.0
-        denom = c_e ** 2 + float(np.real(metric.r(x, e)))
-        for tau in taus:
-            for rho in ratios:
-                num = grad_sq + (-1) ** (j + 1) * rho ** 2
-                if num <= 0 or denom <= 0:
-                    continue
-                s = tau * math.sqrt(num / denom)
-                xi = np.zeros(d)
-                xi[:tdim] = s * e
-                xi[tdim] = -s * c_e
-                pts.append((x, xi, tau, rho * tau))
-    return _filter_residual(wf, metric, pts, j, residual_tol)
+    x = x[ix]
+    qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
+    lam2 = np.sum(xi * xi, axis=1) + tau ** 2
+    keep = np.hypot(qs.value, qa.value) <= 1e-8 * lam2
+    return x[keep], xi[keep], tau[keep], sigma[keep], qs[keep], qa[keep]
 
 
 def _default_directions(tdim: int, n: int = 8):
     if tdim == 1:
-        return [np.array([1.0]), np.array([-1.0])]
-    rng = np.random.default_rng(2)
-    return [rng.normal(size=tdim) for _ in range(n)]
-
-
-def _filter_residual(wf, metric, pts, j, residual_tol):
-    kept = []
-    for (x, xi, tau, sigma) in pts:
-        qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
-        lam2 = float(np.dot(xi, xi)) + tau ** 2
-        if math.hypot(qs.value, qa.value) <= residual_tol * lam2:
-            kept.append((x, xi, tau, sigma, qs, qa))
-    return kept
+        return np.array([[1.0], [-1.0]])
+    return np.random.default_rng(2).normal(size=(n, tdim))
 
 
 @dataclass
 class SubellipticityReport:
-    """samples holds the (x, xi, tau, sigma, qs, qa) tuples of
-    characteristic_points that the margin was taken over."""
+    """samples holds one row (x, xi, tau, sigma), of length 2d + 2, per
+    characteristic sample that the margin was taken over."""
     margin: float
     vacuous: bool
-    samples: tuple
+    samples: np.ndarray
     refinement_levels: int
 
     def __bool__(self):
@@ -341,45 +326,37 @@ class SubellipticityReport:
 
 def subellipticity_check(wf: WeightField, j: int, region_grid: Sequence,
                          ratio_band, metric: Optional[MetricField] = None,
-                         tau0: float = 1.0, nratios: int = 9,
-                         taus: Sequence[float] = (1.0,),
-                         ndirections: int = 8,
-                         refine: bool = True, max_levels: int = 3,
-                         residual_tol: float = 1e-8) -> SubellipticityReport:
+                         tau0: float = 1.0, taus: Sequence[float] = (1.0,),
+                         refine: bool = True) -> SubellipticityReport:
     """Minimum of {q_s, q_a}/lambda^3 over the sampled characteristic set of
     q^j, with samples restricted to tau >= tau0 * sigma.
 
     ratio_band = (lo, hi) bounds tau/sigma; sigma = 0 rays are always
     included.  An empty characteristic sample is reported as a vacuous pass
-    with margin +inf.  With refine=True the directional sampling is doubled
-    until the margin moves by less than 10%.
+    with margin +inf.  The first pass samples 8 directions and 9 ratios;
+    refine=True doubles both until the margin moves by less than 10%, for
+    at most three levels.  A 1-D sample has no directions and depends on
+    the ratios only through their maximum 1/lo: its first pass is final.
     """
     lo, hi = ratio_band
     if lo <= 0 or hi < lo:
         raise ValueError("ratio band must satisfy 0 < lo <= hi")
     lo = max(lo, tau0)
+    tdim = wf.dim - 1
 
     def run(ndir, nrat):
-        rhos = [0.0] + [1.0 / t for t in np.geomspace(lo, hi, nrat)]
-        samples = []
-        margin = math.inf
-        for x in region_grid:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            tdim = x.size - 1
-            dirs = _default_directions(tdim, ndir) if tdim else None
-            for pt in characteristic_points(wf, x, j, rhos, taus, dirs,
-                                            metric, residual_tol):
-                _, xi, tau, _, qs, qa = pt
-                br = poisson_bracket(qs, qa)
-                lam3 = _lambda_tau(xi, tau) ** 3
-                samples.append(pt)
-                margin = min(margin, br / lam3)
-        return margin, samples
+        rhos = np.concatenate([[0.0], 1.0 / np.geomspace(lo, hi, nrat)])
+        dirs = _default_directions(tdim, ndir) if tdim else None
+        xs, xi, tau, sigma, qs, qa = characteristic_points(
+            wf, region_grid, j, rhos, taus, dirs, metric)
+        lam = np.sqrt(np.sum(xi * xi, axis=1) + tau ** 2)
+        margin = np.min(poisson_bracket(qs, qa) / lam ** 3, initial=math.inf)
+        return float(margin), np.column_stack([xs, xi, tau, sigma])
 
-    ndir, nrat = ndirections, nratios
+    ndir, nrat = 8, 9
     margin, samples = run(ndir, nrat)
     levels = 1
-    while refine and levels < max_levels:
+    while refine and tdim and levels < 3:
         ndir *= 2
         nrat = 2 * nrat - 1
         new_margin, new_samples = run(ndir, nrat)
@@ -391,10 +368,8 @@ def subellipticity_check(wf: WeightField, j: int, region_grid: Sequence,
         if stable:
             break
 
-    vacuous = len(samples) == 0
-    return SubellipticityReport(margin=margin, vacuous=vacuous,
-                                samples=tuple(samples),
-                                refinement_levels=levels)
+    return SubellipticityReport(margin=margin, vacuous=len(samples) == 0,
+                                samples=samples, refinement_levels=levels)
 
 
 @dataclass
@@ -406,7 +381,7 @@ class GammaSearchResult:
 
 def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
                  ratio_hi: float = 64.0, metric: Optional[MetricField] = None,
-                 **check_kw) -> GammaSearchResult:
+                 refine: bool = True) -> GammaSearchResult:
     """Least gamma (within a factor-of-two bracket up to 2^20, then four
     bisection rounds) making the sub-ellipticity margin positive for both
     factors on the region, sampled over the ratio band (tau0, ratio_hi).
@@ -415,28 +390,24 @@ def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
     region (psi must stay nonnegative and |dpsi| >= 1e-8): no gamma can
     repair either.
     """
-    worst = math.inf
-    worst_x = None
-    for x in region_grid:
-        x = np.atleast_1d(x)
-        pv, pg, _ = psi.jet(x)
-        if pv < 0:
-            raise ValueError(f"psi({x}) = {pv:.3e} < 0: the recipe "
-                             f"requires a nonnegative base weight")
-        gnorm = float(np.linalg.norm(pg))
-        if gnorm < worst:
-            worst, worst_x = gnorm, x
-    if worst < 1e-8:
+    x = _points(region_grid, psi.dim)
+    pv, pg, _ = psi.jet(x)
+    if np.any(pv < 0):
+        i = int(np.argmax(pv < 0))
+        raise ValueError(f"psi({x[i]}) = {pv[i]:.3e} < 0: the recipe "
+                         f"requires a nonnegative base weight")
+    gnorm = np.linalg.norm(pg, axis=1)
+    i = int(np.argmin(gnorm))
+    if gnorm[i] < 1e-8:
         raise ValueError(
-            f"|dpsi| = {worst:.3e} at x = {worst_x}: gradient lower bound "
+            f"|dpsi| = {gnorm[i]:.3e} at x = {x[i]}: gradient lower bound "
             f"violated on the region; move the region away from critical points")
-
-    band = (tau0, ratio_hi)
 
     def margins_at(gamma):
         wf = WeightField(psi, gamma)
-        return {jj: subellipticity_check(wf, jj, region_grid, band,
-                                         metric=metric, tau0=tau0, **check_kw).margin
+        return {jj: subellipticity_check(wf, jj, x, (tau0, ratio_hi),
+                                         metric=metric, tau0=tau0,
+                                         refine=refine).margin
                 for jj in (1, 2)}
 
     history = []
@@ -513,56 +484,51 @@ def mu_search(wf: WeightField, j: int, region_grid: Sequence,
     target C is supplied it is taken as target_fraction times the limiting
     near-characteristic margin.  Aborts at mu_max when unreachable."""
     d = wf.dim
-    sphere = _sphere_samples(d, nsphere, tau0, seed)
-    jit = np.random.default_rng(seed + 1)
+    x = _points(region_grid, d)
+    # rows (xi, tau, sigma): the unit sphere, then the characteristic set
+    sphere = np.array([np.r_[xi, tau, sigma] for xi, tau, sigma in
+                       _sphere_samples(d, nsphere, tau0, seed)]).reshape(-1, d + 2)
+    rhos = [0.0] + list(np.geomspace(1e-3, 1.0 / tau0, 7))
+    c_x, c_xi, c_tau, c_sig, _, _ = characteristic_points(
+        wf, x, j, rhos, (1.0,), None, metric)
+    base = np.column_stack([c_xi, c_tau, c_sig])
+    base = base / np.sqrt(np.sum(base * base, axis=1))[:, None]
+    # four jittered copies of each characteristic sample, drawn in order
+    jittered = base[:, None] + np.random.default_rng(seed + 1).normal(
+        size=(len(base), 4, d + 2)) * 0.05
+    jittered[..., d:] = np.abs(jittered[..., d:])
+    ok = jittered[..., d] >= tau0 * jittered[..., d + 1]
 
-    rows = []
-    for x in region_grid:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        samples = [(xi, tau, sigma) for xi, tau, sigma in sphere]
-        rhos = [0.0] + list(np.geomspace(1e-3, 1.0 / tau0, 7))
-        for (_, xi_c, tau_c, sig_c, _, _) in characteristic_points(
-                wf, x, j, rhos, (1.0,), None, metric):
-            scale = math.sqrt(float(xi_c @ xi_c) + tau_c ** 2 + sig_c ** 2)
-            base = (xi_c / scale, tau_c / scale, sig_c / scale)
-            samples.append(base)
-            for _ in range(4):
-                pert = jit.normal(size=d + 2) * 0.05
-                xi_p = base[0] + pert[:d]
-                tau_p = abs(base[1] + pert[d])
-                sig_p = abs(base[2] + pert[d + 1])
-                if tau_p >= tau0 * sig_p:
-                    samples.append((xi_p, tau_p, sig_p))
-        for xi, tau, sigma in samples:
-            qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
-            br = poisson_bracket(qs, qa)
-            lam4 = (float(xi @ xi) + tau ** 2) ** 2
-            rows.append((qs.value ** 2 + qa.value ** 2, tau * br, lam4,
-                         (tuple(x), tuple(xi), tau, sigma)))
+    # the sphere above every region point, then the characteristic samples
+    # and their admissible jittered copies above their own points
+    X = np.concatenate([np.repeat(x, len(sphere), axis=0), c_x,
+                        np.repeat(c_x, 4, axis=0)[ok.ravel()]])
+    V = np.concatenate([np.tile(sphere, (len(x), 1)), base, jittered[ok]])
+    XI, T, S = V[:, :d], V[:, d], V[:, d + 1]
+    qs, qa = symbol_jets(wf, X, XI, T, S, j, metric)
+    f = qs.value ** 2 + qa.value ** 2
+    g = T * poisson_bracket(qs, qa)
+    lam4 = (np.sum(XI * XI, axis=1) + T ** 2) ** 2
 
     if target is None:
         # limiting value of min (mu f + g)/lam^4 as mu -> inf is governed by
         # g on the near-characteristic samples
-        lim = math.inf
-        for f, g, lam4, _ in rows:
-            if f <= 1e-4 * lam4 ** 2:
-                lim = min(lim, g / lam4)
+        near = f <= 1e-4 * lam4 ** 2
+        lim = float(np.min(g[near] / lam4[near], initial=math.inf))
         if not math.isfinite(lim) or lim <= 0:
             lim = 0.2
         target = target_fraction * min(lim, 1.0)
 
     mu = 1.0
     while mu <= mu_max:
-        worst = math.inf
-        worst_pt = None
-        for f, g, lam4, pt in rows:
-            val = (mu * f + g) / lam4
-            if val < worst:
-                worst, worst_pt = val, pt
-        if worst >= target:
-            return MuSearchResult(mu=mu, target=target, min_ratio=worst)
+        val = (mu * f + g) / lam4
+        i = int(np.argmin(val))
+        if val[i] >= target:
+            return MuSearchResult(mu=mu, target=target, min_ratio=float(val[i]))
         mu *= 2.0
-    raise MuSearchError(mu_max, worst, worst_pt)
+    raise MuSearchError(mu_max, float(val[i]),
+                        (tuple(X[i].tolist()), tuple(XI[i].tolist()),
+                         float(T[i]), float(S[i])))
 
 
 def build_global_weight(domain, exclusion, gamma: float = 1.0,
@@ -607,18 +573,20 @@ def _verify_global_weight(psi, box, excluded, n):
     vanishes on every face, its outward normal derivative is negative on the
     open faces (grid points on exactly one face), it is positive inside, and
     dpsi != 0 at interior points where excluded(x) is false."""
-    axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
-    for idx in itertools.product(range(n + 1), repeat=len(box)):
-        x = np.array([ax[i] for ax, i in zip(axes, idx)])
-        v, g, _ = psi.jet(x)
-        faces = [(k, 1.0 if i == n else -1.0)
-                 for k, i in enumerate(idx) if i in (0, n)]
-        if faces:
-            if abs(v) > 1e-12:
-                raise RuntimeError("weight does not vanish on the boundary")
-            if len(faces) == 1 and faces[0][1] * g[faces[0][0]] >= 0:
-                raise RuntimeError("outward normal derivative not strictly negative")
-        elif v <= 0:
-            raise RuntimeError(f"weight not positive at {x}")
-        elif not excluded(x) and np.linalg.norm(g) == 0:
-            raise RuntimeError(f"critical point at {x} escapes the exclusion set")
+    idx = np.indices((n + 1,) * len(box)).reshape(len(box), -1).T
+    x = np.column_stack([np.linspace(lo, hi, n + 1)[i]
+                         for (lo, hi), i in zip(box, idx.T)])
+    v, g, _ = psi.jet(x)
+    nfaces = np.sum((idx == 0) | (idx == n), axis=1)
+    if np.any(np.abs(v[nfaces > 0]) > 1e-12):
+        raise RuntimeError("weight does not vanish on the boundary")
+    outward = np.sum(np.where(idx == n, g, 0.0) - np.where(idx == 0, g, 0.0),
+                     axis=1)
+    if np.any(outward[nfaces == 1] >= 0):
+        raise RuntimeError("outward normal derivative not strictly negative")
+    inside = nfaces == 0
+    if np.any(v[inside] <= 0):
+        raise RuntimeError(f"weight not positive at {x[inside & (v <= 0)][0]}")
+    for p in x[inside & (np.linalg.norm(g, axis=1) == 0)]:
+        if not excluded(p):
+            raise RuntimeError(f"critical point at {p} escapes the exclusion set")

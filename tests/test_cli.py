@@ -125,6 +125,12 @@ class TestExitCodes:
         (["ls-check", "--bc-param-a", "7", "--bc-file", "{bc}"], None,
          "--bc-param-a cannot be combined with --bc-file"),
         (["ls-check", "--bc", "clamped", "--tau", "0.5"], None, "--tau"),
+        (["simulate", "--bc", "clamped", "--n", "16", "--T", "0.1", "--alpha",
+          "const:-1"], None, "--alpha"),
+        (["simulate", "--bc", "clamped", "--n", "16", "--T", "0.1", "--alpha",
+          "bump:0.3:0.5:nan"], None, "--alpha"),
+        (["resolvent", "--bc", "neumann_pair", "--n", "16", "--alpha",
+          "const:0", "--sigma-grid", "0:2:1"], None, "--alpha"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -132,7 +138,8 @@ class TestExitCodes:
             "ratio-hi-nan", "bc-file-outside-ls-check",
             "bc-param-inadmissible", "config-n-not-int",
             "config-key-of-ls-check", "bc-with-bc-file",
-            "bc-param-a-with-bc-file", "ls-check-tau-nonzero"])
+            "bc-param-a-with-bc-file", "ls-check-tau-nonzero",
+            "alpha-negative", "alpha-nan", "alpha-blind-to-kernel"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -145,6 +152,20 @@ class TestExitCodes:
         assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, point", [
+        (["--psi", "peak:0:1:0.5", "--region-lo", "0.4", "--region-hi", "0.6"],
+         "x = [0.5]"),
+        (["--psi", "affine:0:0"], "x = [0.05]"),
+    ], ids=["peak-inside-region", "flat-weight"])
+    def test_subell_critical_point_fails_the_check(self, args, point, tmp_path,
+                                                   capsys):
+        # no characteristic solve exists where dphi = 0; gamma-search names
+        # such a point too
+        for cmd in ("subell", "gamma-search"):
+            assert run_cli(cmd, *args, "--out", str(tmp_path / "out")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("check failed:") and point in err, cmd
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "bump:0.3"],

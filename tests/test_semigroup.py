@@ -15,6 +15,7 @@ from platelab.plate import (
     spectrum,
 )
 from platelab.semigroup import (
+    DampingError,
     EnergyLog,
     Generator,
     MidpointStepper,
@@ -70,12 +71,12 @@ class TestBuildGenerator:
 
     def test_zero_damping_with_kernel_rejected(self):
         op = assemble(GRID, "neumann_pair")
-        with pytest.raises(ValueError, match="Gram"):
+        with pytest.raises(DampingError, match="Gram"):
             build_generator(op, np.zeros(op.size))
 
     def test_negative_damping_rejected(self):
         op = assemble(GRID, "clamped")
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(DampingError, match="nonnegative"):
             build_generator(op, -bump_alpha(op))
 
 

@@ -1,0 +1,20 @@
+"""tools/artifact_digest.py: it finds its commands (none is run here)."""
+
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_artifact_digest_finds_readme_lines_and_benchmark_ops():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digest", ROOT / "tools" / "artifact_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    readme = digest.readme_commands()
+    assert len(readme) == 11
+    assert all(argv and not argv[0].startswith("-") for argv in readme)
+    ops = digest.perfbench_ops()
+    assert len(ops) == 17
+    assert {name for name, _ in ops} == {"sweep", "decay", "plate", "audit"}
+    assert all(argv[-2] == "--out" for _, argv in ops)

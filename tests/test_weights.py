@@ -37,7 +37,7 @@ def make_wf2d(gamma=2.0):
 
 def same_jet(f, g):
     """Bitwise equality of two BracketJets."""
-    return f.value == g.value and np.array_equal(f.dx, g.dx) \
+    return np.array_equal(f.value, g.value) and np.array_equal(f.dx, g.dx) \
         and np.array_equal(f.dxi, g.dxi)
 
 
@@ -47,8 +47,8 @@ class TestJets:
         wf = WeightField(psi, 3.0)
         for _ in range(50):
             x = np.array([float(rng.uniform(0, 1))])
-            phi, dphi, hess = wf.phi_jet(x)
-            pv, pg, ph = psi.jet(x)
+            phi, dphi, hess = (a[0] for a in wf.phi_jet(x))
+            pv, pg, ph = (a[0] for a in psi.jet(x))
             assert phi == pytest.approx(math.exp(3.0 * pv), rel=1e-12)
             assert dphi[0] == pytest.approx(3.0 * phi * pg[0], rel=1e-12)
             expect_h = 3.0 * phi * (3.0 * pg[0] ** 2 + ph[0, 0])
@@ -60,14 +60,85 @@ class TestJets:
         h = 1e-6
         for _ in range(20):
             x = np.array([rng.uniform(0.1, 0.9), rng.uniform(0.2, 1.8)])
-            _, g, H = f.jet(x)
+            _, g, H = (a[0] for a in f.jet(x))
             for k in range(2):
                 ek = np.zeros(2)
                 ek[k] = h
-                fd = (f.jet(x + ek)[0] - f.jet(x - ek)[0]) / (2 * h)
+                fd = (f.jet(x + ek)[0][0] - f.jet(x - ek)[0][0]) / (2 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-                fd2 = (f.jet(x + ek)[1] - f.jet(x - ek)[1]) / (2 * h)
+                fd2 = (f.jet(x + ek)[1][0] - f.jet(x - ek)[1][0]) / (2 * h)
                 assert H[:, k] == pytest.approx(fd2, rel=1e-5, abs=1e-6)
+
+
+def close_rows(batch, one, rtol=1e-13):
+    """Row-wise agreement to rtol relative to the largest entry."""
+    scale = max(float(np.max(np.abs(batch))), 1e-300)
+    return np.allclose(batch, one, rtol=rtol, atol=rtol * scale)
+
+
+VARIABLE_METRIC = MetricField.diagonal(
+    1, coeffs=[lambda x: 1.0 + 0.4 * math.sin(x[0])],
+    dcoeffs=[lambda x: np.array([0.4 * math.cos(x[0]), 0.0])])
+
+
+class TestBatchedKernels:
+    """Row i of a batched call equals the m = 1 call at point i: bit for bit
+    in 1-D, to 1e-13 relative in 2-D."""
+
+    def test_1d_field_and_phi_jets(self, rng):
+        xs = rng.uniform(0.05, 0.95, size=(12, 1))
+        for psi in (PARABOLA, PeakField1D(0.0, 1.0, 0.4),
+                    AffineField(0.2, [0.7])):
+            wf = WeightField(psi, 3.0)
+            for jet in (psi.jet, wf.phi_jet):
+                batch = jet(xs)
+                assert [a.shape for a in batch] == [(12,), (12, 1), (12, 1, 1)]
+                for i, x in enumerate(xs):
+                    for rows, one in zip(batch, jet(x)):
+                        assert np.array_equal(rows[i:i + 1], one)
+
+    def test_2d_field_and_phi_jets(self, rng):
+        psi = TensorProductField([PeakField1D(0.0, 1.0, 0.4),
+                                  PeakField1D(0.0, 2.0, 1.2)])
+        xs = np.column_stack([rng.uniform(0.1, 0.9, 9), rng.uniform(0.2, 1.8, 9)])
+        for jet in (psi.jet, WeightField(psi, 2.0).phi_jet, make_wf2d().phi_jet):
+            batch = jet(xs)
+            assert [a.shape for a in batch] == [(9,), (9, 2), (9, 2, 2)]
+            for i, x in enumerate(xs):
+                for rows, one in zip(batch, jet(x)):
+                    assert close_rows(rows[i:i + 1], one)
+
+    def test_1d_symbol_jets(self, rng):
+        wf = WeightField(PARABOLA, 2.0)
+        x = rng.uniform(0.05, 0.4, size=(10, 1))
+        xi = rng.normal(size=(10, 1))
+        tau, sigma = rng.uniform(0.2, 2.0, 10), rng.uniform(0.0, 1.0, 10)
+        for j in (1, 2):
+            qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
+            br = poisson_bracket(qs, qa)
+            for i in range(10):
+                qs1, qa1 = symbol_jets(wf, x[i], xi[i], tau[i], sigma[i], j)
+                assert same_jet(qs[i:i + 1], qs1) and same_jet(qa[i:i + 1], qa1)
+                assert np.array_equal(br[i:i + 1], poisson_bracket(qs1, qa1))
+
+    @pytest.mark.parametrize("metric", [None, VARIABLE_METRIC],
+                             ids=["euclidean", "variable-diagonal"])
+    def test_2d_symbol_jets(self, rng, metric):
+        wf = make_wf2d()
+        x = rng.uniform(0.1, 0.9, size=(10, 2))
+        xi = rng.normal(size=(10, 2))
+        tau, sigma = rng.uniform(0.2, 2.0, 10), rng.uniform(0.0, 1.0, 10)
+        for j in (1, 2):
+            qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
+            br = poisson_bracket(qs, qa)
+            for i in range(10):
+                qs1, qa1 = symbol_jets(wf, x[i], xi[i], tau[i], sigma[i], j,
+                                       metric)
+                for f, f1 in ((qs, qs1), (qa, qa1)):
+                    assert close_rows(f.value[i:i + 1], f1.value)
+                    assert close_rows(f.dx[i:i + 1], f1.dx)
+                    assert close_rows(f.dxi[i:i + 1], f1.dxi)
+                assert close_rows(br[i:i + 1], poisson_bracket(qs1, qa1))
 
 
 class TestPoissonBracket:
@@ -102,9 +173,7 @@ class TestPoissonBracket:
                 assert analytic == pytest.approx(num, rel=1e-6, abs=1e-4)
 
     def test_variable_metric_bracket(self, rng):
-        metric = MetricField.diagonal(
-            1, coeffs=[lambda x: 1.0 + 0.4 * math.sin(x[0])],
-            dcoeffs=[lambda x: np.array([0.4 * math.cos(x[0]), 0.0])])
+        metric = VARIABLE_METRIC
         wf = make_wf2d()
         for _ in range(15):
             x = rng.uniform(0.1, 0.9, size=2)
@@ -138,31 +207,29 @@ class TestCharacteristicSet:
         # the 1-D characteristic ratio is sigma/tau = phi'(x) ~ 2.0 here;
         # the sampled band must reach it
         wf = WeightField(PARABOLA, 2.0)
-        pts = characteristic_points(wf, np.array([0.2]), 2,
-                                    ratios=[0.0, 0.3, 4.0], taus=(1.0, 2.0))
-        assert pts
-        for (x, xi, tau, sigma, qs_c, qa_c) in pts:
-            qs, qa = symbol_jets(wf, x, xi, tau, sigma, 2)
-            assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
-            lam2 = float(xi @ xi) + tau ** 2
-            assert math.hypot(qs.value, qa.value) <= 1e-10 * lam2
+        x, xi, tau, sigma, qs_c, qa_c = characteristic_points(
+            wf, np.array([0.2]), 2, ratios=[0.0, 0.3, 4.0], taus=(1.0, 2.0))
+        assert len(tau) == 2
+        qs, qa = symbol_jets(wf, x, xi, tau, sigma, 2)
+        assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
+        lam2 = np.sum(xi * xi, axis=1) + tau ** 2
+        assert np.all(np.hypot(qs.value, qa.value) <= 1e-10 * lam2)
 
     def test_1d_factor_one_is_elliptic(self):
         wf = WeightField(PARABOLA, 2.0)
         pts = characteristic_points(wf, np.array([0.2]), 1, ratios=[0.0, 0.5, 1.0])
-        assert pts == []
+        assert all(len(a) == 0 for a in pts[:4])
 
     def test_2d_characteristic_solve(self):
         wf = make_wf2d()
         for j in (1, 2):
-            pts = characteristic_points(wf, np.array([0.4, 0.3]), j,
-                                        ratios=[0.0, 0.4], taus=(1.0,))
-            assert pts
-            for (x, xi, tau, sigma, qs_c, qa_c) in pts:
-                qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
-                assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
-                assert math.hypot(qs.value, qa.value) <= \
-                    1e-9 * (float(xi @ xi) + tau ** 2)
+            x, xi, tau, sigma, qs_c, qa_c = characteristic_points(
+                wf, np.array([0.4, 0.3]), j, ratios=[0.0, 0.4], taus=(1.0,))
+            assert len(tau)
+            qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
+            assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
+            assert np.all(np.hypot(qs.value, qa.value) <=
+                          1e-9 * (np.sum(xi * xi, axis=1) + tau ** 2))
 
 
 class TestSubellipticity:
@@ -192,6 +259,40 @@ class TestSubellipticity:
                 for t in (0.5, 1.0, 4.0)]
         assert reps[0] == pytest.approx(reps[1], rel=1e-9)
         assert reps[2] == pytest.approx(reps[1], rel=1e-9)
+
+    def test_2d_refines_and_reports_its_minimum(self):
+        wf = make_wf2d()
+        region = [np.array([0.3, 0.2]), np.array([0.5, 0.4]),
+                  np.array([0.7, 0.6])]
+        for j in (1, 2):
+            rep = subellipticity_check(wf, j, region, (0.5, 8.0))
+            assert rep.refinement_levels >= 2
+            assert rep.samples.shape[1] == 6 and len(rep.samples) > 0
+            ratios = []
+            for row in rep.samples:
+                x, xi, tau, sigma = row[:2], row[2:4], row[4], row[5]
+                qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
+                lam = math.sqrt(float(xi @ xi) + tau ** 2)
+                ratios.append(poisson_bracket(qs, qa)[0] / lam ** 3)
+            assert rep.margin == pytest.approx(min(ratios), rel=1e-12)
+
+    def test_1d_check_is_one_pass(self):
+        # a 1-D sample depends on the ratio grid only through its maximum,
+        # so refining the grid reproduces the first pass
+        wf = WeightField(PARABOLA, 2.0)
+        rhos = 1.0 / np.geomspace(TAU0, 1e4, 9)
+        finer = 1.0 / np.geomspace(TAU0, 1e4, 17)
+        for got, want in zip(characteristic_points(wf, REGION, 2, finer)[:4],
+                             characteristic_points(wf, REGION, 2, rhos)[:4]):
+            assert len(got) and np.array_equal(got, want)
+        for j in (1, 2):
+            refined, single = (subellipticity_check(
+                wf, j, REGION, (TAU0, 1e4), tau0=TAU0, refine=refine)
+                for refine in (True, False))
+            assert refined.refinement_levels == single.refinement_levels == 1
+            assert refined.margin == single.margin
+            assert np.array_equal(refined.samples, single.samples)
+            assert len(single.samples) == (0 if j == 1 else len(REGION))
 
     def test_ratio_band_validation(self):
         wf = WeightField(PARABOLA, 2.0)
