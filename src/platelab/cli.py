@@ -345,6 +345,17 @@ def cmd_spectrum(cfg):
     return EXIT_OK
 
 
+def _manifest(cfg, op, **results):
+    """CSV metadata: every key of the command but out, with n_y and length_y
+    resolved from the grid in 2-D (None marks a key left unset), then the
+    run's results."""
+    meta = {key: fmt(val) if isinstance(val, float) else val
+            for key, val in cfg.items() if key != "out"}
+    if op.grid.dimension == 2:
+        meta.update(n_y=op.grid.n[1], length_y=fmt(op.grid.lengths[1]))
+    return {**meta, **results}
+
+
 def _damped(cfg):
     """Operator and generator with the configured damping."""
     from . import semigroup
@@ -373,9 +384,8 @@ def cmd_simulate(cfg):
         raise CheckFailure(f"energy log failed validation: {exc}")
     rows = list(zip(log.times.tolist(), log.energies.tolist(),
                     log.dissipations.tolist()))
-    write_csv(cfg["out"], {"bc": op.bc_name, "n": op.grid.n[0],
-                           "T": fmt(T), "dt": fmt(dt), "seed": seed,
-                           "scheme": log.scheme, "schema": "energylog-v1"},
+    write_csv(cfg["out"], _manifest(cfg, op, scheme=log.scheme,
+                                    schema="energylog-v2"),
               ["t", "energy", "dissipation"], rows)
     return EXIT_OK
 
@@ -388,18 +398,18 @@ def cmd_resolvent(cfg):
     rows = [(float(s), float(nrm), float(sl), float(d))
             for s, nrm, sl, d in zip(sweep.sigmas, sweep.norms,
                                      sweep.slack, sweep.nearest_dist)]
-    write_csv(cfg["out"], {"bc": op.bc_name, "n": op.grid.n[0],
-                           "C": fmt(sweep.C),
-                           "skipped": len(sweep.skipped),
-                           "unconverged": unconverged,
-                           "max_iterations": int(sweep.iterations.max()),
-                           "schema": "resolvent-v2"},
+    write_csv(cfg["out"], _manifest(cfg, op, C=fmt(sweep.C),
+                                    skipped=len(sweep.skipped),
+                                    unconverged=unconverged,
+                                    max_iterations=int(sweep.iterations.max()),
+                                    schema="resolvent-v3"),
               ["sigma", "norm", "slack", "nearest_eig_dist"], rows)
     if not np.all(np.isfinite(sweep.norms[~np.isnan(sweep.norms)])):
         raise CheckFailure("non-finite resolvent norm on the grid")
     if unconverged:
-        raise CheckFailure(f"power iteration did not converge at {unconverged} "
-                           f"grid point(s); their norms are lower bounds")
+        raise CheckFailure(f"Lanczos or ARPACK did not converge at "
+                           f"{unconverged} grid point(s): each norm there is "
+                           f"only a lower bound, or each distance nan")
     return EXIT_OK
 
 

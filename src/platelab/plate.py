@@ -119,8 +119,9 @@ class DiscretePlateOperator:
         if self.size > MAX_DENSE_UNKNOWNS:
             raise SizeLimitError(
                 f"dense matrix refused for {self.size} > {MAX_DENSE_UNKNOWNS} plate "
-                f"unknowns: 1-D eigenvectors, the reduction and the resolvent are "
-                f"dense O(N^3); spectrum eigenvalues and time stepping are banded")
+                f"unknowns: 1-D eigenvectors and the generator reduction are "
+                f"dense O(N^3); spectrum eigenvalues, time stepping and the "
+                f"resolvent are banded or sparse")
         return self.matrix.toarray()
 
 

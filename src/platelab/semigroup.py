@@ -8,6 +8,12 @@ which the reduced generator has spectrum in the open right half-plane as
 soon as the damping controls the kernel.  Time integration is implicit
 midpoint: unconditionally stable, exactly conservative when alpha = 0, and
 the discrete dissipation identity closes to solver roundoff.
+
+The resolvent is sparse at every size: at each point z, one LU factor of
+the bordered matrix B(z) around K(z) = P + z^2 - z alpha, then Lanczos on
+R* R in the energy product for the norm and ARPACK on R for the nearest
+eigenvalue.  The dense reduced generator serves only the a-priori bound,
+the half-plane check and dense test references.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
+from . import SizeLimitError
 from .plate import DiscretePlateOperator, kernel as plate_kernel, lower_band
 
 __all__ = [
@@ -260,27 +268,26 @@ def decay_fit(log: EnergyLog, n: int, amp: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reduced generator and resolvent
+# reduced generator
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ReducedGenerator:
-    """Matrix of A restricted to the functional-kernel complement.
+    """Dense matrix of A restricted to the functional-kernel complement, for
+    the a-priori bound, the half-plane check and the dense test references.
 
     The complement {Y : F_j(Y) = 0} is A-invariant, so Ahat, the matrix of A
     in a Euclidean-orthonormal basis of it (the standard basis when the
     kernel is empty), is the exact restriction.  Ghat is the energy Gram
     matrix in that basis (SPD there), and L its Cholesky factor; operator
-    norms are measured with it.  T is the complex upper-triangular Schur
-    factor of B = L^T Ahat L^(-T), the restriction in energy-orthonormal
-    coordinates: B = Z T Z^H with Z unitary, so the energy norm of any
-    function of Ahat is the Euclidean norm of the same function of T.
+    norms are measured with it.  The eigenvalues are those of
+    L^T Ahat L^(-T), the restriction in energy-orthonormal coordinates.
+    The resolvent does not use this class: it is sparse at every size.
     """
 
     Ahat: np.ndarray
     Ghat: np.ndarray
     L: np.ndarray
-    T: np.ndarray
     eigenvalues: np.ndarray
 
     @property
@@ -324,73 +331,238 @@ def reduced_generator(gen: Generator) -> ReducedGenerator:
     L = scipy.linalg.cholesky(Ghat, lower=True)
     # B = L^T Ahat L^(-T), formed as (L^(-1) (L^T Ahat)^T)^T
     B = scipy.linalg.solve_triangular(L, (L.T @ Ahat).T, lower=True).T
-    Tr, Zr = scipy.linalg.schur(B, output="real")
-    del B
-    # eigenvalues of the quasi-triangular factor come in exact conjugate pairs
-    eigs = scipy.linalg.eigvals(Tr)
-    T, _ = scipy.linalg.rsf2csf(Tr, Zr)
-    del Tr, Zr
-    red = ReducedGenerator(Ahat, Ghat, L, T, eigs)
+    red = ReducedGenerator(Ahat, Ghat, L, scipy.linalg.eigvals(B))
     gen._reduced = red
     return red
 
 
-def _weighted_opnorm_inv(red: ReducedGenerator, z: complex,
-                         maxiter: int = 1000):
-    """|(z - Ahat)^(-1)| in the energy norm, which is |(z - T)^(-1)|_2, by
-    power iteration on (z - T)^(-H) (z - T)^(-1) with two triangular solves
-    per step, from a seed-0 random start to 1e-9 relative change.
+# ---------------------------------------------------------------------------
+# resolvent: one sparse factor per point
+# ---------------------------------------------------------------------------
 
-    Returns (norm, iterations, converged).  When maxiter runs out, converged
-    is False and norm is only a lower bound.
-    """
-    M = -red.T
-    M[np.diag_indices_from(M)] += z
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=red.dim) + 1j * rng.normal(size=red.dim)
-    x /= np.linalg.norm(x)
-    sigma_old = 0.0
-    for it in range(1, maxiter + 1):
-        y = scipy.linalg.solve_triangular(M, x, check_finite=False)
-        x2 = scipy.linalg.solve_triangular(M, y, trans="C", check_finite=False)
-        nrm = np.linalg.norm(x2)
-        if nrm == 0:
-            return 0.0, it, True
-        x = x2 / nrm
-        sigma = math.sqrt(nrm)
-        if abs(sigma - sigma_old) <= 1e-9 * max(sigma, 1e-300):
-            return sigma, it, True
-        sigma_old = sigma
-    return sigma, maxiter, False
+MAX_RESOLVENT_BYTES = 2 ** 30   # cap of _resolvent_bytes, per point
+ARNOLDI_VECTORS = 8             # ARPACK basis: 20 takes twice the solves
+
+
+@dataclass
+class _Pencil:
+    """The bordered matrix B(z) = B0 + z B1 + z^2 B2 on one CSC pattern,
+
+        B(z) = [[K(z),                  (alpha - z) Phi],
+                [w Phi^T (alpha - z),   w Phi^T Phi    ]],
+
+    K(z) = P + z^2 - z diag(alpha), Phi the damped kernel basis and w the
+    grid weight.  Without a kernel B(z) is K(z).  Solving with B(z) gives a
+    state in the complement {F = 0} whose image under z - A is the right-hand
+    side up to a stationary state; B(z) is nonsingular exactly when z is not
+    an eigenvalue of the reduced generator, z = 0 included."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    coeffs: np.ndarray      # (3, nnz): B0, B1, B2 on the pattern
+
+    def at(self, z: complex):
+        m = self.indptr.size - 1
+        data = self.coeffs[0] + z * self.coeffs[1] + z * z * self.coeffs[2]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
+
+
+def _pencil(gen: Generator) -> _Pencil:
+    n, k, w = gen.size, gen.kernel_dim, gen.op.weight
+    a, Phi = gen.alpha, gen.kernel_damped
+    P = gen.op.matrix.tocoo()
+    i = np.arange(n)
+    # the border column block, row by row of Phi, and the corner
+    r, c = np.repeat(i, k), n + np.tile(np.arange(k), n)
+    rb, cb = n + np.repeat(np.arange(k), k), n + np.tile(np.arange(k), k)
+    aPhi, Phi1 = (a[:, None] * Phi).ravel(), Phi.ravel()
+    # (power of z, rows, columns, values) of each term
+    parts = [(0, P.row, P.col, P.data), (1, i, i, -a), (2, i, i, np.ones(n)),
+             (0, r, c, aPhi), (1, r, c, -Phi1),
+             (0, c, r, w * aPhi), (1, c, r, -w * Phi1),
+             (0, rb, cb, w * (Phi.T @ Phi).ravel())]
+    power = np.concatenate([np.full(len(rr), p) for p, rr, _, _ in parts])
+    rows, cols, vals = (np.concatenate([part[j] for part in parts])
+                        for j in (1, 2, 3))
+    # one triplet list for all three, so they share a pattern (the
+    # conversion sums duplicates and keeps explicit zeros)
+    B = [sp.csc_matrix((np.where(power == p, vals, 0.0), (rows, cols)),
+                       shape=(n + k,) * 2) for p in range(3)]
+    return _Pencil(B[0].indices, B[0].indptr, np.array([Bp.data for Bp in B]))
+
+
+def _resolvent_bytes(gen: Generator, maxiter: int) -> int:
+    """Bytes of one point, complex entries at 16 B: the LU factor of B(z)
+    at the band bound of natural order (L within P's half-bandwidth b and U
+    within 2b under partial pivoting, plus k dense rows and columns from the
+    border), then min(maxiter, 2N) Lanczos vectors and ARNOLDI_VECTORS
+    ARPACK vectors of length 2N.  The minimum-degree order fills less: on a
+    64 x 48 hinged plate L + U hold 294,087 entries against the bound's
+    837,963."""
+    n, k = gen.size, gen.kernel_dim
+    P = gen.op.matrix.tocoo()
+    b = int(np.abs(P.row - P.col).max()) if P.nnz else 0
+    factor = (n + k) * (3 * b + 1) + 2 * k * (n + k)
+    vectors = (min(maxiter, 2 * n) + ARNOLDI_VECTORS) * 2 * n
+    return 16 * (factor + vectors)
+
+
+class _Resolvent:
+    """R = (z - A)^(-1) on the complement {F = 0} of the stationary states,
+    from one sparse LU factor of B(z).  States are complex vectors (u, v) of
+    length 2N.  The energy product <X, Y> = w (Y_u^H P X_u + Y_v^H X_v) is
+    an inner product on the complement, where A* = [[0, I], [-P, alpha]];
+    the adjoint R* reuses the factor through B(z)^H."""
+
+    def __init__(self, gen: Generator, pencil: _Pencil, z: complex):
+        from scipy.sparse.linalg import splu
+        self.gen, self.z = gen, complex(z)
+        self.lu = splu(pencil.at(self.z), permc_spec="MMD_AT_PLUS_A")
+
+    def gram(self, x):
+        n, w = self.gen.size, self.gen.op.weight
+        return w * np.concatenate([self.gen.op.matrix @ x[:n], x[n:]])
+
+    def stationary_free(self, x):
+        """x minus its stationary part (Phi F(x), 0)."""
+        gen, n = self.gen, self.gen.size
+        if gen.kernel_dim:
+            Phi = gen.kernel_damped
+            x[:n] -= Phi @ (gen.op.weight * (Phi.T @ (gen.alpha * x[:n] + x[n:])))
+        return x
+
+    def apply(self, x):
+        """R x: B(z) [u; rho] = [(z - alpha) f - g; -w Phi^T f], then
+        v = f - z u + Phi rho."""
+        gen, n, z = self.gen, self.gen.size, self.z
+        Phi, f, g = gen.kernel_damped, x[:n], x[n:]
+        s = self.lu.solve(np.concatenate([(z - gen.alpha) * f - g,
+                                          -gen.op.weight * (Phi.T @ f)]))
+        u = s[:n]
+        return np.concatenate([u, f - z * u + Phi @ s[n:]])
+
+    def adjoint(self, x):
+        """R* x: B(z)^H [u; r] = [g + (conj z - alpha) f; 0], which solves
+        (conj z - A*) (u, v) = (f, g) up to a stationary state with
+        v = conj(z) u - f - w Phi r; that state is then removed."""
+        gen, n, zc = self.gen, self.gen.size, self.z.conjugate()
+        Phi, f, g = gen.kernel_damped, x[:n], x[n:]
+        s = self.lu.solve(np.concatenate([g + (zc - gen.alpha) * f,
+                                          np.zeros(gen.kernel_dim)]),
+                          trans="H")
+        u = s[:n]
+        return self.stationary_free(np.concatenate(
+            [u, zc * u - f - gen.op.weight * (Phi @ s[n:])]))
+
+    def nearest_dist(self, v0) -> float:
+        """|z - lambda| for the eigenvalue lambda of the reduced generator
+        nearest z, from ARPACK's largest eigenvalue mu = 1/(z - lambda) of R;
+        raises ArpackNoConvergence when ARPACK stops short."""
+        from scipy.sparse.linalg import LinearOperator, eigs
+        m = v0.size
+        R = LinearOperator((m, m), matvec=self.apply, dtype=complex)
+        mu = eigs(R, k=1, which="LM", tol=1e-12, v0=v0, ncv=ARNOLDI_VECTORS,
+                  return_eigenvectors=False)[0]
+        return 1.0 / abs(mu)
+
+    def norm(self, start, maxiter: int):
+        """|R| in the energy norm, the square root of the largest eigenvalue
+        of R* R: Lanczos in the energy product with full reorthogonalization
+        from `start`, stopped when the top Ritz value's square root moves by
+        at most 1e-9 relative.  Returns (norm, steps, converged); when
+        maxiter runs out, converged is False and norm is only a lower bound.
+        """
+        m = min(maxiter, start.size)
+        Q = np.empty((m, start.size), dtype=complex)
+        diag, off = np.zeros(m), np.zeros(m)
+        q = start / math.sqrt(np.vdot(start, self.gram(start)).real)
+        sigma_old = 0.0
+        for j in range(m):
+            Q[j] = q
+            r = self.adjoint(self.apply(q))
+            # classical Gram-Schmidt, twice, in einsum's own loops: threaded
+            # BLAS on these thin products doubled a 2-D sweep's time on 2 cores
+            for _ in range(2):
+                c = np.einsum("ij,j->i", Q[:j + 1], self.gram(r).conj()).conj()
+                r -= np.einsum("i,ij->j", c, Q[:j + 1])
+                diag[j] += c[j].real
+            theta = scipy.linalg.eigvalsh_tridiagonal(
+                diag[:j + 1], off[:j], select="i", select_range=(j, j))[0]
+            sigma = math.sqrt(theta)
+            off[j] = math.sqrt(np.vdot(r, self.gram(r)).real)
+            # a vanishing residual means an invariant Krylov space, on which
+            # the Ritz value is exact
+            if abs(sigma - sigma_old) <= 1e-9 * sigma or off[j] <= 1e-14 * theta:
+                return sigma, j + 1, True
+            sigma_old = sigma
+            q = r / off[j]
+        return sigma, m, m < maxiter
+
+
+def _point(gen: Generator, pencil: _Pencil, z: complex, maxiter: int,
+           skip: float):
+    """(nearest_dist, norm, steps, converged) at z.  The norm is nan and
+    steps 0 when z lies within `skip` of the reduced spectrum; nearest_dist
+    is nan, and converged False, when ARPACK does not converge."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+    try:
+        res = _Resolvent(gen, pencil, z)
+    except RuntimeError:        # B(z) exactly singular: z is an eigenvalue
+        return 0.0, math.nan, 0, True
+    x = np.random.default_rng(0).normal(size=(2, 2 * gen.size))
+    start = res.stationary_free(x[0] + 1j * x[1])
+    try:
+        dist, found = res.nearest_dist(start), True
+    except ArpackNoConvergence:
+        dist, found = math.nan, False
+    if dist < skip:
+        return dist, math.nan, 0, True
+    nrm, steps, converged = res.norm(start, maxiter)
+    return dist, nrm, steps, converged and found
+
+
+def _prepare(gen: Generator, maxiter: int):
+    """The pencil and the skip distance 1e-12 scale, with scale =
+    max(max alpha + sqrt(|P|_inf), 1) bounding every eigenvalue modulus of
+    the generator; raises SizeLimitError when _resolvent_bytes exceeds
+    MAX_RESOLVENT_BYTES."""
+    need = _resolvent_bytes(gen, maxiter)
+    if need > MAX_RESOLVENT_BYTES:
+        raise SizeLimitError(
+            f"resolvent refused for {gen.size} plate unknowns: its LU factor "
+            f"and Lanczos basis take an estimated {need} > "
+            f"{MAX_RESOLVENT_BYTES} bytes")
+    bound = float(gen.alpha.max(initial=0.0)) + \
+        math.sqrt(float(abs(gen.op.matrix).sum(axis=1).max()))
+    return _pencil(gen), 1e-12 * max(bound, 1.0)
 
 
 def resolvent_norm(gen: Generator, z: complex, maxiter: int = 1000) -> float:
     """Operator norm of (z - reduced A)^(-1) in the energy inner product.
 
-    Largest-singular-value power iteration through the Schur factor of the
-    reduced generator.  Raises ValueError when z sits on (or numerically at)
-    an eigenvalue of the reduced generator, and RuntimeError when the
-    iteration does not converge within maxiter steps.
+    Lanczos on R* R through one sparse factor of B(z).  Raises ValueError
+    when z sits on (or numerically at) an eigenvalue of the reduced
+    generator, and RuntimeError when Lanczos or the nearest-eigenvalue
+    search does not converge.
     """
-    red = reduced_generator(gen)
-    scale = max(np.abs(red.eigenvalues).max(), 1.0)
-    dist = np.abs(red.eigenvalues - z).min()
-    if dist < 1e-12 * scale:
+    pencil, skip = _prepare(gen, maxiter)
+    dist, nrm, steps, converged = _point(gen, pencil, complex(z), maxiter, skip)
+    if math.isnan(nrm):
         raise ValueError(f"z = {z} is within {dist:.2e} of the reduced "
                          f"spectrum; resolvent norm undefined")
-    nrm, _, converged = _weighted_opnorm_inv(red, complex(z), maxiter=maxiter)
     if not converged:
-        raise RuntimeError(f"power iteration at z = {z} did not converge in "
-                           f"{maxiter} iterations; {nrm} is only a lower "
-                           f"bound")
+        raise RuntimeError(f"Lanczos or ARPACK at z = {z} did not converge "
+                           f"({steps} Lanczos steps, nearest-eigenvalue "
+                           f"distance {dist}); {nrm} is only a lower bound")
     return nrm
 
 
 @dataclass
 class SweepResult:
     """Per-point arrays over the grid.  Skipped points carry a nan norm and
-    0 iterations; converged is False only where the power iteration ran out
-    of maxiter, so that norm is a lower bound."""
+    0 iterations; converged is False where Lanczos ran out of maxiter, so
+    that norm is a lower bound, or where ARPACK did not find the nearest
+    eigenvalue, whose distance is then nan."""
 
     sigmas: np.ndarray
     norms: np.ndarray
@@ -407,28 +579,24 @@ def resolvent_sweep(gen: Generator, sigma_grid,
     """Resolvent norms along the imaginary axis and the least C with
     log |R(i s)| <= C (1 + sqrt|s|) on the grid.
 
-    Grid points within eigenvalue-resolution of the spectrum are skipped and
-    flagged.  The per-point slack C (1 + sqrt s) - log |R| is reported; the
-    distance to the nearest reduced eigenvalue gives the universal lower
-    bound |R| >= 1/dist for cross-checking.  Each point costs O(dim^2) per
-    iteration on the Schur factor computed once by reduced_generator.
+    Grid points within 1e-12 scale of the spectrum are skipped and flagged.
+    The per-point slack C (1 + sqrt s) - log |R| is reported; the distance
+    to the nearest reduced eigenvalue gives the universal lower bound
+    |R| >= 1/dist for cross-checking.  Each point costs one sparse LU of
+    B(i s), then two solves per Lanczos step and one per ARPACK product.
     """
-    red = reduced_generator(gen)
     sigmas = np.asarray(list(sigma_grid), dtype=float)
-    scale = max(np.abs(red.eigenvalues).max(), 1.0)
+    pencil, skip = _prepare(gen, maxiter)
     norms = np.full(sigmas.size, np.nan)
     dists = np.empty(sigmas.size)
     iterations = np.zeros(sigmas.size, dtype=int)
     converged = np.ones(sigmas.size, dtype=bool)
     skipped = []
     for i, s in enumerate(sigmas):
-        z = 1j * s
-        dists[i] = np.abs(red.eigenvalues - z).min()
-        if dists[i] < 1e-12 * scale:
+        dists[i], norms[i], iterations[i], converged[i] = _point(
+            gen, pencil, 1j * s, maxiter, skip)
+        if np.isnan(norms[i]):
             skipped.append(float(s))
-            continue
-        norms[i], iterations[i], converged[i] = _weighted_opnorm_inv(
-            red, z, maxiter=maxiter)
 
     ok = ~np.isnan(norms)
     ratios = np.maximum(np.log(norms[ok]), 0.0) / (1.0 + np.sqrt(np.abs(sigmas[ok])))

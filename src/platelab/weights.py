@@ -482,7 +482,10 @@ def mu_search(wf: WeightField, j: int, region_grid: Sequence,
     only the bracket term survives, so omitting it would let mu*f mask
     a sub-ellipticity failure) and jittered copies around it.  When no
     target C is supplied it is taken as target_fraction times the limiting
-    near-characteristic margin.  Aborts at mu_max when unreachable."""
+    near-characteristic margin.  Aborts at mu_max when unreachable; mu_max
+    below the first candidate 1 is a ValueError."""
+    if not mu_max >= 1.0:
+        raise ValueError(f"mu_max must be >= 1, the first mu tried; got {mu_max}")
     d = wf.dim
     x = _points(region_grid, d)
     # rows (xi, tau, sigma): the unit sphere, then the characteristic set

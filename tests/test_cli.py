@@ -64,10 +64,13 @@ class TestExitCodes:
         # dense eigenvectors for the initial data, then the dense reduction
         assert run_cli("simulate", "--bc", "clamped", "--n", "3200") == 2
         assert "3199 > 3000" in capsys.readouterr().err
-        monkeypatch.setattr("platelab.plate.MAX_DENSE_UNKNOWNS", 100)
+        # the resolvent's estimate for 165 unknowns, half-bandwidth 22: 16 B
+        # times 165 (3 * 22 + 1) factor entries and (330 + 8) 330 vector
+        # entries
+        monkeypatch.setattr("platelab.semigroup.MAX_RESOLVENT_BYTES", 10 ** 6)
         assert run_cli("resolvent", "--bc", "hinged", "--dim", "2",
                        "--n", "16", "--n-y", "12") == 2
-        assert "165 > 100" in capsys.readouterr().err
+        assert "1961520 > 1000000 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["spectrum", "assemble"])
     def test_count_out_of_range_is_config_error(self, cmd, tmp_path, capsys):
@@ -257,7 +260,7 @@ class TestArtifacts:
         assert data.shape[0] == 11
         assert np.all(np.isfinite(data[:, 1]))
         assert "# unconverged = 0" in text
-        assert "# schema = resolvent-v2" in text
+        assert "# schema = resolvent-v3" in text
 
     def test_resolvent_unconverged_fails(self, tmp_path, monkeypatch, capsys):
         sweep = semigroup.resolvent_sweep
@@ -270,6 +273,48 @@ class TestArtifacts:
         assert "# unconverged = 6" in text
         assert "# max_iterations = 1" in text
         assert "did not converge" in capsys.readouterr().err
+
+    def test_resolvent_kernel_family_through_origin(self, tmp_path):
+        # free ends: a two-dimensional kernel, and a reduced eigenvalue
+        # 0.0071 from sigma = 0
+        out = tmp_path / "res.csv"
+        assert run_cli("resolvent", "--bc", "ex2_dn2_dn3", "--n", "60",
+                       "--sigma-grid", "0:30:1", "--out", str(out)) == 0
+        assert "# unconverged = 0" in out.read_text()
+
+    def test_resolvent_arpack_failure_fails(self, tmp_path, monkeypatch,
+                                            capsys):
+        import scipy.sparse.linalg as sla
+
+        def stall(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                          np.zeros((0, 0)))
+
+        monkeypatch.setattr(sla, "eigs", stall)
+        out = tmp_path / "res.csv"
+        assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
+                       "--sigma-grid", "0:2:1", "--out", str(out)) == 1
+        text = out.read_text()
+        assert "# unconverged = 3" in text
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        data = np.loadtxt(lines[1:], delimiter=",")
+        assert np.isnan(data[:, 3]).all() and np.isfinite(data[:, 1]).all()
+        assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, args, results", [
+        ("simulate", ["--T", "0.1"], {"scheme", "schema"}),
+        ("resolvent", ["--sigma-grid", "0:2:1"],
+         {"C", "skipped", "unconverged", "max_iterations", "schema"}),
+    ])
+    def test_csv_header_echoes_every_key(self, cmd, args, results, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli(cmd, "--bc", "hinged", "--dim", "2", "--n", "16",
+                       *args, "--out", str(out)) == 0
+        meta = dict(l[2:].split(" = ") for l in out.read_text().splitlines()
+                    if l.startswith("#"))
+        assert set(meta) == set(COMMANDS[cmd][1]) - {"out"} | results
+        assert (meta["dim"], meta["n_y"], meta["length_y"]) == ("2", "16", "1")
+        assert meta["bc_param_a"] == "None"
 
     def test_decay_fit_json(self, tmp_path):
         out = tmp_path / "fit.json"

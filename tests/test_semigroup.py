@@ -235,10 +235,15 @@ class TestStepper:
         assert spectrum(op2, 5)[1].shape == (op2.size, 5)
         assert kernel(op2) == []
         gen1 = Generator(op1, bump_alpha(op1), np.zeros((op1.size, 0)))
-        for gen in (gen1, build_generator(op2, bump_alpha(op2))):
+        gen2 = build_generator(op2, bump_alpha(op2))
+        for gen in (gen1, gen2):
             Y = StateVector(np.ones(gen.size), np.zeros(gen.size))
             Z, _ = MidpointStepper(gen, 0.5).advance(Y)
             assert np.all(np.isfinite(Z.y))
+        # the resolvent is sparse too, and never reduces the generator
+        monkeypatch.setattr("platelab.semigroup.reduced_generator", refuse)
+        sweep = resolvent_sweep(gen2, [40.0])
+        assert sweep.converged.all() and np.isfinite(sweep.norms).all()
 
 
 class TestSimulate:
@@ -365,7 +370,7 @@ class TestReducedGenerator:
         assert np.allclose(eigs_sorted, conj_sorted, rtol=1e-8, atol=1e-8)
 
     def test_eigenvalues_match_dense_solver(self, clamped_gen):
-        # eigenvalues come from the Schur factor; both sets must lie within
+        # eigenvalues come from L^T Ahat L^(-T); both sets must lie within
         # 1e-10 max|lambda| of each other.  (The dense solve on Ahat is the
         # less accurate side: Ahat is badly scaled, |Ahat| ~ 1/h^4.)
         red = reduced_generator(clamped_gen)
@@ -437,3 +442,44 @@ class TestResolvent:
     def test_sweep_includes_origin(self, neumann_gen):
         sweep = resolvent_sweep(neumann_gen, [0.0])
         assert math.isfinite(sweep.norms[0])
+
+
+def dense_reference(gen, z):
+    """Energy norm of (z - Ahat)^(-1) by dense SVD, and the distance from z
+    to the reduced spectrum."""
+    red = reduced_generator(gen)
+    R = np.linalg.inv(z * np.eye(red.dim) - red.Ahat)
+    T = red.L.T @ R @ np.linalg.inv(red.L.T)
+    return (np.linalg.svd(T, compute_uv=False)[0],
+            np.abs(red.eigenvalues - z).min())
+
+
+class TestSparseResolvent:
+    @pytest.mark.parametrize("name,grid,k", [("clamped", 24, 0),
+                                             ("neumann_pair", 24, 1),
+                                             ("ex2_dn2_dn3", 24, 2),
+                                             ("hinged", (12, 10), 0)])
+    def test_matches_dense_reference(self, name, grid, k):
+        # z = 0 is where K(0) = P is singular for the kernel families
+        op = assemble(make_grid(grid), name)
+        gen = build_generator(op, bump_alpha(op, 0.2, 0.7, 4.0))
+        assert gen.kernel_dim == k
+        for z in (0.0, -1 + 0.4j, -0.3 + 7j):
+            assert resolvent_norm(gen, z) == pytest.approx(
+                dense_reference(gen, z)[0], rel=1e-8)
+        sigmas = [0.0, 0.5, 3.0, 20.0]
+        sweep = resolvent_sweep(gen, sigmas)
+        assert sweep.converged.all() and not sweep.skipped
+        for s, nrm, dist in zip(sigmas, sweep.norms, sweep.nearest_dist):
+            ref, ref_dist = dense_reference(gen, 1j * s)
+            assert nrm == pytest.approx(ref, rel=1e-8)
+            assert dist == pytest.approx(ref_dist, rel=1e-8)
+
+    def test_2d_sweep_converges(self):
+        # power iteration on R*R ran out of 1000 steps at each of these
+        op = assemble(make_grid((32, 24)), "hinged")
+        gen = build_generator(op, bump_alpha(op, 0.2, 0.7, 4.0))
+        sweep = resolvent_sweep(gen, [36.0, 38.0, 40.0, 42.0])
+        assert sweep.converged.all()
+        assert sweep.iterations.max() <= 20
+        assert np.all(sweep.norms * sweep.nearest_dist >= 1 - 1e-9)

@@ -361,6 +361,11 @@ class TestMuSearch:
         assert err.value.worst < 0.05
         assert len(err.value.worst_point) == 4
 
+    def test_mu_max_below_first_candidate_rejected(self):
+        wf = WeightField(PARABOLA, 2.0)
+        with pytest.raises(ValueError, match="mu_max"):
+            mu_search(wf, 2, REGION, tau0=TAU0, nsphere=20, mu_max=0.5)
+
     def test_t_homogeneity_degree_four(self, rng):
         wf = WeightField(PARABOLA, 2.0)
         x = np.array([0.2])
