@@ -4,8 +4,9 @@ Each command has its own keys (COMMANDS), set by a flat key = value file
 and overridden by flags; one parser per key (_KEYS) reads and range-checks
 both.  Every run is seeded.  Outputs are plain text: CSV tables with '#'
 metadata lines and floats at 17 significant digits, or JSON records with
-sorted keys.  Exit codes: 0 all checks pass, 1 a mathematical check failed,
-2 configuration error.
+sorted keys; each artifact echoes every key of its command (_manifest).
+Exit codes: 0 all checks pass, 1 a mathematical check failed, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ class ConfigError(Exception):
 
 
 class CheckFailure(Exception):
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload or {}
+    pass
 
 
 def fmt(x) -> str:
     return f"{x:.17g}"
+
+
+def _cell(v) -> str:
+    return fmt(v) if isinstance(v, float) else str(v)
 
 
 def _json_default(obj):
@@ -62,11 +65,10 @@ def write_json(path, obj):
 
 
 def write_csv(path, meta: dict, header, rows):
-    lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
+    lines = [f"# {k} = {_cell(v)}" for k, v in sorted(meta.items())]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     text = "\n".join(lines) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -187,7 +189,7 @@ def cmd_catalog(cfg):
                         "ls_holds": rep.verdict})
         except (ValueError, KeyError) as exc:
             out.append({"name": name, "error": str(exc)})
-    write_json(cfg["out"], {"catalog": out})
+    write_json(cfg["out"], _manifest(cfg, catalog=out, schema="catalog-v2"))
     return EXIT_OK
 
 
@@ -198,15 +200,11 @@ def cmd_roots(cfg):
     w = WeightJet(1.0, [dt], dn)
     conf = classify_roots(p, w)
     pairs = [factor_roots(p, w, j) for j in (1, 2)]
-    write_json(cfg["out"], {
-        "point": {"xi_prime": xi, "tau": tau, "sigma": sigma,
-                  "dphi": [dt, dn]},
-        "case": conf.case.value,
-        "marginal": conf.marginal,
-        "factors": [{"j": rp.factor_index, "alpha": rp.alpha,
-                     "pi_1": rp.pi_1, "pi_2": rp.pi_2} for rp in pairs],
-        "quartic_roots": list(quartic_roots(p, w)),
-    })
+    write_json(cfg["out"], _manifest(
+        cfg, case=conf.case.value, marginal=conf.marginal,
+        factors=[{"j": rp.factor_index, "alpha": rp.alpha,
+                  "pi_1": rp.pi_1, "pi_2": rp.pi_2} for rp in pairs],
+        quartic_roots=list(quartic_roots(p, w)), schema="roots-v2"))
     return EXIT_OK
 
 
@@ -217,17 +215,14 @@ def cmd_ls_check(cfg):
     name, (b1, b2), _ = _bc_pair(cfg, cfg["bc_file"])
     x0 = np.array([0.0, 0.0])
 
-    report = {"bc": name, "seed": cfg["seed"], "unconjugated": []}
-    failures = []
-
+    unconjugated, failed = [], 0
     for radius in (0.5, 1.0, 2.0):
         for sgn in (1.0, -1.0):
             rep = lscheck.ls_unconjugated(b1, b2, x0, [sgn * radius])
             rec = rep.to_dict()
             rec["omega_prime"] = sgn * radius
-            report["unconjugated"].append(rec)
-            if not rep.verdict:
-                failures.append(("unconjugated", rec))
+            unconjugated.append(rec)
+            failed += not rep.verdict
 
     if cfg["tau"] == 0.0:
         rep = lscheck.ls_unconjugated(b1, b2, x0, [1.0])
@@ -236,12 +231,11 @@ def cmd_ls_check(cfg):
 
     conj = lscheck.sample_conjugated(b1, b2, cfg["samples"], cfg["seed"],
                                      cfg["kappa0"], cfg["mu0"], cfg["mu1"])
-    report["conjugated"] = conj
-    if conj["counterexample"] is not None:
-        failures.append(("conjugated", conj["counterexample"]))
-    write_json(cfg["out"], report)
-    if failures:
-        raise CheckFailure(f"{len(failures)} check(s) failed", report)
+    failed += conj["counterexample"] is not None
+    write_json(cfg["out"], _manifest(cfg, bc=name, unconjugated=unconjugated,
+                                     conjugated=conj, schema="ls-check-v2"))
+    if failed:
+        raise CheckFailure(f"{failed} check(s) failed")
     return EXIT_OK
 
 
@@ -259,8 +253,7 @@ def cmd_subell(cfg):
     psi, grid = _region(cfg)
     tau0, ratio_hi = cfg["tau0"], cfg["ratio_hi"]
     wf = weights.WeightField(psi, cfg["gamma"])
-    out = {"grid": {"region": [cfg["region_lo"], cfg["region_hi"]],
-                    "points": cfg["region_n"], "ratio_band": [tau0, ratio_hi]}}
+    out = {}
     ok = True
     for j in (1, 2):
         try:
@@ -271,10 +264,9 @@ def cmd_subell(cfg):
                               "characteristic_samples": len(rep.samples),
                               "refinement_levels": rep.refinement_levels}
         ok = ok and rep.margin > 0
-    out["gamma"] = cfg["gamma"]
-    write_json(cfg["out"], out)
+    write_json(cfg["out"], _manifest(cfg, **out, schema="subell-v2"))
     if not ok:
-        raise CheckFailure("sub-ellipticity margin not positive", out)
+        raise CheckFailure("sub-ellipticity margin not positive")
     return EXIT_OK
 
 
@@ -285,8 +277,10 @@ def cmd_gamma_search(cfg):
                                    ratio_hi=cfg["ratio_hi"])
     except (ValueError, RuntimeError) as exc:
         raise CheckFailure(str(exc))
-    write_json(cfg["out"], {"gamma0": res.gamma0, "margins": res.margins,
-                            "evaluations": len(res.history)})
+    write_json(cfg["out"], _manifest(cfg, gamma0=res.gamma0,
+                                     margins=res.margins,
+                                     evaluations=len(res.history),
+                                     schema="gamma-search-v2"))
     return EXIT_OK
 
 
@@ -336,35 +330,33 @@ def cmd_spectrum(cfg):
     count = _count(cfg, op)
     mu, _ = plate.spectrum(op, count, vectors=False)
     rows = [(k, float(mu[k])) for k in range(count)]
-    g = op.grid
-    meta = {"bc": op.bc_name, "dim": g.dimension, "n": g.n[0], "count": count,
-            "length": fmt(g.lengths[0]), "schema": "spectrum-v2"}
-    if g.dimension == 2:
-        meta.update(n_y=g.n[1], length_y=fmt(g.lengths[1]))
-    write_csv(cfg["out"], meta, ["k", "mu"], rows)
+    write_csv(cfg["out"], _manifest(cfg, op, schema="spectrum-v3"),
+              ["k", "mu"], rows)
     return EXIT_OK
 
 
-def _manifest(cfg, op, **results):
-    """CSV metadata: every key of the command but out, with n_y and length_y
-    resolved from the grid in 2-D (None marks a key left unset), then the
-    run's results."""
-    meta = {key: fmt(val) if isinstance(val, float) else val
-            for key, val in cfg.items() if key != "out"}
-    if op.grid.dimension == 2:
-        meta.update(n_y=op.grid.n[1], length_y=fmt(op.grid.lengths[1]))
+def _manifest(cfg, op=None, **results):
+    """Artifact metadata, the one source of every CSV and JSON: each key of
+    the command but out, with n_y and length_y resolved from the grid of a
+    2-D operator (None marks a key left unset), then the run's results,
+    which win on a clash."""
+    meta = {key: val for key, val in cfg.items() if key != "out"}
+    if op is not None and op.grid.dimension == 2:
+        meta.update(n_y=op.grid.n[1], length_y=op.grid.lengths[1])
     return {**meta, **results}
 
 
 def _damped(cfg):
     """Operator and generator with the configured damping."""
-    from . import semigroup
+    from . import plate, semigroup
     op = _operator(cfg)
     alpha = parse_alpha_spec(cfg["alpha"], op.nodes)
     try:
         return op, semigroup.build_generator(op, alpha)
     except semigroup.DampingError as exc:
         raise ConfigError(f"--alpha {cfg['alpha']}: {exc}")
+    except plate.IndefiniteError as exc:
+        raise ConfigError(f"--bc-param-a {cfg['bc_param_a']}: {exc}")
 
 
 def cmd_simulate(cfg):
@@ -398,7 +390,7 @@ def cmd_resolvent(cfg):
     rows = [(float(s), float(nrm), float(sl), float(d))
             for s, nrm, sl, d in zip(sweep.sigmas, sweep.norms,
                                      sweep.slack, sweep.nearest_dist)]
-    write_csv(cfg["out"], _manifest(cfg, op, C=fmt(sweep.C),
+    write_csv(cfg["out"], _manifest(cfg, op, C=sweep.C,
                                     skipped=len(sweep.skipped),
                                     unconverged=unconverged,
                                     max_iterations=int(sweep.iterations.max()),
@@ -429,9 +421,9 @@ def cmd_decay_fit(cfg):
         C = semigroup.decay_fit(log, npow, amp)
     except ValueError as exc:
         raise CheckFailure(str(exc))
-    write_json(cfg["out"], {"C": C, "amp": amp, "T": T, "dt": dt,
-                            "n_power": npow,
-                            "final_energy": float(log.energies[-1])})
+    write_json(cfg["out"], _manifest(cfg, op, C=C, amp=amp,
+                                     final_energy=float(log.energies[-1]),
+                                     schema="decay-fit-v2"))
     return EXIT_OK
 
 
@@ -532,8 +524,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        if exc.payload:
-            write_json(None, exc.payload)
         return EXIT_CHECK_FAILED
 
 

@@ -418,14 +418,12 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                         determinant=None, margin=math.inf,
                         marginal=conf.marginal, scale=lam)
 
-    # b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n) and its xi_d-derivative
-    arg = p.xi_prime + 1j * p.tau * w.d_tangential
-    c1 = b1.coeff_vector(p.x, arg, metric)
-    c2 = b2.coeff_vector(p.x, arg, metric)
+    # the conjugated symbols' xi_d-coefficients, as in the stability matrix
+    c1 = b1.conjugated_coeff_vector(p, w, metric)
+    c2 = b2.conjugated_coeff_vector(p, w, metric)
 
     def at(rho):
-        z = complex(rho) + 1j * p.tau * w.d_normal
-        return _horner_dz(c1, z), _horner_dz(c2, z)
+        return _horner_dz(c1, complex(rho)), _horner_dz(c2, complex(rho))
 
     if conf.case is RootCase.ONE_UPPER:
         (v1, d1), (v2, d2) = at(conf.upper_roots[0])

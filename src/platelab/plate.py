@@ -29,6 +29,7 @@ __all__ = [
     "Grid",
     "make_grid",
     "SizeLimitError",
+    "IndefiniteError",
     "DiscretePlateOperator",
     "assemble",
     "check_symmetry",
@@ -99,7 +100,6 @@ class DiscretePlateOperator:
     layout: str
     weight: float               # quadrature weight h^d of the grid product
     tensor_factors: Optional[tuple] = None
-    _eigh: Optional[tuple] = None   # 1-D (mu, V), all pairs, grid-orthonormal
 
     @property
     def size(self) -> int:
@@ -327,8 +327,8 @@ def _tensor_pairs(op: DiscretePlateOperator, count: int):
 def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
     """Lowest eigenpairs, ascending, grid-orthonormal eigenvectors; with
     vectors=False, (eigenvalues, None) from the band or the tensor factors.
-    1-D eigenvectors stay on the cached dense eigh: the decay experiments'
-    initial data depend on its LAPACK signs."""
+    1-D eigenvectors come from the dense eigh of the whole matrix: the decay
+    experiments' initial data depend on its LAPACK signs."""
     if count > op.size:
         raise ValueError(f"requested {count} eigenpairs of a size-{op.size} operator")
     if op.tensor_factors is not None:
@@ -339,11 +339,8 @@ def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
                                      eigvals_only=True, select="i",
                                      select_range=(0, max(count, 1) - 1))
         return mu[:count], None
-    if op._eigh is None:
-        mu, V = scipy.linalg.eigh(op.dense())
-        op._eigh = mu, V / math.sqrt(op.weight)
-    mu, V = op._eigh
-    return mu[:count].copy(), V[:, :count].copy()
+    mu, V = scipy.linalg.eigh(op.dense())
+    return mu[:count], V[:, :count] / math.sqrt(op.weight)
 
 
 def _structural_kernel(op: DiscretePlateOperator, nk: int):
@@ -372,22 +369,34 @@ def _structural_kernel(op: DiscretePlateOperator, nk: int):
     return B
 
 
+class IndefiniteError(ValueError):
+    """An operator with an eigenvalue below -1e-8 mu_ref: no plate energy,
+    and no stationary space, is defined for it."""
+
+
 def kernel(op: DiscretePlateOperator):
     """Grid-orthonormal basis of the numerical kernel, whose dimension is the
     number of eigenvalues mu_j <= 1e-8 mu_ref, mu_ref the median of the
-    lowest 16.  The basis is the closed-form one when it covers that
-    dimension, the eigenvectors otherwise.  Empty when mu_0 clears the
-    threshold."""
+    lowest 16, all read from the band or the tensor factors.  The basis is
+    the closed-form one when it covers that dimension, the eigenvectors
+    otherwise.  Empty when mu_0 clears the threshold; IndefiniteError when
+    mu_0 < -1e-8 mu_ref."""
     count = min(16, op.size)
-    mu, V = spectrum(op, count)
+    mu, _ = spectrum(op, count, vectors=False)
     ref = mu[(count + 1) // 2]
     if ref <= 0:
         ref = abs(mu).max()
-    idx = np.where(mu <= 1e-8 * ref)[0]
-    basis = _structural_kernel(op, idx.size) if idx.size else None
+    if mu[0] < -1e-8 * ref:
+        raise IndefiniteError(
+            f"the operator is indefinite: its lowest eigenvalue {mu[0]:.6g} "
+            f"lies below -1e-8 mu_ref = {-1e-8 * ref:.6g}")
+    nk = int(np.count_nonzero(mu <= 1e-8 * ref))
+    if not nk:
+        return []
+    basis = _structural_kernel(op, nk)
     if basis is None:
-        basis = V[:, idx]
-    return [basis[:, k].copy() for k in range(idx.size)]
+        basis = spectrum(op, nk)[1]
+    return [basis[:, k].copy() for k in range(nk)]
 
 
 def clamped_beam_beta(k: int = 1) -> float:

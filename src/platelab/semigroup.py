@@ -135,7 +135,9 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
     alpha_profile: damping values over the unknowns.  Rejects non-finite or
     negative damping, and rejects damping whose weighted Gram matrix on the
     stationary kernel is not positive definite (no projection can then
-    separate the stationary states).
+    separate the stationary states).  An indefinite operator, whose lowest
+    eigenvalue lies below -1e-8 mu_ref, is refused by plate.kernel with
+    plate.IndefiniteError.
     """
     alpha = np.asarray(alpha_profile, dtype=float)
     if alpha.shape != (op.size,):

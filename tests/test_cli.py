@@ -22,6 +22,9 @@ CLAMPED_BC = ("name myclamped\nb1 order 0\nb1 term 0 1 0 0 0\n"
               "b2 order 1\nb2 term 1 0 -1 0 0\n")
 
 
+PLATE_2D = ["--bc", "hinged", "--dim", "2", "--n", "16"]
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -39,6 +42,24 @@ class TestExitCodes:
         code = run_cli("ls-check", "--bc", "degenerate_equal",
                        "--samples", "60", "--out", str(out))
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["ls-check", "--bc", "degenerate_equal", "--samples", "3"],
+        ["subell", "--psi", "parabola:0.1", "--tau0", "0.01", "--ratio-hi",
+         "1e4", "--gamma", "1.0"],
+    ], ids=["ls-check", "subell"])
+    def test_failed_check_writes_one_document(self, args, tmp_path, capsys):
+        assert run_cli(*args) == 1
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)      # one document, not the report twice
+        assert captured.err.startswith("check failed:")
+        if args[0] == "ls-check":
+            assert rep["conjugated"]["counterexample"] is not None
+        # with --out the report lands in the file only
+        out = tmp_path / "r.json"
+        assert run_cli(*args, "--out", str(out)) == 1
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text()) == rep
 
     def test_ls_check_bc_file_alone(self, tmp_path, capsys):
         bc, out = tmp_path / "my.bc", tmp_path / "r.json"
@@ -134,6 +155,16 @@ class TestExitCodes:
           "bump:0.3:0.5:nan"], None, "--alpha"),
         (["resolvent", "--bc", "neumann_pair", "--n", "16", "--alpha",
           "const:0", "--sigma-grid", "0:2:1"], None, "--alpha"),
+        (["resolvent", "--bc", "ex3_dn_dn3_A", "--bc-param-a", "1", "--n",
+          "60", "--sigma-grid", "0:2:1"], None, "--bc-param-a 1.0: the "
+         "operator is indefinite"),
+        (["simulate", "--bc", "ex3_dn_dn3_A", "--bc-param-a", "1", "--n",
+          "60", "--T", "0.1"], None, "--bc-param-a 1.0: the operator is "
+         "indefinite"),
+        (["decay-fit", "--bc", "ex5_dn2A_dn3", "--bc-param-a", "-1"], None,
+         "--bc-param-a -1.0: the operator is indefinite"),
+        (["simulate", "--bc", "ex4_id_dn2_A", "--bc-param-a", "-3", "--T",
+          "0.1"], None, "--bc-param-a -3.0: the operator is indefinite"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -142,7 +173,9 @@ class TestExitCodes:
             "bc-param-inadmissible", "config-n-not-int",
             "config-key-of-ls-check", "bc-with-bc-file",
             "bc-param-a-with-bc-file", "ls-check-tau-nonzero",
-            "alpha-negative", "alpha-nan", "alpha-blind-to-kernel"])
+            "alpha-negative", "alpha-nan", "alpha-blind-to-kernel",
+            "indefinite-resolvent", "indefinite-simulate",
+            "indefinite-decay-fit", "indefinite-tilted-hinge"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -198,8 +231,9 @@ class TestArtifacts:
                        "--count", "5", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         meta = [l for l in lines if l.startswith("#")]
-        assert meta == ["# bc = hinged", "# count = 5", "# dim = 1",
-                        "# length = 1", "# n = 200", "# schema = spectrum-v2"]
+        assert meta == ["# bc = hinged", "# bc_param_a = None", "# count = 5",
+                        "# dim = 1", "# length = 1", "# length_y = None",
+                        "# n = 200", "# n_y = None", "# schema = spectrum-v3"]
         data = np.loadtxt([l for l in lines if not l.startswith("#")][1:],
                           delimiter=",")
         for k in range(1, 6):
@@ -212,9 +246,9 @@ class TestArtifacts:
                        "--n-y", "8", "--length-y", "0.5", "--count", "3",
                        "--out", str(out)) == 0
         meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
-        assert meta == ["# bc = hinged", "# count = 3", "# dim = 2",
-                        "# length = 1", "# length_y = 0.5", "# n = 16",
-                        "# n_y = 8", "# schema = spectrum-v2"]
+        assert meta == ["# bc = hinged", "# bc_param_a = None", "# count = 3",
+                        "# dim = 2", "# length = 1", "# length_y = 0.5",
+                        "# n = 16", "# n_y = 8", "# schema = spectrum-v3"]
 
     def test_spectrum_beyond_dense_cap(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -302,19 +336,46 @@ class TestArtifacts:
         assert "did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd, args, results", [
-        ("simulate", ["--T", "0.1"], {"scheme", "schema"}),
-        ("resolvent", ["--sigma-grid", "0:2:1"],
+        ("simulate", [*PLATE_2D, "--T", "0.1"], {"scheme", "schema"}),
+        ("resolvent", [*PLATE_2D, "--sigma-grid", "0:2:1"],
          {"C", "skipped", "unconverged", "max_iterations", "schema"}),
+        ("spectrum", PLATE_2D, {"schema"}),
+        ("decay-fit", [*PLATE_2D, "--T", "5", "--dt", "0.5"],
+         {"C", "amp", "final_energy", "schema"}),
+        ("catalog", [], {"catalog", "schema"}),
+        ("roots", [], {"case", "marginal", "factors", "quartic_roots",
+                       "schema"}),
+        ("ls-check", ["--bc", "clamped", "--samples", "5"],
+         {"unconjugated", "conjugated", "schema"}),
+        ("subell", ["--gamma", "25", "--region-n", "3"],
+         {"factor_1", "factor_2", "schema"}),
+        ("gamma-search", ["--region-n", "3"],
+         {"gamma0", "margins", "evaluations", "schema"}),
     ])
     def test_csv_header_echoes_every_key(self, cmd, args, results, tmp_path):
-        out = tmp_path / "out.csv"
-        assert run_cli(cmd, "--bc", "hinged", "--dim", "2", "--n", "16",
-                       *args, "--out", str(out)) == 0
-        meta = dict(l[2:].split(" = ") for l in out.read_text().splitlines()
-                    if l.startswith("#"))
+        # every artifact, CSV or JSON, is a manifest of its command's keys
+        out = tmp_path / "out"
+        assert run_cli(cmd, *args, "--out", str(out)) == 0
+        text = out.read_text()
+        if text.startswith("{"):
+            meta = json.loads(text)
+            assert meta["schema"] == f"{cmd}-v2"
+            grid, unset = (2, 16, 1.0), None
+        else:
+            meta = dict(l[2:].split(" = ") for l in text.splitlines()
+                        if l.startswith("#"))
+            grid, unset = ("2", "16", "1"), "None"
         assert set(meta) == set(COMMANDS[cmd][1]) - {"out"} | results
-        assert (meta["dim"], meta["n_y"], meta["length_y"]) == ("2", "16", "1")
-        assert meta["bc_param_a"] == "None"
+        if "--dim" in args:
+            assert (meta["dim"], meta["n_y"], meta["length_y"]) == grid
+            assert meta["bc_param_a"] == unset
+
+    def test_resolvent_beyond_dense_cap(self, tmp_path):
+        # counting the kernel reads the band: no dense eigh at 3,199 unknowns
+        out = tmp_path / "res.csv"
+        assert run_cli("resolvent", "--bc", "clamped", "--n", "3200",
+                       "--sigma-grid", "0:2:1", "--out", str(out)) == 0
+        assert "# unconverged = 0" in out.read_text()
 
     def test_decay_fit_json(self, tmp_path):
         out = tmp_path / "fit.json"

@@ -7,6 +7,10 @@ caller are listed in EXEMPT with the reason.
 
 Field guard: every annotated class field and every `self.NAME =` attribute
 in src/platelab is read somewhere in src/, tests/ or perfbench/.
+
+Manifest guard: every write_json / write_csv call in cli.py passes a
+`_manifest(...)` call as its record, and each of the nine commands that
+writes an artifact makes such a call.
 """
 
 import ast
@@ -122,3 +126,25 @@ def test_every_field_is_read():
     unread = sorted({f"{path.stem}.{cls}.{name}"
                      for path, cls, name in _fields() if name not in reads})
     assert not unread, f"fields never read: {unread}"
+
+
+def test_every_artifact_is_a_manifest():
+    tree = _parse(SRC / "cli.py")
+    writers, bare = set(), []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) in ("write_json",
+                                                           "write_csv"):
+                record = node.args[1] if len(node.args) > 1 else None
+                if isinstance(record, ast.Call) \
+                        and getattr(record.func, "id", None) == "_manifest":
+                    writers.add(fn.name)
+                else:
+                    bare.append(f"{fn.name}:{node.lineno}")
+    assert not bare, f"artifacts written without _manifest: {bare}"
+    assert writers == {"cmd_catalog", "cmd_roots", "cmd_ls_check",
+                       "cmd_subell", "cmd_gamma_search", "cmd_spectrum",
+                       "cmd_simulate", "cmd_resolvent", "cmd_decay_fit"}

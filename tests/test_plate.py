@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from platelab.plate import (
     DiscretePlateOperator,
+    IndefiniteError,
     SizeLimitError,
     assemble,
     catalog_families,
@@ -335,6 +336,16 @@ class TestKernel:
         op2 = DiscretePlateOperator(op1.grid, "neumann_pair", M, nodes,
                                     "cell", op1.weight)
         assert len(kernel(op2)) == 2
+
+    def test_indefinite_operator_refused(self):
+        # a parameter outside the nonnegative range: mu_0 < 0 is no
+        # stationary mode
+        for name, a in (("ex3_dn_dn3_A", 1.0), ("ex5_dn2A_dn3", -1.0),
+                        ("ex4_id_dn2_A", -3.0)):
+            op = assemble(GRID, name, params={"a": a})
+            assert spectrum(op, 1, vectors=False)[0][0] < 0, name
+            with pytest.raises(IndefiniteError, match="indefinite"):
+                kernel(op)
 
 
 class TestExternalInterfaces:

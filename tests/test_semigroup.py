@@ -17,7 +17,6 @@ from platelab.plate import (
 from platelab.semigroup import (
     DampingError,
     EnergyLog,
-    Generator,
     MidpointStepper,
     StateVector,
     build_generator,
@@ -234,8 +233,9 @@ class TestStepper:
         assert mu.size == 5
         assert spectrum(op2, 5)[1].shape == (op2.size, 5)
         assert kernel(op2) == []
-        gen1 = Generator(op1, bump_alpha(op1), np.zeros((op1.size, 0)))
+        gen1 = build_generator(op1, bump_alpha(op1))
         gen2 = build_generator(op2, bump_alpha(op2))
+        assert gen1.kernel_dim == 0
         for gen in (gen1, gen2):
             Y = StateVector(np.ones(gen.size), np.zeros(gen.size))
             Z, _ = MidpointStepper(gen, 0.5).advance(Y)
