@@ -209,9 +209,6 @@ def cmd_roots(cfg):
 
 
 def cmd_ls_check(cfg):
-    if cfg["tau"] not in (None, 0.0):
-        raise ConfigError(f"--tau takes only 0, which prints the unconjugated "
-                          f"determinant; got {cfg['tau']}")
     name, (b1, b2), _ = _bc_pair(cfg, cfg["bc_file"])
     x0 = np.array([0.0, 0.0])
 
@@ -224,16 +221,18 @@ def cmd_ls_check(cfg):
             unconjugated.append(rec)
             failed += not rep.verdict
 
-    if cfg["tau"] == 0.0:
-        rep = lscheck.ls_unconjugated(b1, b2, x0, [1.0])
-        print(f"unconjugated determinant at |omega'| = 1: "
-              f"{fmt(rep.determinant.real)}{rep.determinant.imag:+.17g}j")
+    perturbation = []
+    for sgn in (1.0, -1.0):
+        radius = lscheck.perturbation_margin(b1, b2, x0, [sgn])
+        perturbation.append({"omega_prime": sgn, "radius": radius,
+                             "capped": radius == lscheck.PERTURBATION_CAP})
 
     conj = lscheck.sample_conjugated(b1, b2, cfg["samples"], cfg["seed"],
                                      cfg["kappa0"], cfg["mu0"], cfg["mu1"])
     failed += conj["counterexample"] is not None
     write_json(cfg["out"], _manifest(cfg, bc=name, unconjugated=unconjugated,
-                                     conjugated=conj, schema="ls-check-v2"))
+                                     perturbation_radius=perturbation,
+                                     conjugated=conj, schema="ls-check-v3"))
     if failed:
         raise CheckFailure(f"{failed} check(s) failed")
     return EXIT_OK
@@ -259,6 +258,8 @@ def cmd_subell(cfg):
         try:
             rep = weights.subellipticity_check(wf, j, grid, (tau0, ratio_hi), tau0=tau0)
         except ValueError as exc:   # dphi = 0 at a region point
+            write_json(cfg["out"], _manifest(cfg, failure=str(exc),
+                                             schema="subell-v2"))
             raise CheckFailure(str(exc))
         out[f"factor_{j}"] = {"margin": rep.margin, "vacuous": rep.vacuous,
                               "characteristic_samples": len(rep.samples),
@@ -276,6 +277,8 @@ def cmd_gamma_search(cfg):
         res = weights.gamma_search(psi, cfg["tau0"], grid,
                                    ratio_hi=cfg["ratio_hi"])
     except (ValueError, RuntimeError) as exc:
+        write_json(cfg["out"], _manifest(cfg, failure=str(exc),
+                                         schema="gamma-search-v2"))
         raise CheckFailure(str(exc))
     write_json(cfg["out"], _manifest(cfg, gamma0=res.gamma0,
                                      margins=res.margins,
@@ -477,7 +480,7 @@ COMMANDS = {
                           "dphi_normal": 1.0, "dphi_tangential": 0.0,
                           "out": None}),
     "ls-check": (cmd_ls_check, {**_BC, "bc_file": None, "seed": 0,
-                                "samples": 200, "tau": None, "kappa0": 1.0,
+                                "samples": 200, "kappa0": 1.0,
                                 "mu0": 0.25, "mu1": 0.25, "out": None}),
     "subell": (cmd_subell, {**_REGION, "gamma": 1.0, "out": None}),
     "gamma-search": (cmd_gamma_search, {**_REGION, "out": None}),

@@ -12,9 +12,8 @@ positivity margin provide two more routes to the same verdict.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,10 +39,15 @@ __all__ = [
     "positivity_margin",
     "sample_conjugated",
     "perturbation_margin",
-    "conjugation_thresholds",
 ]
 
 DEFAULT_MARGIN_TOL = 1e-8
+
+# perturbation_margin: frozen sample directions, the largest radius tried
+# (the cap), and bisection steps below it
+PERTURBATION_DIRECTIONS = 64
+PERTURBATION_CAP = 1.0
+PERTURBATION_BISECTIONS = 14
 
 
 @dataclass(frozen=True)
@@ -57,28 +61,24 @@ class TangentialTerm:
 class ParameterSymbol:
     """Homogeneous tangential symbol a'(x, xi') of a declared degree.
 
-    The default scalar form is c * xi'_1 * r(x,xi')^((deg-1)/2) for odd
-    degrees and c * r(x,xi')^(deg/2) for even ones: polynomial in xi', hence
-    well defined for the complex arguments produced by conjugation.
-    A custom callable may be supplied; it must accept complex xi'.
+    The scalar form is c * xi'_1 * r(x,xi')^((deg-1)/2) for odd degrees
+    and c * r(x,xi')^(deg/2) for even ones: polynomial in xi', hence well
+    defined for the complex arguments produced by conjugation.  An (m, tdim)
+    stack of xi' gives m values.
     """
 
-    def __init__(self, degree: int, scale: float = 1.0,
-                 func: Optional[Callable] = None):
+    def __init__(self, degree: int, scale: float = 1.0):
         self.degree = int(degree)
         self.scale = float(scale)
-        self.func = func
 
     def __call__(self, x, xi, metric: MetricField):
-        if self.func is not None:
-            return self.func(x, xi, metric)
         xi = np.asarray(xi)
         if self.degree == 0:
             return self.scale
+        r = np.asarray(metric.r(x, xi), dtype=complex)
         if self.degree % 2 == 0:
-            return self.scale * complex(metric.r(x, xi)) ** (self.degree // 2)
-        lead = complex(xi[0])
-        return self.scale * lead * complex(metric.r(x, xi)) ** ((self.degree - 1) // 2)
+            return self.scale * r ** (self.degree // 2)
+        return self.scale * xi[..., 0] * r ** ((self.degree - 1) // 2)
 
 
 class BoundaryOperatorSymbol:
@@ -114,20 +114,23 @@ class BoundaryOperatorSymbol:
 
     def coeff_vector(self, x, xi, metric: Optional[MetricField] = None) -> np.ndarray:
         """Coefficients (c_0, ..., c_3) of the polynomial in xi_d at frozen
-        (x, xi'); xi' may be complex."""
-        metric = metric or MetricField.euclidean(np.asarray(xi).size)
-        out = np.zeros(4, dtype=complex)
+        (x, xi'); xi' may be complex.  An (m, tdim) stack of xi' gives an
+        (m, 4) array; a tdim-vector is the m = 1 case and gives a 4-vector."""
+        xi = np.asarray(xi)
+        rows = xi.reshape(-1, xi.shape[-1])
+        metric = metric or MetricField.euclidean(xi.shape[-1])
+        out = np.zeros((len(rows), 4), dtype=complex)
         for m, entries in self.terms.items():
             acc = 0.0 + 0.0j
             for t in entries:
                 val = complex(t.coef)
                 if t.r_power:
-                    val *= complex(metric.r(x, xi)) ** t.r_power
+                    val = val * np.asarray(metric.r(x, rows), dtype=complex) ** t.r_power
                 if t.a_power:
-                    val *= complex(self.aprime(x, xi, metric)) ** t.a_power
-                acc += val
-            out[m] = acc
-        return out
+                    val = val * self.aprime(x, rows, metric) ** t.a_power
+                acc = acc + val
+            out[:, m] = acc
+        return out.reshape(xi.shape[:-1] + (4,))
 
     def conjugated_coeff_vector(self, p: TangentialPoint, w: WeightJet,
                                 metric: Optional[MetricField] = None) -> np.ndarray:
@@ -145,10 +148,12 @@ class BoundaryOperatorSymbol:
         return out
 
 
-def _horner_dz(c, z: complex) -> tuple:
-    """Value and xi_d-derivative at z of the cubic with coefficients c."""
-    return (c[0] + z * (c[1] + z * (c[2] + z * c[3])),
-            c[1] + z * (2.0 * c[2] + z * 3.0 * c[3]))
+def _horner_dz(c, z) -> tuple:
+    """Value and xi_d-derivative at z of the cubic with coefficients c; row
+    by row for an (m, 4) stack of c with a scalar or (m,) z."""
+    c0, c1, c2, c3 = np.moveaxis(c, -1, 0)
+    return (c0 + z * (c1 + z * (c2 + z * c3)),
+            c1 + z * (2.0 * c2 + z * 3.0 * c3))
 
 
 _CATALOG = {}
@@ -562,125 +567,58 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
 
 def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                         x, xi_prime, metric: Optional[MetricField] = None,
-                        sample_budget: int = 64, seed: int = 0,
-                        eps_hi: float = 1.0, iters: int = 14) -> float:
-    """Largest eps (on a bisected grid) such that both perturbed determinant
-    lower bounds hold with C1 = half the unperturbed margin, over sampled
-    complex perturbations with |zeta'| + |delta| + |delta~| = eps |xi'|_x.
+                        seed: int = 0) -> float:
+    """Largest eps (on a bisected grid below PERTURBATION_CAP) such that
+    both perturbed determinant lower bounds hold with C1 = half the
+    unperturbed margin, over sampled complex perturbations with
+    |zeta'| + |delta| + |delta~| = eps |xi'|_x.
 
     Sample directions are drawn once from a fixed seed and rescaled, so the
-    search is reproducible and monotone in eps.  Returns 0 with a warning
-    when the unperturbed margin is already below tolerance.
+    search is reproducible and monotone in eps; each trial eps is one array
+    pass over all directions.  Returns 0 when the unperturbed margin is
+    already below tolerance.
     """
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
     metric = metric or MetricField.euclidean(xi_prime.size)
     base = ls_unconjugated(b1, b2, x, xi_prime, metric)
     if base.margin <= DEFAULT_MARGIN_TOL:
-        warnings.warn("unperturbed margin below tolerance; no perturbation radius")
         return 0.0
     c1 = 0.5 * base.margin
     nrm = base.scale
     power = b1.order + b2.order - 1
 
-    rng = np.random.default_rng(seed)
+    # row k holds direction k's draws in the order of one draw per
+    # direction: Re zeta', Im zeta', then delta and delta~ (Re, Im each)
     tdim = xi_prime.size
-    dirs = []
-    for _ in range(sample_budget):
-        zeta = rng.normal(size=tdim) + 1j * rng.normal(size=tdim)
-        delta = complex(rng.normal(), rng.normal())
-        delta2 = complex(rng.normal(), rng.normal())
-        total = np.linalg.norm(zeta) + abs(delta) + abs(delta2)
-        dirs.append((zeta / total, delta / total, delta2 / total))
+    g = np.random.default_rng(seed).normal(
+        size=(PERTURBATION_DIRECTIONS, 2 * tdim + 4))
+    zeta = g[:, :tdim] + 1j * g[:, tdim:2 * tdim]
+    delta = g[:, -4] + 1j * g[:, -3]
+    delta2 = g[:, -2] + 1j * g[:, -1]
+    total = np.linalg.norm(zeta, axis=1) + np.abs(delta) + np.abs(delta2)
+    zeta, delta, delta2 = zeta / total[:, None], delta / total, delta2 / total
 
     def ok(eps: float) -> bool:
-        for zeta, delta, delta2 in dirs:
-            zp = xi_prime + eps * nrm * zeta
-            zd = 1j * nrm + eps * nrm * delta
-            zd2 = 1j * nrm + eps * nrm * delta2
-            cv1 = b1.coeff_vector(x, zp, metric)
-            cv2 = b2.coeff_vector(x, zp, metric)
-            (v1, d1), (v2, d2) = _horner_dz(cv1, zd), _horner_dz(cv2, zd)
-            det1 = v1 * d2 - v2 * d1
-            if abs(det1) < c1 * nrm ** power:
-                return False
-            det2 = v1 * _horner_dz(cv2, zd2)[0] - v2 * _horner_dz(cv1, zd2)[0]
-            if abs(det2) < c1 * abs(eps * nrm * (delta - delta2)) * nrm ** (power - 1):
-                return False
-        return True
+        h = eps * nrm
+        zp = xi_prime + h * zeta
+        zd = 1j * nrm + h * delta
+        zd2 = 1j * nrm + h * delta2
+        cv1 = b1.coeff_vector(x, zp, metric)
+        cv2 = b2.coeff_vector(x, zp, metric)
+        (v1, d1), (v2, d2) = _horner_dz(cv1, zd), _horner_dz(cv2, zd)
+        det1 = v1 * d2 - v2 * d1
+        det2 = v1 * _horner_dz(cv2, zd2)[0] - v2 * _horner_dz(cv1, zd2)[0]
+        fails = (np.abs(det1) < c1 * nrm ** power) | (
+            np.abs(det2) < c1 * np.abs(h * (delta - delta2)) * nrm ** (power - 1))
+        return not fails.any()
 
-    if ok(eps_hi):
-        return eps_hi
-    lo, hi = 0.0, eps_hi
-    for _ in range(iters):
+    if ok(PERTURBATION_CAP):
+        return PERTURBATION_CAP
+    lo, hi = 0.0, PERTURBATION_CAP
+    for _ in range(PERTURBATION_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
         else:
             hi = mid
     return lo
-
-
-def conjugation_thresholds(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                           boundary_sample: Sequence, kappa_grid: Sequence[float],
-                           metric: Optional[MetricField] = None,
-                           tdim: int = 1, nsamples: int = 60, seed: int = 0
-                           ) -> tuple:
-    """Empirical thresholds (mu0, mu1): largest grid values such that the
-    conjugated condition holds at every sampled point with
-    |dphi_t| <= mu0 dphi_n and sigma <= mu1 tau dphi_n.
-
-    Scans kappa_grid in decreasing order, mu0 outer, mu1 inner, and returns
-    the first fully passing pair; (0, 0) when the unconjugated condition
-    already fails somewhere on the boundary sample.
-    """
-    boundary_sample = list(boundary_sample)
-    if not boundary_sample:
-        raise ValueError("boundary sample is empty")
-    metric = metric or MetricField.euclidean(tdim)
-    rng = np.random.default_rng(seed)
-
-    for x in boundary_sample:
-        for _ in range(8):
-            om = rng.normal(size=tdim)
-            if np.linalg.norm(om) == 0:
-                continue
-            if not ls_unconjugated(b1, b2, x, om, metric).verdict:
-                return (0.0, 0.0)
-
-    # frozen sample of directions/ratios reused for every candidate pair
-    draws = []
-    for _ in range(nsamples):
-        draws.append((rng.normal(size=tdim),         # xi' direction
-                      float(rng.uniform(0.05, 1.0)),  # |d_t phi| fraction of mu0
-                      rng.normal(size=tdim),          # d_t phi direction
-                      float(rng.uniform(0.0, 1.0)),   # sigma fraction of mu1*tau
-                      float(10.0 ** rng.uniform(-1.5, 1.5))))  # tau / |xi'|
-
-    grid = sorted((float(k) for k in kappa_grid), reverse=True)
-
-    def passes(mu0: float, mu1: float) -> bool:
-        for x in boundary_sample:
-            for om, f0, dt_dir, f1, ratio in draws:
-                nrm = np.linalg.norm(om)
-                if nrm == 0:
-                    continue
-                xi = om / nrm
-                tau = ratio
-                dn = 1.0
-                dt = np.zeros(tdim) if np.linalg.norm(dt_dir) == 0 else \
-                    mu0 * f0 * dn * dt_dir / np.linalg.norm(dt_dir)
-                sigma = mu1 * f1 * tau * dn
-                pt = TangentialPoint(np.asarray(x, dtype=float), xi, tau, sigma)
-                jet = WeightJet(1.0, dt, dn)
-                rep = ls_conjugated(b1, b2, jet, pt, metric)
-                # marginal samples sit on classification boundaries; only a
-                # definite failure disqualifies the candidate pair
-                if rep.verdict is False:
-                    return False
-        return True
-
-    for mu0 in grid:
-        for mu1 in grid:
-            if passes(mu0, mu1):
-                return (mu0, mu1)
-    return (0.0, 0.0)

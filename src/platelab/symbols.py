@@ -109,13 +109,14 @@ class MetricField:
         return np.asarray(self._dginv(x), dtype=float)
 
     def bilinear(self, x, a, b):
-        """Symmetric bilinear form r~(x, a, b); complex arguments allowed."""
+        """Symmetric bilinear form r~(x, a, b); complex arguments allowed.
+        Row-wise on (m, tdim) stacks of a and b, giving m values."""
         if self.tdim == 0:
             return 0.0
         a = np.asarray(a)
         b = np.asarray(b)
         g = self.gmatrix(x)
-        return (a @ g @ b)
+        return np.matmul((a @ g)[..., None, :], b[..., :, None])[..., 0, 0]
 
     def r(self, x, xi):
         """Quadratic form r(x, xi); bilinear extension for complex xi."""

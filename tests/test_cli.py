@@ -197,11 +197,15 @@ class TestExitCodes:
     def test_subell_critical_point_fails_the_check(self, args, point, tmp_path,
                                                    capsys):
         # no characteristic solve exists where dphi = 0; gamma-search names
-        # such a point too
+        # such a point too, and each failed run writes its manifest
         for cmd in ("subell", "gamma-search"):
-            assert run_cli(cmd, *args, "--out", str(tmp_path / "out")) == 1
+            out = tmp_path / f"{cmd}.json"
+            assert run_cli(cmd, *args, "--out", str(out)) == 1
             err = capsys.readouterr().err
             assert err.startswith("check failed:") and point in err, cmd
+            rep = json.loads(out.read_text())
+            assert point in rep["failure"], cmd
+            assert rep["schema"] == f"{cmd}-v2" and rep["psi"] == args[1], cmd
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "bump:0.3"],
@@ -216,12 +220,15 @@ class TestExitCodes:
         assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
         assert "bad spec" in capsys.readouterr().err
 
-    def test_tau_zero_prints_determinant(self, capsys, tmp_path):
-        out = tmp_path / "r.json"
-        assert run_cli("ls-check", "--bc", "hinged", "--tau", "0",
-                       "--samples", "20", "--out", str(out)) == 0
-        text = capsys.readouterr().out
-        assert "-2" in text
+    def test_ls_check_stdout_is_one_document(self, capsys):
+        # the determinant at omega' = 1 is in the report, and --tau is not
+        # an ls-check key
+        assert run_cli("ls-check", "--bc", "hinged", "--samples", "20") == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert [r["determinant"] for r in rep["unconjugated"]
+                if r["omega_prime"] == 1.0] == [{"re": 0.0, "im": -2.0}]
+        assert run_cli("ls-check", "--bc", "hinged", "--tau", "0") == 2
+        assert "--tau" in capsys.readouterr().err
 
 
 class TestArtifacts:
@@ -346,7 +353,7 @@ class TestArtifacts:
         ("roots", [], {"case", "marginal", "factors", "quartic_roots",
                        "schema"}),
         ("ls-check", ["--bc", "clamped", "--samples", "5"],
-         {"unconjugated", "conjugated", "schema"}),
+         {"unconjugated", "perturbation_radius", "conjugated", "schema"}),
         ("subell", ["--gamma", "25", "--region-n", "3"],
          {"factor_1", "factor_2", "schema"}),
         ("gamma-search", ["--region-n", "3"],
@@ -359,7 +366,8 @@ class TestArtifacts:
         text = out.read_text()
         if text.startswith("{"):
             meta = json.loads(text)
-            assert meta["schema"] == f"{cmd}-v2"
+            assert meta["schema"] == (f"{cmd}-v3" if cmd == "ls-check"
+                                      else f"{cmd}-v2")
             grid, unset = (2, 16, 1.0), None
         else:
             meta = dict(l[2:].split(" = ") for l in text.splitlines()
@@ -405,6 +413,22 @@ class TestArtifacts:
         rep = json.loads(out.read_text())
         names = {e["name"] for e in rep["catalog"]}
         assert {"hinged", "clamped", "neumann_pair"} <= names
+
+    def test_ls_check_perturbation_radius(self, tmp_path):
+        # LS is an open condition: the radius at omega' = +-1 reaches the
+        # cap for clamped and is 0 for a pair that already fails
+        radii = {}
+        for bc, code in (("clamped", 0), ("degenerate_equal", 1)):
+            out = tmp_path / f"{bc}.json"
+            assert run_cli("ls-check", "--bc", bc, "--samples", "5",
+                           "--out", str(out)) == code
+            radii[bc] = json.loads(out.read_text())["perturbation_radius"]
+        assert radii == {
+            "clamped": [{"omega_prime": 1.0, "radius": 1.0, "capped": True},
+                        {"omega_prime": -1.0, "radius": 1.0, "capped": True}],
+            "degenerate_equal": [
+                {"omega_prime": 1.0, "radius": 0.0, "capped": False},
+                {"omega_prime": -1.0, "radius": 0.0, "capped": False}]}
 
     def test_subell_and_gamma_search(self, tmp_path):
         out = tmp_path / "g.json"

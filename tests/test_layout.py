@@ -20,12 +20,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "platelab"
 
 EXEMPT = {
-    "perturbation_margin": "paper quantity (LS is an open condition); "
-                           "CLI wiring is ROADMAP item 4",
-    "conjugation_thresholds": "paper quantity (the (mu0, mu1) regime); "
-                              "CLI wiring is ROADMAP item 4",
-    "build_global_weight": "paper quantity (global Carleman weight); "
-                           "CLI wiring is ROADMAP item 4",
+    "build_global_weight": "paper quantity (global Carleman weight); its "
+                           "CLI caller needs an --exclusion option for "
+                           "subell and gamma-search (ROADMAP)",
     "factor_symbol_eval": "reference evaluation that tests compare against",
 }
 

@@ -1,6 +1,7 @@
 """Boundary catalog determinants and the three routes to the LS verdict."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from platelab.lscheck import (
     TangentialTerm,
     catalog_bc,
     catalog_names,
-    conjugation_thresholds,
     load_bc_file,
     ls_conjugated,
     ls_rank_oracle,
@@ -22,6 +22,7 @@ from platelab.lscheck import (
     sample_conjugated,
 )
 from platelab.symbols import MetricField, RootCase, TangentialPoint, WeightJet
+from test_symbols import variable_metric
 
 X0 = np.array([0.0, 0.0])
 
@@ -101,10 +102,10 @@ class TestCatalog:
                     1e-12 * max(abs(expected), 1.0)
 
     def test_excluded_equality_case(self):
-        # a' == -2|omega'| is rejected by the catalog; built directly, the
-        # determinant collapses to zero and the condition fails
-        ap = ParameterSymbol(1, -2.0,
-                             func=lambda x, xi, m: -2.0 * np.sqrt(m.r(x, xi)))
+        # a' == -2|omega'| is rejected by the catalog; built directly
+        # (a' = -2 xi'_1 is -2 at omega' = 1), the determinant collapses to
+        # zero and the condition fails
+        ap = ParameterSymbol(1, -2.0)
         b1 = BoundaryOperatorSymbol("ex4_b1", 0, {0: [TangentialTerm(1.0)]})
         b2 = BoundaryOperatorSymbol("ex4_b2", 2, {
             2: [TangentialTerm(-1.0)],
@@ -139,6 +140,22 @@ class TestCatalog:
                     assert abs(polyval(t * zd, b.coeff_vector(x, t * xi))
                                - scaled) <= \
                         1e-10 * max(abs(scaled), 1e-300), b.name
+
+    @pytest.mark.parametrize("tdim", [1, 2])
+    def test_coeff_vector_stack_rows_are_points(self, tdim, rng):
+        # a single xi' is the m = 1 case of the stacked path, bit for bit,
+        # for real and for complex (conjugated) arguments
+        metric = variable_metric() if tdim == 2 else None
+        for name in catalog_names(include_fixtures=True):
+            x = rng.normal(size=tdim + 1)
+            re, im = rng.normal(size=(2, 20, tdim))
+            for b in catalog_bc(name, metric=metric, tdim=tdim):
+                for xs in (re, re + 1j * im):
+                    stack = b.coeff_vector(x, xs, metric)
+                    assert stack.shape == (20, 4)
+                    for xi, row in zip(xs, stack):
+                        assert row.tobytes() == \
+                            b.coeff_vector(x, xi, metric).tobytes(), b.name
 
     def test_homogeneity_construction_guard(self):
         with pytest.raises(ValueError):
@@ -312,10 +329,29 @@ class TestPerturbation:
         assert eps > 0
 
     def test_zero_margin_pair(self):
+        # a failing pair has radius 0 as data, with no warning
         d1, d2 = catalog_bc("degenerate_equal")
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             eps = perturbation_margin(d1, d2, X0, [1.0])
         assert eps == 0.0
+
+    @pytest.mark.parametrize("name, radii", [
+        ("clamped", (1.0, 1.0)),
+        ("hinged", (0.72869873046875, 0.72869873046875)),
+        ("neumann_pair", (0.29815673828125, 0.29815673828125)),
+        ("ex2_dn2_dn3", (0.33197021484375, 0.34588623046875)),
+        ("ex3_dn_dn3_A", (0.59234619140625, 0.16290283203125)),
+        ("ex4_id_dn2_A", (1.0, 0.42987060546875)),
+        ("ex5_dn2A_dn3", (0.36407470703125, 0.343505859375)),
+        ("degenerate_equal", (0.0, 0.0)),
+    ])
+    def test_radii_at_unit_frequency(self, name, radii):
+        # the values of the former per-direction loop at omega' = +1, -1:
+        # bisection grid points, so exact
+        b1, b2 = catalog_bc(name)
+        assert tuple(perturbation_margin(b1, b2, X0, [s])
+                     for s in (1.0, -1.0)) == radii
 
     def test_dilation_invariance(self):
         b1, b2 = catalog_bc("clamped")
@@ -328,27 +364,3 @@ class TestPerturbation:
         vals = {perturbation_margin(b1, b2, X0, [1.0], seed=11) for _ in range(3)}
         assert len(vals) == 1
 
-
-class TestThresholds:
-    GRID = [0.5, 0.25, 0.125, 0.0625]
-
-    def test_clamped_strictly_positive(self):
-        b1, b2 = catalog_bc("clamped")
-        mu0, mu1 = conjugation_thresholds(b1, b2, [X0], self.GRID,
-                                          nsamples=40, seed=5)
-        assert mu0 > 0 and mu1 > 0
-
-    def test_hinged_strictly_positive(self):
-        b1, b2 = catalog_bc("hinged")
-        mu0, mu1 = conjugation_thresholds(b1, b2, [X0], self.GRID,
-                                          nsamples=40, seed=5)
-        assert mu0 > 0 and mu1 > 0
-
-    def test_failing_pair_returns_zero(self):
-        d1, d2 = catalog_bc("degenerate_equal")
-        assert conjugation_thresholds(d1, d2, [X0], self.GRID) == (0.0, 0.0)
-
-    def test_empty_sample_rejected(self):
-        b1, b2 = catalog_bc("clamped")
-        with pytest.raises(ValueError):
-            conjugation_thresholds(b1, b2, [], self.GRID)
