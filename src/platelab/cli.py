@@ -232,7 +232,7 @@ def cmd_ls_check(cfg):
     failed += conj["counterexample"] is not None
     write_json(cfg["out"], _manifest(cfg, bc=name, unconjugated=unconjugated,
                                      perturbation_radius=perturbation,
-                                     conjugated=conj, schema="ls-check-v3"))
+                                     conjugated=conj, schema="ls-check-v4"))
     if failed:
         raise CheckFailure(f"{failed} check(s) failed")
     return EXIT_OK
@@ -380,7 +380,7 @@ def cmd_simulate(cfg):
     rows = list(zip(log.times.tolist(), log.energies.tolist(),
                     log.dissipations.tolist()))
     write_csv(cfg["out"], _manifest(cfg, op, scheme=log.scheme,
-                                    schema="energylog-v2"),
+                                    schema="energylog-v3"),
               ["t", "energy", "dissipation"], rows)
     return EXIT_OK
 

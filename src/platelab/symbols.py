@@ -61,6 +61,8 @@ class MetricField:
         self.tdim = int(tdim)
         self._ginv = ginv
         self._dginv = dginv
+        self._eye = np.eye(self.tdim)
+        self._eye.flags.writeable = False
 
     @classmethod
     def euclidean(cls, tdim: int) -> "MetricField":
@@ -95,7 +97,7 @@ class MetricField:
 
     def gmatrix(self, x) -> np.ndarray:
         if self._ginv is None:
-            return np.eye(self.tdim)
+            return self._eye
         g = np.asarray(self._ginv(np.asarray(x, dtype=float)))
         if g.shape != (self.tdim, self.tdim):
             raise ValueError(f"metric returned shape {g.shape}, expected {(self.tdim, self.tdim)}")

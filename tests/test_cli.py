@@ -290,6 +290,19 @@ class TestArtifacts:
         assert data.shape[0] == 101 and e[-1] < e[0]
         assert abs(diss.sum() * dt - (e[0] - e[-1])) <= 1e-10 * e[0]
 
+    def test_simulate_log_every_closes_ledger(self, tmp_path):
+        # a row every 10 steps carries the mean rate since the previous
+        # row, so sum(dissipation * dt between rows) still telescopes
+        out = tmp_path / "log.csv"
+        assert run_cli("simulate", "--bc", "clamped", "--n", "100",
+                       "--T", "500", "--dt", "0.5", "--log-every", "10",
+                       "--out", str(out)) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        data = np.loadtxt(lines[1:], delimiter=",")
+        t, e, diss = data[:, 0], data[:, 1], data[:, 2]
+        assert data.shape[0] == 101
+        assert abs(np.sum(diss[1:] * np.diff(t)) - (e[0] - e[-1])) <= 1e-8 * e[0]
+
     def test_resolvent_table(self, tmp_path):
         out = tmp_path / "res.csv"
         assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
@@ -366,7 +379,7 @@ class TestArtifacts:
         text = out.read_text()
         if text.startswith("{"):
             meta = json.loads(text)
-            assert meta["schema"] == (f"{cmd}-v3" if cmd == "ls-check"
+            assert meta["schema"] == (f"{cmd}-v4" if cmd == "ls-check"
                                       else f"{cmd}-v2")
             grid, unset = (2, 16, 1.0), None
         else:

@@ -8,6 +8,9 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from platelab.lscheck import (
+    PERTURBATION_CAP,
+    PERTURBATION_FLOOR,
+    PERTURBATION_RADII,
     BoundaryOperatorSymbol,
     ParameterSymbol,
     TangentialTerm,
@@ -338,20 +341,31 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("name, radii", [
         ("clamped", (1.0, 1.0)),
-        ("hinged", (0.72869873046875, 0.72869873046875)),
-        ("neumann_pair", (0.29815673828125, 0.29815673828125)),
-        ("ex2_dn2_dn3", (0.33197021484375, 0.34588623046875)),
-        ("ex3_dn_dn3_A", (0.59234619140625, 0.16290283203125)),
-        ("ex4_id_dn2_A", (1.0, 0.42987060546875)),
-        ("ex5_dn2A_dn3", (0.36407470703125, 0.343505859375)),
+        ("hinged", (0.6958564947100445, 0.6958564947100445)),
+        ("neumann_pair", (0.2914519256800991, 0.2914519256800991)),
+        ("ex2_dn2_dn3", (0.31337402238589046, 0.33694503022121597)),
+        ("ex3_dn_dn3_A", (0.5597981979123284, 0.15174079748634944)),
+        ("ex4_id_dn2_A", (1.0, 0.4188391254457479)),
+        ("ex5_dn2A_dn3", (0.3622889750924289, 0.33694503022121597)),
         ("degenerate_equal", (0.0, 0.0)),
     ])
     def test_radii_at_unit_frequency(self, name, radii):
-        # the values of the former per-direction loop at omega' = +1, -1:
-        # bisection grid points, so exact
+        # the values at omega' = +1, -1, exact: 0 or a point of the grid of
+        # PERTURBATION_RADII log-spaced radii from the floor to the cap
+        grid = np.geomspace(PERTURBATION_FLOOR, PERTURBATION_CAP,
+                            PERTURBATION_RADII)
         b1, b2 = catalog_bc(name)
-        assert tuple(perturbation_margin(b1, b2, X0, [s])
-                     for s in (1.0, -1.0)) == radii
+        got = tuple(perturbation_margin(b1, b2, X0, [s]) for s in (1.0, -1.0))
+        assert got == radii
+        assert all(r in (0.0, *grid) for r in got)
+
+    def test_near_failure_not_capped(self):
+        # |det| = 0.01 at omega' = +1: the bounds fail at radii between
+        # about 3e-3 and 0.1 yet hold at 1, where a search that trusts
+        # eps = 1 would stop and report the cap
+        b1, b2 = catalog_bc("ex4_id_dn2_A", {"a": -1.99})
+        eps = perturbation_margin(b1, b2, X0, [1.0])
+        assert 0.0 < eps < 0.01
 
     def test_dilation_invariance(self):
         b1, b2 = catalog_bc("clamped")

@@ -155,8 +155,9 @@ class TestStepper:
         crossings = []
         prev = Y.y[probe]
         stepper = MidpointStepper(gen, dt)
+        Py = op.apply(Y.y)
         for k in range(1, int(2.5 * 2 * math.pi / omega / dt)):
-            Y, _ = stepper.advance(Y)
+            Y, Py, _ = stepper.advance(Y, Py)
             cur = Y.y[probe]
             if prev > 0 >= cur or prev < 0 <= cur:
                 frac = prev / (prev - cur)
@@ -171,7 +172,7 @@ class TestStepper:
         phi0 = gen.kernel_damped[:, 0]
         Y = StateVector(phi0, np.zeros_like(phi0))
         dt = 0.7
-        Y1 = MidpointStepper(gen, dt).advance(Y)[0]
+        Y1 = MidpointStepper(gen, dt).advance(Y, gen.op.apply(Y.y))[0]
         # P phi0 cancels to eps * |P| * |phi0| in the matvec; the step can
         # move the state by no more than the propagated solve noise
         floor = 50 * np.finfo(float).eps * np.abs(gen.op.matrix.data).max() \
@@ -188,7 +189,7 @@ class TestStepper:
             Z = Y.copy()
             for _ in range(50):
                 e_before = energy(Z, gen)
-                Z, diss = stepper.advance(Z)
+                Z, _, diss = stepper.advance(Z, gen.op.apply(Z.y))
                 e_after = energy(Z, gen)
                 lhs = (e_after - e_before) / dt
                 assert lhs == pytest.approx(-diss, rel=1e-7, abs=1e-9 * e_before)
@@ -198,7 +199,7 @@ class TestStepper:
         gen = build_generator(op, np.zeros(op.size))
         Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
         n0 = hdot_norm(gen, Y)
-        Y1 = MidpointStepper(gen, 0.05).advance(Y)[0]
+        Y1 = MidpointStepper(gen, 0.05).advance(Y, op.apply(Y.y))[0]
         assert hdot_norm(gen, Y1) == pytest.approx(n0, rel=1e-10)
 
     def test_dt_validation(self, clamped_gen):
@@ -213,7 +214,7 @@ class TestStepper:
         gen = build_generator(op, bump_alpha(op))
         dt = 0.01
         Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
-        Z, _ = MidpointStepper(gen, dt).advance(Y)
+        Z = MidpointStepper(gen, dt).advance(Y, op.apply(Y.y))[0]
         P, a = op.dense(), gen.alpha
         S = np.eye(op.size) + (dt ** 2 / 4) * P + (dt / 2) * np.diag(a)
         rhs = Y.v - (dt ** 2 / 4) * (P @ Y.v) - (dt / 2) * a * Y.v - dt * (P @ Y.y)
@@ -221,6 +222,27 @@ class TestStepper:
         assert np.abs(Z.v - v).max() <= 1e-12 * np.abs(v).max()
         y = Y.y + (dt / 2) * (Y.v + v)
         assert np.abs(Z.y - y).max() <= 1e-12 * np.abs(y).max()
+
+    @pytest.mark.parametrize("name", ["clamped", "neumann_pair"])
+    def test_steps_match_dense_block_midpoint(self, name, rng):
+        # 20 steps against (I + dt/2 A) Y1 = (I - dt/2 A) Y0 with the dense
+        # block generator A = [[0, -I], [P, diag(alpha)]]
+        op = assemble(make_grid(32), name)
+        gen = build_generator(op, bump_alpha(op))
+        n, dt = op.size, 0.05
+        A = np.block([[np.zeros((n, n)), -np.eye(n)],
+                      [op.dense(), np.diag(gen.alpha)]])
+        lhs = scipy.linalg.lu_factor(np.eye(2 * n) + (dt / 2) * A)
+        rhs = np.eye(2 * n) - (dt / 2) * A
+        Y = StateVector(rng.normal(size=n), rng.normal(size=n))
+        ref = np.concatenate([Y.y, Y.v])
+        stepper, Py = MidpointStepper(gen, dt), op.apply(Y.y)
+        for _ in range(20):
+            Y, Py, _ = stepper.advance(Y, Py)
+            ref = scipy.linalg.lu_solve(lhs, rhs @ ref)
+        assert np.concatenate([Y.y, Y.v]) == pytest.approx(
+            ref, rel=1e-10, abs=1e-10 * np.abs(ref).max())
+        assert np.array_equal(Py, op.apply(Y.y))
 
     def test_banded_paths_build_no_dense_matrix(self, monkeypatch):
         def refuse(self):
@@ -238,7 +260,7 @@ class TestStepper:
         assert gen1.kernel_dim == 0
         for gen in (gen1, gen2):
             Y = StateVector(np.ones(gen.size), np.zeros(gen.size))
-            Z, _ = MidpointStepper(gen, 0.5).advance(Y)
+            Z = MidpointStepper(gen, 0.5).advance(Y, gen.op.apply(Y.y))[0]
             assert np.all(np.isfinite(Z.y))
         # the resolvent is sparse too, and never reduces the generator
         monkeypatch.setattr("platelab.semigroup.reduced_generator", refuse)
@@ -296,6 +318,31 @@ class TestSimulate:
         bad = StateVector(np.full(gen.size, np.nan), np.zeros(gen.size))
         with pytest.raises(FloatingPointError):
             simulate(bad, gen, T=0.1, dt=0.01)
+
+    def test_blowup_mid_run_names_step(self, clamped_gen):
+        # a finite state whose energy overflows: the first step reports it
+        gen = clamped_gen
+        mu, V = spectrum(gen.op, 1)
+        big = StateVector(1e300 * V[:, 0], np.zeros(gen.size))
+        with pytest.raises(FloatingPointError, match="blew up at step 1$"):
+            simulate(big, gen, T=0.1, dt=0.01)
+
+    def test_ledger_closure_log_every(self, clamped_gen):
+        # rows every 10 steps, the last after 5: each row's rate is the
+        # mean since the previous row, so the ledger still telescopes
+        gen = clamped_gen
+        mu, V = spectrum(gen.op, 2)
+        Y0 = StateVector(V[:, 0] + 0.5 * V[:, 1], np.zeros(gen.size))
+        log1, _ = simulate(Y0, gen, T=2.05, dt=0.01)
+        log10, _ = simulate(Y0, gen, T=2.05, dt=0.01, log_every=10)
+        assert log10.times.size == 22
+        rows = np.r_[0:206:10, 205]
+        assert np.array_equal(log10.energies, log1.energies[rows])
+        d1 = log1.dissipations
+        means = [d1[a + 1:b + 1].mean() for a, b in zip(rows, rows[1:])]
+        assert log10.dissipations[1:] == pytest.approx(means, rel=1e-14)
+        e = log10.energies
+        assert abs(log10.total_dissipated() - (e[0] - e[-1])) <= 1e-10 * e[0]
 
     def test_energy_log_validation_catches_growth(self):
         log = EnergyLog(np.array([0.0, 1.0]), np.array([1.0, 1.5]),

@@ -295,3 +295,15 @@ class TestImSignCriterion:
         C = 1.05 * fit
         for xi, tau, g in gen(2, 4000):
             assert xi <= C * tau * math.sqrt(g ** 2 + 1 / kappa0 ** 2)
+
+
+class TestMetricField:
+    def test_euclidean_identity_built_once(self):
+        metric = MetricField.euclidean(2)
+        g = metric.gmatrix([0.0, 0.0])
+        assert metric.gmatrix([1.0, 2.0]) is g
+        assert np.array_equal(g, np.eye(2)) and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 2.0
+        xi = np.array([[1.0, 2.0], [3.0, 1j]])
+        assert np.array_equal(metric.r([0.0, 0.0], xi), [5.0, 8.0])
