@@ -393,11 +393,11 @@ def cmd_resolvent(cfg):
     rows = [(float(s), float(nrm), float(sl), float(d))
             for s, nrm, sl, d in zip(sweep.sigmas, sweep.norms,
                                      sweep.slack, sweep.nearest_dist)]
-    write_csv(cfg["out"], _manifest(cfg, op, C=sweep.C,
+    write_csv(cfg["out"], _manifest(cfg, op, C=sweep.C, vacuous=sweep.vacuous,
                                     skipped=len(sweep.skipped),
                                     unconverged=unconverged,
                                     max_iterations=int(sweep.iterations.max()),
-                                    schema="resolvent-v3"),
+                                    schema="resolvent-v4"),
               ["sigma", "norm", "slack", "nearest_eig_dist"], rows)
     if not np.all(np.isfinite(sweep.norms[~np.isnan(sweep.norms)])):
         raise CheckFailure("non-finite resolvent norm on the grid")

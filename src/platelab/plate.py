@@ -8,6 +8,10 @@ families (neumann_pair, ex2, ex3, ex5) live on cell centers, where the
 half-offset geometry makes the eliminated rows symmetric with the plain
 grid inner product <u, v> = h^d sum u v.
 
+On a rectangle the operator is B0 x I + 2 L0 x L1 + I x B1, from the 1-D
+family matrix B and Laplacian L of each axis: exact where u = 0 on an edge
+or B = L^2 leaves no tangential term (ex2, ex3 and ex5 stay 1-D).
+
 Discrete boundary parameters ("a" in ex3/ex4/ex5) are real scalars, the
 1-D trace of the corresponding symbol-level parameter; defaults are chosen
 so the operator stays nonnegative.
@@ -45,6 +49,8 @@ MAX_DENSE_UNKNOWNS = 3000   # cap of DiscretePlateOperator.dense()
 
 NODE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A")
 CELL_FAMILIES = ("neumann_pair", "ex2_dn2_dn3", "ex3_dn_dn3_A", "ex5_dn2A_dn3")
+# B = L^2: the 2-D spectrum comes from the eigenpairs of L0 and L1
+LAPLACIAN_SQUARES = ("hinged", "neumann_pair")
 
 
 def catalog_families():
@@ -241,8 +247,8 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
 
     bc_pair is a catalog name or (name, params).  metric, when given, is a
     positive coefficient function a(x) for the Sturm-Liouville composition
-    (-(a u')')^2; 2-D assembly covers the two Laplacian-square families
-    (hinged, neumann_pair) on tensor rectangles with separable coefficients.
+    (-(a u')')^2 of hinged and neumann_pair (in 2-D, one or one per axis).
+    Rectangles take hinged, clamped, ex4_id_dn2_A and neumann_pair.
     """
     if isinstance(bc_pair, tuple):
         bc_pair, params = bc_pair
@@ -255,33 +261,30 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
         raise KeyError(f"unknown boundary pair '{name}'; "
                        f"families: {catalog_families()}")
 
+    factors = None
     if grid.dimension == 1:
         M, layout = _assemble_1d(grid, name, params, metric)
-        nodes = grid.axis_nodes(0, layout)[:, None]
-        return DiscretePlateOperator(grid, name, M, nodes, layout,
-                                     weight=grid.h[0])
-
-    # 2-D tensor rectangles
-    if name not in ("hinged", "neumann_pair"):
+    elif name in CELL_FAMILIES and name not in LAPLACIAN_SQUARES:
         raise NotImplementedError(
-            f"2-D assembly is limited to the Laplacian-square families "
-            f"hinged and neumann_pair; got {name}")
-    builders = {"hinged": (_dirichlet_laplacian, "node"),
-                "neumann_pair": (_neumann_laplacian, "cell")}
-    build, layout = builders[name]
-    coeffs = metric if isinstance(metric, (tuple, list)) else (metric, metric)
-    Ls = [build(grid.n[ax], grid.h[ax], grid.lengths[ax], coeffs[ax])
-          for ax in (0, 1)]
-    I0 = sp.identity(Ls[0].shape[0], format="csr")
-    I1 = sp.identity(Ls[1].shape[0], format="csr")
-    Lap = sp.kron(Ls[0], I1, format="csr") + sp.kron(I0, Ls[1], format="csr")
-    M = (Lap @ Lap).tocsr()
-    xs = grid.axis_nodes(0, layout)
-    ys = grid.axis_nodes(1, layout)
-    nodes = np.array([(x, y) for x in xs for y in ys])
-    return DiscretePlateOperator(grid, name, M, nodes, layout,
-                                 weight=grid.h[0] * grid.h[1],
-                                 tensor_factors=tuple(Ls))
+            f"2-D assembly covers hinged, clamped, ex4_id_dn2_A and "
+            f"neumann_pair; the {name} boundary operators carry tangential "
+            f"derivatives, which a Kronecker sum of 1-D matrices omits")
+    else:
+        layout, lap = (("node", _dirichlet_laplacian) if name in NODE_FAMILIES
+                       else ("cell", _neumann_laplacian))
+        coeffs = metric if isinstance(metric, (tuple, list)) else (metric,) * 2
+        axes = [make_grid(k, l) for k, l in zip(grid.n, grid.lengths)]
+        Bs = [_assemble_1d(g, name, params, c)[0] for g, c in zip(axes, coeffs)]
+        Ls = [lap(g.n[0], g.h[0], g.lengths[0], c) for g, c in zip(axes, coeffs)]
+        I0, I1 = (sp.identity(L.shape[0], format="csr") for L in Ls)
+        M = (sp.kron(Bs[0], I1, format="csr") + 2.0 * sp.kron(*Ls, format="csr")
+             + sp.kron(I0, Bs[1], format="csr"))
+        factors = tuple(Ls) if name in LAPLACIAN_SQUARES else None
+    coords = np.meshgrid(*(grid.axis_nodes(ax, layout)
+                           for ax in range(grid.dimension)), indexing="ij")
+    return DiscretePlateOperator(
+        grid, name, M, np.column_stack([c.ravel() for c in coords]), layout,
+        weight=math.prod(grid.h), tensor_factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -569,12 +569,15 @@ class SweepResult:
     """Per-point arrays over the grid.  Skipped points carry a nan norm and
     0 iterations; converged is False where Lanczos ran out of maxiter, so
     that norm is a lower bound, or where ARPACK did not find the nearest
-    eigenvalue, whose distance is then nan."""
+    eigenvalue, whose distance is then nan.  vacuous is True when no
+    evaluated norm exceeds 1: log |R| is clipped at 0, so C = 0 then
+    bounds nothing."""
 
     sigmas: np.ndarray
     norms: np.ndarray
     skipped: list
     C: float
+    vacuous: bool
     slack: np.ndarray
     nearest_dist: np.ndarray
     iterations: np.ndarray
@@ -610,20 +613,11 @@ def resolvent_sweep(gen: Generator, sigma_grid,
     C = float(ratios.max()) if ratios.size else 0.0
     slack = np.full(sigmas.size, np.nan)
     slack[ok] = C * (1.0 + np.sqrt(np.abs(sigmas[ok]))) - np.log(norms[ok])
-    return SweepResult(sigmas, norms, skipped, C, slack, dists, iterations,
-                       converged)
+    return SweepResult(sigmas, norms, skipped, C, not np.any(norms[ok] > 1.0),
+                       slack, dists, iterations, converged)
 
 
-def halfplane_check(gen: Generator, count: Optional[int] = None) -> float:
-    """Minimum real part over the reduced generator's eigenvalues (all of
-    them when count is omitted); positive means the spectrum stays in the
-    open right half-plane."""
-    red = reduced_generator(gen)
-    eigs = red.eigenvalues
-    if count is not None:
-        if count > eigs.size:
-            raise ValueError(f"requested {count} eigenvalues of a "
-                             f"{eigs.size}-dimensional reduced generator")
-        idx = np.argsort(np.abs(eigs.real))[:count]
-        eigs = eigs[idx]
-    return float(eigs.real.min())
+def halfplane_check(gen: Generator) -> float:
+    """Minimum real part over all the reduced generator's eigenvalues;
+    positive means the spectrum stays in the open right half-plane."""
+    return float(reduced_generator(gen).eigenvalues.real.min())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -65,7 +66,9 @@ class MetricField:
         self._eye.flags.writeable = False
 
     @classmethod
+    @functools.cache
     def euclidean(cls, tdim: int) -> "MetricField":
+        """The identity metric, one shared instance per dimension."""
         return cls(tdim)
 
     @classmethod

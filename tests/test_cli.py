@@ -165,6 +165,8 @@ class TestExitCodes:
          "--bc-param-a -1.0: the operator is indefinite"),
         (["simulate", "--bc", "ex4_id_dn2_A", "--bc-param-a", "-3", "--T",
           "0.1"], None, "--bc-param-a -3.0: the operator is indefinite"),
+        (["spectrum", "--bc", "ex5_dn2A_dn3", "--dim", "2", "--n", "16"], None,
+         "the ex5_dn2A_dn3 boundary operators carry tangential derivatives"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -175,7 +177,8 @@ class TestExitCodes:
             "bc-param-a-with-bc-file", "ls-check-tau-nonzero",
             "alpha-negative", "alpha-nan", "alpha-blind-to-kernel",
             "indefinite-resolvent", "indefinite-simulate",
-            "indefinite-decay-fit", "indefinite-tilted-hinge"])
+            "indefinite-decay-fit", "indefinite-tilted-hinge",
+            "2d-tangential-family"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -281,14 +284,16 @@ class TestArtifacts:
     def test_simulate_2d_closes_ledger(self, tmp_path):
         out = tmp_path / "log.csv"
         dt = 0.01
-        assert run_cli("simulate", "--bc", "hinged", "--dim", "2", "--n", "24",
-                       "--n-y", "16", "--T", "1.0", "--dt", str(dt),
-                       "--out", str(out)) == 0
-        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        data = np.loadtxt(lines[1:], delimiter=",")
-        e, diss = data[:, 1], data[:, 2]
-        assert data.shape[0] == 101 and e[-1] < e[0]
-        assert abs(diss.sum() * dt - (e[0] - e[-1])) <= 1e-10 * e[0]
+        for bc in ("hinged", "clamped"):
+            assert run_cli("simulate", "--bc", bc, "--dim", "2", "--n", "24",
+                           "--n-y", "16", "--T", "1.0", "--dt", str(dt),
+                           "--out", str(out)) == 0, bc
+            lines = [l for l in out.read_text().splitlines()
+                     if not l.startswith("#")]
+            data = np.loadtxt(lines[1:], delimiter=",")
+            e, diss = data[:, 1], data[:, 2]
+            assert data.shape[0] == 101 and e[-1] < e[0], bc
+            assert abs(diss.sum() * dt - (e[0] - e[-1])) <= 1e-10 * e[0], bc
 
     def test_simulate_log_every_closes_ledger(self, tmp_path):
         # a row every 10 steps carries the mean rate since the previous
@@ -314,7 +319,22 @@ class TestArtifacts:
         assert data.shape[0] == 11
         assert np.all(np.isfinite(data[:, 1]))
         assert "# unconverged = 0" in text
-        assert "# schema = resolvent-v3" in text
+        assert "# schema = resolvent-v4" in text
+        # every norm stays below 1, so the clipped fit C = 0 bounds nothing
+        assert np.all(data[:, 1] <= 1.0)
+        assert "# C = 0\n" in text and "# vacuous = True" in text
+
+    def test_resolvent_fit_with_a_large_norm_is_not_vacuous(self, tmp_path):
+        # the benchmark sweep's grid: its peak norm sits next to an eigenvalue
+        out = tmp_path / "res.csv"
+        assert run_cli("resolvent", "--bc", "clamped", "--n", "200", "--alpha",
+                       "bump:0.2:0.7:4.0", "--sigma-grid", "118:124:0.5",
+                       "--out", str(out)) == 0
+        text = out.read_text()
+        meta = dict(l[2:].split(" = ") for l in text.splitlines()
+                    if l.startswith("#"))
+        assert meta["vacuous"] == "False"
+        assert float(meta["C"]) == pytest.approx(6.5703157083e-4, rel=1e-5)
 
     def test_resolvent_unconverged_fails(self, tmp_path, monkeypatch, capsys):
         sweep = semigroup.resolvent_sweep
@@ -358,7 +378,8 @@ class TestArtifacts:
     @pytest.mark.parametrize("cmd, args, results", [
         ("simulate", [*PLATE_2D, "--T", "0.1"], {"scheme", "schema"}),
         ("resolvent", [*PLATE_2D, "--sigma-grid", "0:2:1"],
-         {"C", "skipped", "unconverged", "max_iterations", "schema"}),
+         {"C", "vacuous", "skipped", "unconverged", "max_iterations",
+          "schema"}),
         ("spectrum", PLATE_2D, {"schema"}),
         ("decay-fit", [*PLATE_2D, "--T", "5", "--dt", "0.5"],
          {"C", "amp", "final_energy", "schema"}),

@@ -25,6 +25,14 @@ from platelab.plate import (
 from conftest import beam_characteristic_root
 
 GRID = make_grid(96)
+RECTANGLE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A", "neumann_pair")
+
+
+def every_operator():
+    """Each family on GRID, and each 2-D family on a 16 x 12 rectangle."""
+    return ([assemble(GRID, name) for name in catalog_families()]
+            + [assemble(make_grid((16, 12)), name)
+               for name in RECTANGLE_FAMILIES])
 
 
 def dirichlet_matrix(n, h):
@@ -128,12 +136,11 @@ class TestAssembly:
             assemble(GRID, "degenerate_equal")
 
     def test_symmetry_all_families(self):
-        for name in catalog_families():
-            op = assemble(GRID, name)
+        for op in every_operator():
             M = op.dense()
             denom = np.abs(M).max()
-            assert np.abs(M - M.T).max() <= 1e-10 * denom, name
-            assert check_symmetry(op) <= 1e-10, name
+            assert np.abs(M - M.T).max() <= 1e-10 * denom, op.bc_name
+            assert check_symmetry(op) <= 1e-10, op.bc_name
 
     def test_broken_row_negative_control(self):
         op = assemble(GRID, "hinged")
@@ -272,10 +279,7 @@ class TestSpectrum:
         assert vecs is None and np.all(np.diff(mu) > 0)
 
     def test_eigenvalues_only_match_dense_solver(self):
-        ops = [assemble(GRID, name) for name in catalog_families()]
-        ops += [assemble(make_grid((16, 12)), name)
-                for name in ("hinged", "neumann_pair")]
-        for op in ops:
+        for op in every_operator():
             M = op.dense()
             mu, vecs = spectrum(op, 6, vectors=False)
             ref = scipy.linalg.eigvalsh(M)[:6]
@@ -304,13 +308,61 @@ class TestSpectrum:
         assert check_symmetry(op) <= 1e-10
 
 
+class TestRectangle:
+    @pytest.mark.parametrize("n, lengths, exact", [
+        ((64, 48), None, True), ((64, 64), None, True), ((24, 24), None, True),
+        ((16, 12), None, True), ((32, 24), (1.0, 0.5), True),
+        ((30, 21), (1.3, 0.7), False)])
+    def test_laplacian_squares_match_an_independent_square(self, n, lengths,
+                                                           exact):
+        grid = make_grid(n, lengths)
+        for name, lap in (("hinged", dirichlet_matrix),
+                          ("neumann_pair", zero_flux_matrix)):
+            L0, L1 = (sp.csr_matrix(lap(k, h)) for k, h in zip(grid.n, grid.h))
+            Lap = (sp.kron(L0, sp.identity(L1.shape[0]))
+                   + sp.kron(sp.identity(L0.shape[0]), L1)).tocsr()
+            ref = (Lap @ Lap).toarray()
+            M = assemble(grid, name).matrix.toarray()
+            if exact:
+                assert np.array_equal(M, ref), name
+            else:
+                assert np.abs(M - ref).max() <= 1e-15 * np.abs(ref).max(), name
+
+    def test_clamped_square_converges_at_second_order(self):
+        # Bjorstad & Tjostheim, Computing 63 (1999): lowest eigenvalue of
+        # the clamped unit square
+        ref = 1294.9339795
+        errs = []
+        for n in (12, 24, 48):
+            op = assemble(make_grid((n, n)), "clamped")
+            mu, _ = spectrum(op, 1, vectors=False)
+            errs.append(abs(mu[0] - ref) / ref)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.8 <= math.log2(coarse / fine) <= 2.2, errs
+
+    def test_families_nonnegative(self):
+        # no draws from the shared rng fixture, so later tests keep their samples
+        for name in RECTANGLE_FAMILIES:
+            op = assemble(make_grid((16, 12)), name)
+            M = op.dense()
+            tol = 10 * np.finfo(float).eps * np.abs(M).sum(axis=0).max()
+            assert scipy.linalg.eigvalsh(M)[0] >= -tol, name
+
+    def test_tangential_families_refused(self):
+        for name in ("ex2_dn2_dn3", "ex3_dn_dn3_A", "ex5_dn2A_dn3"):
+            with pytest.raises(NotImplementedError,
+                               match=f"{name} boundary operators carry "
+                                     f"tangential derivatives"):
+                assemble(make_grid((16, 12)), name)
+
+
 class TestKernel:
     def test_kernel_dimensions(self):
         expected = {"hinged": 0, "clamped": 0, "ex4_id_dn2_A": 0,
                     "neumann_pair": 1, "ex2_dn2_dn3": 2, "ex3_dn_dn3_A": 0,
                     "ex5_dn2A_dn3": 1}
-        for name, dim in expected.items():
-            assert len(kernel(assemble(GRID, name))) == dim, name
+        for op in every_operator():
+            assert len(kernel(op)) == expected[op.bc_name], op.bc_name
 
     def test_closed_form_basis(self):
         # constants and affine functions, exact to the residual check, not

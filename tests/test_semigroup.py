@@ -399,9 +399,6 @@ class TestReducedGenerator:
     def test_halfplane_with_damping(self, clamped_gen, neumann_gen):
         assert halfplane_check(clamped_gen) > 0
         assert halfplane_check(neumann_gen) > 0
-        assert halfplane_check(clamped_gen, count=10) > 0
-        with pytest.raises(ValueError):
-            halfplane_check(clamped_gen, count=10 ** 6)
 
     def test_undamped_spectrum_on_axis(self):
         op = assemble(GRID, "clamped")
@@ -485,6 +482,8 @@ class TestResolvent:
         # universal lower bound |R(z)| >= 1/dist(z, spectrum)
         assert np.all(sweep.norms >= (1 - 1e-6) / sweep.nearest_dist)
         assert np.nanmin(sweep.slack) >= -1e-9
+        # a fit is vacuous exactly when the clipped log-norms give C = 0
+        assert sweep.vacuous == (sweep.C == 0.0)
 
     def test_sweep_includes_origin(self, neumann_gen):
         sweep = resolvent_sweep(neumann_gen, [0.0])
@@ -505,7 +504,8 @@ class TestSparseResolvent:
     @pytest.mark.parametrize("name,grid,k", [("clamped", 24, 0),
                                              ("neumann_pair", 24, 1),
                                              ("ex2_dn2_dn3", 24, 2),
-                                             ("hinged", (12, 10), 0)])
+                                             ("hinged", (12, 10), 0),
+                                             ("clamped", (12, 10), 0)])
     def test_matches_dense_reference(self, name, grid, k):
         # z = 0 is where K(0) = P is singular for the kernel families
         op = assemble(make_grid(grid), name)

@@ -300,6 +300,8 @@ class TestImSignCriterion:
 class TestMetricField:
     def test_euclidean_identity_built_once(self):
         metric = MetricField.euclidean(2)
+        assert MetricField.euclidean(2) is metric
+        assert MetricField.euclidean(1) is not metric
         g = metric.gmatrix([0.0, 0.0])
         assert metric.gmatrix([1.0, 2.0]) is g
         assert np.array_equal(g, np.eye(2)) and not g.flags.writeable

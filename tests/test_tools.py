@@ -12,7 +12,7 @@ def test_artifact_digest_finds_readme_lines_and_benchmark_ops():
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     readme = digest.readme_commands()
-    assert len(readme) == 13
+    assert len(readme) == 14
     assert all(argv and not argv[0].startswith("-") for argv in readme)
     ops = digest.perfbench_ops()
     assert len(ops) == 17
