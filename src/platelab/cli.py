@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from . import SizeLimitError, lscheck, weights
-from .symbols import TangentialPoint, WeightJet, quartic_roots, \
-    classify_roots, factor_roots
+from .symbols import TangentialPoint, WeightJet, classify_roots
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -199,12 +198,12 @@ def cmd_roots(cfg):
     p = TangentialPoint([0.0, 0.0], [xi], tau, sigma)
     w = WeightJet(1.0, [dt], dn)
     conf = classify_roots(p, w)
-    pairs = [factor_roots(p, w, j) for j in (1, 2)]
     write_json(cfg["out"], _manifest(
         cfg, case=conf.case.value, marginal=conf.marginal,
         factors=[{"j": rp.factor_index, "alpha": rp.alpha,
-                  "pi_1": rp.pi_1, "pi_2": rp.pi_2} for rp in pairs],
-        quartic_roots=list(quartic_roots(p, w)), schema="roots-v2"))
+                  "pi_1": rp.pi_1, "pi_2": rp.pi_2} for rp in conf.pairs],
+        quartic_roots=[z for rp in conf.pairs for z in (rp.pi_1, rp.pi_2)],
+        schema="roots-v2"))
     return EXIT_OK
 
 
@@ -458,7 +457,7 @@ _KEYS = {
     "length_y": _POSITIVE, "count": int, "alpha": str, "T": _POSITIVE,
     "dt": _POSITIVE, "log_every": _STEP, "sigma_grid": str, "seed": _NATURAL,
     "samples": _NATURAL, "tau": _NONNEGATIVE, "kappa0": _POSITIVE,
-    "mu0": _REAL, "mu1": _REAL, "psi": str, "gamma": _POSITIVE,
+    "mu0": _NONNEGATIVE, "mu1": _NONNEGATIVE, "psi": str, "gamma": _POSITIVE,
     "tau0": _POSITIVE, "ratio_hi": _REAL, "region_lo": _REAL,
     "region_hi": _REAL, "region_n": _STEP, "n_power": _NATURAL,
     "xi_prime": _REAL, "sigma": _NONNEGATIVE, "dphi_normal": _REAL,

@@ -6,14 +6,17 @@ r(x, xi') and an optional parameter symbol a'(x, xi').  The unconjugated
 condition reduces to a 2x2 determinant at xi_d = i|xi'|_x; after
 conjugation by an exponential weight the test dispatches on the root
 configuration of the conjugated quartic.  An independent rank oracle and a
-positivity margin provide two more routes to the same verdict.
+positivity margin provide two more routes to the same verdict.  All three
+routes run on stacks of points; the per-point functions ls_conjugated,
+ls_rank_oracle and positivity_margin are their m = 1 case, and
+sample_conjugated evaluates a block of samples in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .symbols import (
     TangentialPoint,
     WeightJet,
     classify_roots,
+    classify_stack,
+    point_stack,
 )
 
 __all__ = [
@@ -48,6 +53,9 @@ DEFAULT_MARGIN_TOL = 1e-8
 PERTURBATION_DIRECTIONS = 64
 PERTURBATION_FLOOR, PERTURBATION_CAP = 1e-4, 1.0
 PERTURBATION_RADII, PERTURBATION_BLOCK = 128, 16
+
+# sample_conjugated: samples evaluated per stacked pass
+SAMPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -132,26 +140,27 @@ class BoundaryOperatorSymbol:
             out[:, m] = acc
         return out.reshape(xi.shape[:-1] + (4,))
 
-    def conjugated_coeff_vector(self, p: TangentialPoint, w: WeightJet,
+    def conjugated_coeff_vector(self, x, arg, shift,
                                 metric: Optional[MetricField] = None) -> np.ndarray:
-        """Coefficients of b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n) in
-        powers of xi_d (binomial shift of the frozen-coefficient polynomial)."""
-        arg = p.xi_prime + 1j * p.tau * w.d_tangential
-        c = self.coeff_vector(p.x, arg, metric)
-        s = 1j * p.tau * w.d_normal
-        out = np.zeros(4, dtype=complex)
-        for m in range(4):
-            if c[m] == 0:
-                continue
+        """(m, 4) coefficients of b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n)
+        in powers of xi_d, for an (m, tdim) stack arg = xi' + i tau dphi_t
+        and (m,) shift = i tau dphi_n: the frozen-coefficient stack at arg,
+        binomially shifted."""
+        c = self.coeff_vector(x, arg, metric)
+        shift2 = shift * shift
+        powers = (None, shift, shift2, shift * shift2)
+        out = np.zeros_like(c)
+        for m in sorted(self.terms):
             for ell in range(m + 1):
-                out[ell] += c[m] * math.comb(m, ell) * s ** (m - ell)
+                term = c[:, m] * math.comb(m, ell)
+                out[:, ell] += term if ell == m else term * powers[m - ell]
         return out
 
 
 def _horner_dz(c, z) -> tuple:
     """Value and xi_d-derivative at z of the cubic with coefficients c; row
     by row for an (m, 4) stack of c with a scalar or (m,) z."""
-    c0, c1, c2, c3 = np.moveaxis(c, -1, 0)
+    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
     return (c0 + z * (c1 + z * (c2 + z * c3)),
             c1 + z * (2.0 * c2 + z * 3.0 * c3))
 
@@ -398,97 +407,124 @@ def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                     determinant=det, margin=margin, marginal=False, scale=nrm)
 
 
+class _Conjugated(NamedTuple):
+    """m points' conjugated data: root case codes (indices into
+    tuple(RootCase)) and upper roots as in RootStack, the scale lambda and
+    the (m, 4) xi_d-coefficients of b1 and b2 conjugated."""
+    case: np.ndarray
+    upper: np.ndarray
+    lam: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+
+
+# roots of kappa+ per case code; codes 0-2 count the upper roots and 3 is
+# a double root (see symbols.RootStack)
+_UPPER_COUNT = np.array([0, 1, 2, 2])
+
+
+def _conjugated(b1, b2, x, xi, tau, sigma, dphi_t, dphi_n, case, upper,
+                metric) -> _Conjugated:
+    """The _Conjugated stack of m points at one x, from their root cases
+    and upper roots."""
+    lam = np.sqrt(tau ** 2 + np.real(metric.r(x, xi)) + sigma ** 2)
+    arg = xi + 1j * tau[:, None] * dphi_t
+    shift = 1j * tau * dphi_n
+    return _Conjugated(case, upper, lam,
+                       b1.conjugated_coeff_vector(x, arg, shift, metric),
+                       b2.conjugated_coeff_vector(x, arg, shift, metric))
+
+
+def _point(b1, b2, w: WeightJet, p: TangentialPoint, metric):
+    """(RootConfiguration, m = 1 _Conjugated stack) of one point, classified
+    by classify_roots, which checks the weight and the point."""
+    metric = metric or MetricField.euclidean(p.xi_prime.size)
+    conf = classify_roots(p, w, metric)
+    up = conf.upper_roots or (0j,)
+    case = np.array([tuple(RootCase).index(conf.case)])
+    return conf, _conjugated(b1, b2, p.x, *point_stack(p, w), case,
+                             np.array([[up[0], up[-1]]]), metric)
+
+
+def _determinants(b1, b2, st: _Conjugated) -> tuple:
+    """(determinant, margin) per row, dispatched on the root case.
+
+    No upper root: margin inf.  One upper root rho: the margin is the
+    scaled norm of (b1, b2)(rho), and the determinant the auxiliary
+    value/derivative one.  Two distinct upper roots: the 2x2 value
+    determinant at the pair.  Double upper root: the value/derivative
+    determinant, which coincides with the unconjugated test at tau = 0.
+    """
+    k1, k2, lam = b1.order, b2.order, st.lam
+    z0, z1 = st.upper[:, 0], st.upper[:, 1]
+    v1, d1 = _horner_dz(st.c1, z0)
+    v2, d2 = _horner_dz(st.c2, z0)
+    det = np.where(st.case == 2, v1 * _horner_dz(st.c2, z1)[0]
+                   - v2 * _horner_dz(st.c1, z1)[0], v1 * d2 - v2 * d1)
+    margin = np.where(st.case == 1,
+                      np.sqrt(np.abs(v1) ** 2 / lam ** (2 * k1)
+                              + np.abs(v2) ** 2 / lam ** (2 * k2)),
+                      np.abs(det) / lam ** (k1 + k2 - (st.case == 3)))
+    return det, np.where(st.case == 0, np.inf, margin)
+
+
+def _singular_values(b1, b2, st: _Conjugated) -> np.ndarray:
+    """(m, 4) singular values of the weighted stability matrices.
+
+    Rows: the conjugated boundary symbols' xi_d-coefficient vectors, then
+    kappa+ * xi_d^l, l = 0..3-m+, with kappa+ the monic factor carrying the
+    m+ upper roots; zero rows pad every matrix to 6 x 4, which leaves its
+    singular values unchanged.  Entries are weighted so that each becomes
+    homogeneous of degree zero; a diagonal row/column scaling, so the rank
+    is untouched.
+    """
+    m = len(st.lam)
+    mplus = _UPPER_COUNT[st.case]
+    z0, z1 = st.upper[:, 0], st.upper[:, 1]
+    # monic kappa+ by convolving with (xi_d - rho) for each upper root
+    kappa = np.zeros((m, 3), dtype=complex)
+    kappa[:, 0] = 1.0
+    for k, rho in enumerate((z0, z1)):
+        shifted = np.concatenate([np.zeros((m, 1)), kappa[:, :2]], axis=1)
+        kappa = np.where((mplus > k)[:, None], shifted - rho[:, None] * kappa,
+                         kappa)
+    M = np.zeros((m, 6, 4), dtype=complex)
+    M[:, 0], M[:, 1] = st.c1, st.c2
+    for ell in range(4):
+        M[:, 2 + ell, ell:ell + 3] = kappa[:, :4 - ell]
+    M[:, 2:][np.arange(4) >= 4 - mplus[:, None]] = 0.0
+    lam = st.lam[:, None]
+    row_w = lam ** np.concatenate(
+        [np.full((m, 1), 3.5 - b1.order), np.full((m, 1), 3.5 - b2.order),
+         3.5 - mplus[:, None] - np.arange(4)], axis=1)
+    col_w = lam ** (np.arange(4) - 3.5)
+    return np.linalg.svd((row_w[:, :, None] * M) * col_w[:, None, :],
+                         compute_uv=False)
+
+
+def _rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank per row of singular values (0 for a zero matrix)."""
+    return (s > DEFAULT_MARGIN_TOL * s[:, :1]).sum(axis=-1)
+
+
 def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                   w: WeightJet, p: TangentialPoint,
                   metric: Optional[MetricField] = None) -> LSReport:
     """Conjugated condition at (x, xi', tau, sigma), dispatching on the root
-    configuration.
-
-    No upper root: holds trivially.  One upper root rho: holds iff the
-    vector (b1, b2)(rho) does not vanish; the 2x2 derivative determinant is
-    recorded as auxiliary data.  Two distinct upper roots: the 2x2 value
-    determinant at the pair.  Double upper root: the value/derivative
-    determinant, which coincides with the unconjugated test at tau = 0.
-    A marginal root classification withholds the verdict.
+    configuration (see _determinants): no upper root holds trivially; one
+    upper root rho holds iff (b1, b2)(rho) does not vanish; two distinct or
+    a double upper root hold iff the 2x2 determinant does not.  A marginal
+    root classification withholds the verdict.  The m = 1 case of the
+    stacked routes that sample_conjugated runs.
     """
-    p.require_nondegenerate()
-    w.require_inward()
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
-    conf = classify_roots(p, w, metric)
-    lam = p.metric_scale(metric)
-    k1, k2 = b1.order, b2.order
-
-    if conf.case is RootCase.NO_UPPER:
-        return LSReport(verdict=None if conf.marginal else True, case=conf.case,
-                        determinant=None, margin=math.inf,
-                        marginal=conf.marginal, scale=lam)
-
-    # the conjugated symbols' xi_d-coefficients, as in the stability matrix
-    c1 = b1.conjugated_coeff_vector(p, w, metric)
-    c2 = b2.conjugated_coeff_vector(p, w, metric)
-
-    def at(rho):
-        return _horner_dz(c1, complex(rho)), _horner_dz(c2, complex(rho))
-
-    if conf.case is RootCase.ONE_UPPER:
-        (v1, d1), (v2, d2) = at(conf.upper_roots[0])
-        margin = math.sqrt(abs(v1) ** 2 / lam ** (2 * k1)
-                           + abs(v2) ** 2 / lam ** (2 * k2))
-        det = v1 * d2 - v2 * d1
-    elif conf.case is RootCase.TWO_UPPER:
-        r1, r2 = conf.upper_roots
-        (v11, _), (v21, _) = at(r1)
-        (v12, _), (v22, _) = at(r2)
-        det = v11 * v22 - v21 * v12
-        margin = abs(det) / lam ** (k1 + k2)
-    else:  # DOUBLE_UPPER
-        (v1, d1), (v2, d2) = at(conf.upper_roots[0])
-        det = v1 * d2 - v2 * d1
-        margin = abs(det) / lam ** (k1 + k2 - 1)
-
-    verdict = None if conf.marginal else bool(margin > DEFAULT_MARGIN_TOL)
-    return LSReport(verdict=verdict, case=conf.case, determinant=det,
-                    margin=margin, marginal=conf.marginal, scale=lam)
-
-
-def _stability_matrix(b1, b2, w, p, metric):
-    """Rows: xi_d-coefficient vectors of the conjugated boundary symbols and
-    of kappa+ * xi_d^l, l = 0..3-m+, with kappa+ the monic factor carrying
-    the upper roots.  Entries are weighted so that each becomes homogeneous
-    of degree zero; a diagonal row/column scaling, so the rank is untouched.
-    """
-    conf = classify_roots(p, w, metric)
-    upper = list(conf.upper_roots)
-    if conf.case is RootCase.DOUBLE_UPPER:
-        upper = [upper[0], upper[0]]
-    mplus = len(upper)
-
-    # monic kappa+ built by convolving with (xi_d - rho) for each upper root
-    kappa = np.zeros(4, dtype=complex)
-    kappa[0] = 1.0
-    deg = 0
-    for rho in upper:
-        nxt = np.zeros(4, dtype=complex)
-        nxt[1:deg + 2] += kappa[:deg + 1]
-        nxt[:deg + 1] -= rho * kappa[:deg + 1]
-        kappa = nxt
-        deg += 1
-
-    rows = [b1.conjugated_coeff_vector(p, w, metric),
-            b2.conjugated_coeff_vector(p, w, metric)]
-    for ell in range(0, 4 - mplus):
-        shifted = np.zeros(4, dtype=complex)
-        shifted[ell:ell + mplus + 1] = kappa[:mplus + 1]
-        rows.append(shifted)
-    M = np.array(rows)
-
-    lam = p.metric_scale(metric)
-    row_w = [lam ** (3.5 - b1.order), lam ** (3.5 - b2.order)]
-    for j in range(3, M.shape[0] + 1):
-        row_w.append(lam ** (6.5 - mplus - j))
-    col_w = np.array([lam ** (ell - 3.5) for ell in range(4)])
-    Mw = (np.array(row_w)[:, None] * M) * col_w[None, :]
-    return Mw, conf
+    conf, st = _point(b1, b2, w, p, metric)
+    det, margin = _determinants(b1, b2, st)
+    verdict = None if conf.marginal else bool(margin[0] > DEFAULT_MARGIN_TOL)
+    return LSReport(verdict=verdict, case=conf.case,
+                    determinant=None if conf.case is RootCase.NO_UPPER
+                    else complex(det[0]),
+                    margin=float(margin[0]), marginal=conf.marginal,
+                    scale=float(st.lam[0]))
 
 
 def ls_rank_oracle(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
@@ -497,12 +533,8 @@ def ls_rank_oracle(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     """Rank of the m' x 4 coefficient matrix of {b1, b2} joined with the
     xi_d-shifts of the upper-root factor; 4 exactly when the conjugated
     condition holds.  Independent of the determinant dispatch."""
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
-    Mw, _ = _stability_matrix(b1, b2, w, p, metric)
-    s = np.linalg.svd(Mw, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > DEFAULT_MARGIN_TOL * s[0]))
+    _, st = _point(b1, b2, w, p, metric)
+    return int(_rank(_singular_values(b1, b2, st))[0])
 
 
 def positivity_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
@@ -512,10 +544,8 @@ def positivity_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     the boundary quadratic-form lower bound.  Positive exactly when the
     conjugated condition holds; invariant under (xi', tau, sigma) dilation
     thanks to the homogeneity weights."""
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
-    Mw, _ = _stability_matrix(b1, b2, w, p, metric)
-    s = np.linalg.svd(Mw, compute_uv=False)
-    return float(s[-1] ** 2)
+    _, st = _point(b1, b2, w, p, metric)
+    return float(_singular_values(b1, b2, st)[0, -1] ** 2)
 
 
 def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
@@ -527,39 +557,56 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     |dphi_t| <= mu0.
 
     A sample agrees when the determinant verdict, rank == 4 and a positive
-    margin all hold.  Marginal samples are skipped; sampling stops at the
-    first disagreement, recorded as the counterexample (None if none).
-    Returns the keys samples, passed, marginal_skipped and counterexample.
+    margin all hold.  Marginal samples are skipped.  The samples are drawn
+    one by one and evaluated SAMPLE_BLOCK at a time, all three routes as
+    one stack, so memory does not grow with `samples`; sampling stops
+    after the first block with a disagreement, and counts the samples
+    before it.  That sample is the counterexample (None if none), recorded
+    from the per-point routes ls_conjugated, ls_rank_oracle and
+    positivity_margin, so the public API reproduces it.  Returns the keys
+    samples, passed, marginal_skipped and counterexample.
     """
     rng = np.random.default_rng(seed)
     x0 = np.array([0.0, 0.0])
+    metric = MetricField.euclidean(1)
+    dn = 1.0
     agree = 0
     marginal = 0
     counterexample = None
-    for _ in range(samples):
-        xi = rng.normal(size=1)
-        tau = float(10.0 ** rng.uniform(-1, 1))
-        sigma = float(rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau))
-        dn = 1.0
-        dtang = rng.normal(size=1)
-        if np.linalg.norm(dtang):
-            dtang = mu0 * rng.uniform(0, 1) * dn * dtang / np.linalg.norm(dtang)
-        p = TangentialPoint(x0, xi, tau, sigma)
-        w = WeightJet(1.0, dtang, dn)
-        rep = ls_conjugated(b1, b2, w, p)
-        if rep.marginal:
-            marginal += 1
-            continue
-        rank = ls_rank_oracle(b1, b2, w, p)
-        pos = positivity_margin(b1, b2, w, p)
-        consistent = (rep.verdict == (rank == 4)) and (rep.verdict == (pos > 1e-16))
-        if consistent and rep.verdict:
-            agree += 1
-        else:
-            counterexample = {"xi_prime": float(xi[0]), "tau": tau,
-                              "sigma": sigma, "dphi_tangential": float(dtang[0]),
-                              "verdict": rep.verdict, "rank": rank,
-                              "positivity": pos, "case": rep.case.value}
+    for start in range(0, samples, SAMPLE_BLOCK):
+        # columns xi', tau, sigma, dphi_t, one row per sample in draw order
+        draws = np.empty((min(SAMPLE_BLOCK, samples - start), 4))
+        for row in draws:
+            xi = rng.normal(size=1)
+            tau = float(10.0 ** rng.uniform(-1, 1))
+            sigma = float(rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau))
+            dtang = rng.normal(size=1)
+            if np.linalg.norm(dtang):
+                dtang = mu0 * rng.uniform(0, 1) * dn * dtang / np.linalg.norm(dtang)
+            row[:] = xi[0], tau, sigma, dtang[0]
+        pts = (draws[:, :1], draws[:, 1], draws[:, 2], draws[:, 3:],
+               np.full(len(draws), dn))
+        roots = classify_stack(x0, *pts, metric)
+        st = _conjugated(b1, b2, x0, *pts, roots.case, roots.upper, metric)
+        s = _singular_values(b1, b2, st)
+        good = roots.marginal | ((_determinants(b1, b2, st)[1] > DEFAULT_MARGIN_TOL)
+                                 & (_rank(s) == 4) & (s[:, -1] ** 2 > 1e-16))
+        bad = np.flatnonzero(~good)
+        stop = int(bad[0]) if bad.size else len(draws)
+        skipped = int(roots.marginal[:stop].sum())
+        marginal += skipped
+        agree += stop - skipped
+        if stop < len(draws):
+            xi, tau, sigma, dtang = draws[stop].tolist()
+            p = TangentialPoint(x0, [xi], tau, sigma)
+            w = WeightJet(1.0, [dtang], dn)
+            rep = ls_conjugated(b1, b2, w, p)
+            counterexample = {"xi_prime": xi, "tau": tau, "sigma": sigma,
+                              "dphi_tangential": dtang,
+                              "verdict": rep.verdict,
+                              "rank": ls_rank_oracle(b1, b2, w, p),
+                              "positivity": positivity_margin(b1, b2, w, p),
+                              "case": rep.case.value}
             break
     return {"samples": samples, "passed": agree, "marginal_skipped": marginal,
             "counterexample": counterexample}

@@ -6,13 +6,15 @@ quadratic polynomials in the normal frequency xi_d,
     q_j(xi_d) = (xi_d + i tau dphi_n)^2 + r(x, xi' + i tau dphi_t) + (-1)^j sigma^2,
 
 j = 1, 2, where r is the tangential metric form and (dphi_t, dphi_n) is the
-gradient of the exponential weight.  Everything in this module is a pure
-function of its arguments; there is no shared state.
+gradient of the exponential weight.  Roots and their classification are
+computed on stacks of m points (classify_stack); the per-point functions
+classify_roots, factor_roots and quartic_roots are its m = 1 case.
+Everything in this module is a pure function of its arguments; there is no
+shared state.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -28,7 +30,10 @@ __all__ = [
     "RootPair",
     "RootCase",
     "RootConfiguration",
+    "RootStack",
     "branch_sqrt",
+    "point_stack",
+    "classify_stack",
     "factor_radicand",
     "factor_symbol_eval",
     "factor_roots",
@@ -226,23 +231,99 @@ class RootConfiguration:
     pairs: tuple = ()
 
 
-def branch_sqrt(m: complex) -> complex:
+def branch_sqrt(m):
     """Square root with Re >= 0; ties on the imaginary axis resolved to
-    Im >= 0 so that negative real radicands map deterministically."""
-    z = cmath.sqrt(m)
-    if z.real < 0 or (z.real == 0 and z.imag < 0):
-        z = -z
-    return z
+    Im >= 0 so that negative real radicands map deterministically.
+    Elementwise on an array; a scalar gives a complex."""
+    z = np.sqrt(np.asarray(m, dtype=complex))    # principal: Re >= 0
+    z = np.where((z.real == 0) & (z.imag < 0), -z, z)
+    return complex(z) if z.ndim == 0 else z
+
+
+@dataclass(frozen=True)
+class RootStack:
+    """Roots and classification of m points; row i is point i, column j - 1
+    of the (m, 2) arrays is factor j.
+
+    ``case`` indexes ``tuple(RootCase)``: 0, 1, 2 upper roots, 3 a double
+    upper root.  ``upper`` holds the upper roots in factor order, a double
+    root twice; its entries beyond the case's root count are unused.
+    """
+
+    radicand: np.ndarray
+    alpha: np.ndarray
+    pi_1: np.ndarray
+    pi_2: np.ndarray
+    case: np.ndarray
+    upper: np.ndarray
+    marginal: np.ndarray
+
+
+def point_stack(p: TangentialPoint, w: WeightJet) -> tuple:
+    """(xi', tau, sigma, dphi_t, dphi_n) of one point as the m = 1 arrays
+    that classify_stack takes after x."""
+    return (p.xi_prime[None], np.array([p.tau], dtype=float),
+            np.array([p.sigma], dtype=float), w.d_tangential[None],
+            np.array([w.d_normal], dtype=float))
+
+
+def classify_stack(x, xi, tau, sigma, dphi_t, dphi_n,
+                   metric: Optional[MetricField] = None) -> RootStack:
+    """Factor roots and root classification of m points at one x: (m, tdim)
+    stacks xi' and dphi_t, (m,) arrays tau, sigma and dphi_n.
+
+    r(x, xi' + i tau dphi_t) is evaluated once per point and serves both
+    factors.  With tol = DEFAULT_CLASSIFY_TOL and lambda the joint scale,
+    roots pi_{j,2} with Im >= -tol*lambda count as upper.  A point is
+    marginal when a pi_{j,2} lies within tol*lambda of the real axis, when
+    a pi_{j,1} crosses it at tau > 0, or when two upper roots lie closer
+    than DEFAULT_SEPARATION_BAND*lambda without being a double root
+    (separation and sigma both <= tol*lambda): the case dispatch is not
+    numerically trustworthy there.  No input check: classify_roots checks
+    the point it wraps.
+    """
+    tol = DEFAULT_CLASSIFY_TOL
+    metric = metric or MetricField.euclidean(xi.shape[-1])
+    r = metric.r(x, xi + 1j * tau[:, None] * dphi_t)
+    s2 = sigma ** 2
+    radicand = np.empty((len(r), 2), dtype=complex)
+    radicand[:, 0], radicand[:, 1] = r - s2, r + s2
+    alpha = branch_sqrt(radicand)
+    shift = (-1j * tau * dphi_n)[:, None]
+    i_alpha = 1j * alpha
+    pi_1 = shift - i_alpha
+    pi_2 = shift + i_alpha
+
+    scale = np.maximum(np.sqrt(tau ** 2 + (xi * xi).sum(axis=-1) + s2), 1e-300)
+    im_rel = pi_2.imag / scale[:, None]
+    is_upper = im_rel >= -tol
+    marginal = ((np.abs(im_rel) <= tol)
+                | ((pi_1.imag / scale[:, None] >= -tol) & (tau > 0)[:, None])
+                ).any(axis=-1)
+    separation = np.abs(pi_2[:, 0] - pi_2[:, 1]) / scale
+    count = is_upper.sum(axis=-1)
+    double = (count == 2) & (separation <= tol) & (sigma <= tol * scale)
+    marginal |= (count == 2) & ~double & (separation <= DEFAULT_SEPARATION_BAND)
+    first = np.where(is_upper[:, 0], pi_2[:, 0], pi_2[:, 1])
+    return RootStack(radicand=radicand, alpha=alpha, pi_1=pi_1, pi_2=pi_2,
+                     case=np.where(double, 3, count),
+                     upper=np.where((count == 2)[:, None], pi_2, first[:, None]),
+                     marginal=marginal)
+
+
+def _pairs(roots: RootStack) -> tuple:
+    """The two RootPairs of an m = 1 stack."""
+    return tuple(RootPair(alpha=a, pi_1=p1, pi_2=p2, factor_index=j,
+                          radicand=rad)
+                 for j, a, p1, p2, rad in zip(
+                     (1, 2), roots.alpha[0].tolist(), roots.pi_1[0].tolist(),
+                     roots.pi_2[0].tolist(), roots.radicand[0].tolist()))
 
 
 def factor_radicand(p: TangentialPoint, w: WeightJet, j: int,
                     metric: Optional[MetricField] = None) -> complex:
     """r(x, xi' + i tau dphi_t) + (-1)^j sigma^2, via bilinear expansion."""
-    if j not in (1, 2):
-        raise ValueError("factor index must be 1 or 2")
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
-    arg = p.xi_prime + 1j * p.tau * w.d_tangential
-    return complex(metric.r(p.x, arg)) + (-1) ** j * p.sigma ** 2
+    return factor_roots(p, w, j, metric).radicand
 
 
 def factor_symbol_eval(p: TangentialPoint, w: WeightJet, j: int, xi_d: complex,
@@ -257,72 +338,34 @@ def factor_roots(p: TangentialPoint, w: WeightJet, j: int,
     """Both roots of q_j.  pi_1 always lies in the closed lower half-plane;
     the sign of Im pi_2 depends on the balance between tau dphi_n and the
     radicand (see im_sign_criterion)."""
-    rad = factor_radicand(p, w, j, metric)
-    alpha = branch_sqrt(rad)
-    shift = -1j * p.tau * w.d_normal
-    return RootPair(alpha=alpha,
-                    pi_1=shift - 1j * alpha,
-                    pi_2=shift + 1j * alpha,
-                    factor_index=j,
-                    radicand=rad)
+    if j not in (1, 2):
+        raise ValueError("factor index must be 1 or 2")
+    return _pairs(classify_stack(p.x, *point_stack(p, w), metric))[j - 1]
 
 
 def quartic_roots(p: TangentialPoint, w: WeightJet,
                   metric: Optional[MetricField] = None) -> tuple:
     """All four roots of the conjugated fourth-order symbol, with
     multiplicity, as the union of the two factor root pairs."""
-    r1 = factor_roots(p, w, 1, metric)
-    r2 = factor_roots(p, w, 2, metric)
+    r1, r2 = _pairs(classify_stack(p.x, *point_stack(p, w), metric))
     return (r1.pi_1, r1.pi_2, r2.pi_1, r2.pi_2)
 
 
 def classify_roots(p: TangentialPoint, w: WeightJet,
                    metric: Optional[MetricField] = None) -> RootConfiguration:
-    """Count the factor roots pi_{j,2} lying in the closed upper half-plane.
-
-    With tol = DEFAULT_CLASSIFY_TOL, roots with Im >= -tol*lambda are
-    counted as upper.  Configurations within tol*lambda of the real axis,
-    or with two upper roots separated by less than
-    DEFAULT_SEPARATION_BAND*lambda while sigma > tol*lambda, are flagged
-    marginal: the case dispatch is not numerically trustworthy there.
-    """
-    tol = DEFAULT_CLASSIFY_TOL
+    """Count the factor roots pi_{j,2} lying in the closed upper half-plane:
+    the m = 1 case of classify_stack, after checking that the weight is
+    inward and the point nondegenerate."""
     w.require_inward()
     p.require_nondegenerate()
-    scale = max(p.lambda_T_sigma, 1e-300)
-
-    pairs = (factor_roots(p, w, 1, metric), factor_roots(p, w, 2, metric))
-    upper = []
-    marginal = False
-    for rp in pairs:
-        im_rel = rp.pi_2.imag / scale
-        if im_rel >= -tol:
-            upper.append(rp.pi_2)
-        if abs(im_rel) <= tol:
-            marginal = True
-        # pi_1 is lower by construction; if it crosses the axis (tau ~ 0
-        # with a negative real radicand) the two-root picture degenerates.
-        if rp.pi_1.imag / scale >= -tol and p.tau > 0:
-            marginal = True
-
-    separation = abs(pairs[0].pi_2 - pairs[1].pi_2) / scale
-
-    if len(upper) == 0:
-        case = RootCase.NO_UPPER
-    elif len(upper) == 1:
-        case = RootCase.ONE_UPPER
-    elif separation <= tol and p.sigma <= tol * scale:
-        case = RootCase.DOUBLE_UPPER
-        upper = [upper[0]]
-    else:
-        case = RootCase.TWO_UPPER
-        if separation <= DEFAULT_SEPARATION_BAND:
-            marginal = True
-
-    return RootConfiguration(case=case,
-                             upper_roots=tuple(upper),
-                             marginal=marginal,
-                             pairs=pairs)
+    roots = classify_stack(p.x, *point_stack(p, w), metric)
+    case = tuple(RootCase)[roots.case[0]]
+    count = 1 if case is RootCase.DOUBLE_UPPER else int(roots.case[0])
+    return RootConfiguration(
+        case=case,
+        upper_roots=tuple(roots.upper[0, :count].tolist()),
+        marginal=bool(roots.marginal[0]),
+        pairs=_pairs(roots))
 
 
 def im_sign_criterion(p: TangentialPoint, w: WeightJet, j: int,

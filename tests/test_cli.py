@@ -167,6 +167,8 @@ class TestExitCodes:
           "0.1"], None, "--bc-param-a -3.0: the operator is indefinite"),
         (["spectrum", "--bc", "ex5_dn2A_dn3", "--dim", "2", "--n", "16"], None,
          "the ex5_dn2A_dn3 boundary operators carry tangential derivatives"),
+        (["ls-check", "--bc", "clamped", "--mu0", "-1"], None, "--mu0"),
+        (["ls-check", "--bc", "clamped", "--mu1", "-1"], None, "--mu1"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -178,7 +180,7 @@ class TestExitCodes:
             "alpha-negative", "alpha-nan", "alpha-blind-to-kernel",
             "indefinite-resolvent", "indefinite-simulate",
             "indefinite-decay-fit", "indefinite-tilted-hinge",
-            "2d-tangential-family"])
+            "2d-tangential-family", "mu0-negative", "mu1-negative"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from platelab import lscheck
 from platelab.lscheck import (
+    DEFAULT_MARGIN_TOL,
     PERTURBATION_CAP,
     PERTURBATION_FLOOR,
     PERTURBATION_RADII,
@@ -24,8 +26,14 @@ from platelab.lscheck import (
     positivity_margin,
     sample_conjugated,
 )
-from platelab.symbols import MetricField, RootCase, TangentialPoint, WeightJet
-from test_symbols import variable_metric
+from platelab.symbols import (
+    MetricField,
+    RootCase,
+    TangentialPoint,
+    WeightJet,
+    classify_stack,
+)
+from test_symbols import covering_points, stack_points, variable_metric
 
 X0 = np.array([0.0, 0.0])
 
@@ -323,6 +331,114 @@ class TestConjugated:
         d1, d2 = catalog_bc("degenerate_equal")
         assert ls_rank_oracle(d1, d2, w, p) <= 3
         assert positivity_margin(d1, d2, w, p) <= 1e-16
+
+
+# ex5_dn2A_dn3 at a = 0.7 as a boundary file, with its parameter symbol
+EX5_FILE = ("name ex5ish\naprime 1 0.7\nb1 order 2\nb1 term 1 0 -1 0 1\n"
+            "b1 term 2 -1 0 0 0\nb2 order 3\nb2 term 1 0 2 1 0\n"
+            "b2 term 3 0 1 0 0\n")
+PAIRS = catalog_names(include_fixtures=True) + ["file:ex5ish"]
+
+
+def load_pair(name, tmp_path):
+    if name.startswith("file:"):
+        path = tmp_path / "pair.bc"
+        path.write_text(EX5_FILE)
+        return load_bc_file(path)
+    return catalog_bc(name)
+
+
+def per_sample_loop(b1, b2, samples, seed=0, kappa0=1.0, mu0=0.25, mu1=0.25):
+    """sample_conjugated as one call of each public route per sample: the
+    oracle that the stacked blocks must equal."""
+    rng = np.random.default_rng(seed)
+    x0 = np.array([0.0, 0.0])
+    agree = 0
+    marginal = 0
+    counterexample = None
+    for _ in range(samples):
+        xi = rng.normal(size=1)
+        tau = float(10.0 ** rng.uniform(-1, 1))
+        sigma = float(rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau))
+        dn = 1.0
+        dtang = rng.normal(size=1)
+        if np.linalg.norm(dtang):
+            dtang = mu0 * rng.uniform(0, 1) * dn * dtang / np.linalg.norm(dtang)
+        p = TangentialPoint(x0, xi, tau, sigma)
+        w = WeightJet(1.0, dtang, dn)
+        rep = ls_conjugated(b1, b2, w, p)
+        if rep.marginal:
+            marginal += 1
+            continue
+        rank = ls_rank_oracle(b1, b2, w, p)
+        pos = positivity_margin(b1, b2, w, p)
+        consistent = (rep.verdict == (rank == 4)) and (rep.verdict == (pos > 1e-16))
+        if consistent and rep.verdict:
+            agree += 1
+        else:
+            counterexample = {"xi_prime": float(xi[0]), "tau": tau,
+                              "sigma": sigma, "dphi_tangential": float(dtang[0]),
+                              "verdict": rep.verdict, "rank": rank,
+                              "positivity": pos, "case": rep.case.value}
+            break
+    return {"samples": samples, "passed": agree, "marginal_skipped": marginal,
+            "counterexample": counterexample}
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_equals_per_sample_loop(self, name, seed, tmp_path, monkeypatch):
+        # a 64-sample block, so that 200 samples end in a partial fourth
+        # block; the per-sample oracle costs about 1 ms a sample
+        pair = load_pair(name, tmp_path)
+        monkeypatch.setattr(lscheck, "SAMPLE_BLOCK", 64)
+        assert sample_conjugated(*pair, 200, seed) == \
+            per_sample_loop(*pair, 200, seed)
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_block_edges(self, name, tmp_path, monkeypatch):
+        # counts 0 and block - 1, block, block + 1; with a 2-sample block
+        # the degenerate counterexample lies past the first block
+        pair = load_pair(name, tmp_path)
+        monkeypatch.setattr(lscheck, "SAMPLE_BLOCK", 2)
+        for samples in (0, 1, 2, 3, 40):
+            assert sample_conjugated(*pair, samples, 7) == \
+                per_sample_loop(*pair, samples, 7), samples
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_per_point_routes_are_stacked_rows(self, name, tmp_path):
+        b1, b2 = load_pair(name, tmp_path)
+        points = covering_points()
+        x, cols = stack_points(points)
+        roots = classify_stack(x, *cols)
+        st = lscheck._conjugated(b1, b2, x, *cols, roots.case, roots.upper,
+                                 MetricField.euclidean(1))
+        det, margin = lscheck._determinants(b1, b2, st)
+        s = lscheck._singular_values(b1, b2, st)
+        for i, (p, w) in enumerate(points):
+            rep = ls_conjugated(b1, b2, w, p)
+            assert (rep.margin, rep.scale, rep.marginal) == \
+                (margin[i], st.lam[i], roots.marginal[i])
+            assert rep.verdict == (None if rep.marginal
+                                   else bool(margin[i] > DEFAULT_MARGIN_TOL))
+            assert rep.determinant == (None if rep.case is RootCase.NO_UPPER
+                                       else det[i])
+            assert ls_rank_oracle(b1, b2, w, p) == lscheck._rank(s)[i]
+            assert positivity_margin(b1, b2, w, p) == s[i, -1] ** 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 123])
+    def test_counterexample_reproduces(self, seed):
+        b1, b2 = catalog_bc("degenerate_equal")
+        cex = sample_conjugated(b1, b2, 300, seed)["counterexample"]
+        p = TangentialPoint(X0, [cex["xi_prime"]], cex["tau"], cex["sigma"])
+        w = WeightJet(1.0, [cex["dphi_tangential"]], 1.0)
+        rep = ls_conjugated(b1, b2, w, p)
+        assert (rep.verdict, rep.case.value) == (cex["verdict"], cex["case"])
+        assert ls_rank_oracle(b1, b2, w, p) == cex["rank"]
+        assert positivity_margin(b1, b2, w, p) == cex["positivity"]
+        assert not (rep.verdict and cex["rank"] == 4
+                    and cex["positivity"] > 1e-16)
 
 
 class TestPerturbation:

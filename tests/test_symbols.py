@@ -13,9 +13,11 @@ from platelab.symbols import (
     WeightJet,
     branch_sqrt,
     classify_roots,
+    classify_stack,
     factor_roots,
     factor_symbol_eval,
     im_sign_criterion,
+    point_stack,
     quartic_roots,
 )
 
@@ -32,6 +34,31 @@ def random_point_and_jet(rng, tdim=1, tau_max=3.0):
     w = WeightJet(float(rng.uniform(0.5, 2.0)), rng.normal(size=tdim),
                   float(rng.uniform(0.2, 2.0)))
     return p, w
+
+
+def covering_points(seed=11, count=100):
+    """(p, w) at x = 0 covering all four root cases, marginal or not: a
+    tau = 0 double root, a marginal root on the real axis at tau = 0,
+    factor 1's pi_2 on the real axis and within the tolerance of it, one
+    and no upper root, then seeded random draws."""
+    x = [0.0, 0.0]
+    unit = WeightJet(1.0, [0.0], 1.0)
+    points = [(TangentialPoint(x, [xi], tau, sigma), unit) for xi, tau, sigma in
+              [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0),
+               (1.0, 1.0 + 1e-11, 0.0), (1.0, 1.0, 1.0), (0.0, 2.0, 1.0)]]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = TangentialPoint(x, rng.normal(size=1), float(10 ** rng.uniform(-1, 1)),
+                            float(rng.uniform(0.0, 1.5)))
+        points.append((p, WeightJet(1.0, 0.5 * rng.normal(size=1),
+                                    float(rng.uniform(0.3, 1.5)))))
+    return points
+
+
+def stack_points(points):
+    """x and the classify_stack columns of points that share one x."""
+    cols = zip(*(point_stack(p, w) for p, w in points))
+    return points[0][0].x, [np.concatenate(c) for c in cols]
 
 
 def variable_metric():
@@ -215,6 +242,28 @@ class TestClassification:
                 for j in (1, 2):
                     predicted_lower = im_sign_criterion(p, w, j)
                     assert predicted_lower == (not uppers[j])
+
+    def test_per_point_is_a_stacked_row(self):
+        # classify_roots is the m = 1 case of classify_stack: equal, value
+        # for value, to the row of the same point in a stack
+        points = covering_points()
+        x, cols = stack_points(points)
+        roots = classify_stack(x, *cols)
+        seen = set()
+        for i, (p, w) in enumerate(points):
+            conf = classify_roots(p, w)
+            seen.add((conf.case, conf.marginal))
+            assert tuple(RootCase)[roots.case[i]] is conf.case
+            assert roots.marginal[i] == conf.marginal
+            assert conf.upper_roots == \
+                tuple(roots.upper[i, :len(conf.upper_roots)].tolist())
+            for j, rp in enumerate(conf.pairs):
+                assert (rp.radicand, rp.alpha, rp.pi_1, rp.pi_2) == (
+                    roots.radicand[i, j], roots.alpha[i, j], roots.pi_1[i, j],
+                    roots.pi_2[i, j])
+                assert factor_roots(p, w, j + 1) == rp
+        assert {case for case, _ in seen} == set(RootCase)
+        assert {marginal for _, marginal in seen} == {True, False}
 
     def test_no_real_double_root(self, rng):
         # sigma bounded below: a double upper root never appears, in
