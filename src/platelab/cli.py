@@ -196,6 +196,10 @@ def cmd_roots(cfg):
     tau, sigma, xi = cfg["tau"], cfg["sigma"], cfg["xi_prime"]
     dn, dt = cfg["dphi_normal"], cfg["dphi_tangential"]
     p = TangentialPoint([0.0, 0.0], [xi], tau, sigma)
+    try:
+        p.require_nondegenerate()
+    except ValueError as exc:
+        raise ConfigError(f"--xi-prime, --tau and --sigma: {exc}") from None
     w = WeightJet(1.0, [dt], dn)
     conf = classify_roots(p, w)
     write_json(cfg["out"], _manifest(
@@ -460,7 +464,7 @@ _KEYS = {
     "mu0": _NONNEGATIVE, "mu1": _NONNEGATIVE, "psi": str, "gamma": _POSITIVE,
     "tau0": _POSITIVE, "ratio_hi": _REAL, "region_lo": _REAL,
     "region_hi": _REAL, "region_n": _STEP, "n_power": _NATURAL,
-    "xi_prime": _REAL, "sigma": _NONNEGATIVE, "dphi_normal": _REAL,
+    "xi_prime": _REAL, "sigma": _NONNEGATIVE, "dphi_normal": _POSITIVE,
     "dphi_tangential": _REAL, "out": str,
 }
 

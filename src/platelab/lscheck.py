@@ -10,13 +10,19 @@ positivity margin provide two more routes to the same verdict.  All three
 routes run on stacks of points; the per-point functions ls_conjugated,
 ls_rank_oracle and positivity_margin are their m = 1 case, and
 sample_conjugated evaluates a block of samples in one pass.
+
+A boundary pair is data: two operators, each an order and a table of
+tangential terms per normal power, and an optional parameter symbol.  The
+built-in catalog is one such table with a row per family, a --bc-file
+states the same data as text, and both build their operators through one
+constructor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -165,7 +171,45 @@ def _horner_dz(c, z) -> tuple:
             c1 + z * (2.0 * c2 + z * 3.0 * c3))
 
 
-_CATALOG = {}
+# One row per pair: name -> (b1, b2, parameter).  An operator is (order,
+# {normal power m: terms}), a term (coef, r_power, a_power) as in
+# TangentialTerm.  The parameter is None or (degree of a', default scale,
+# (c, d)): the pair then requires |c a' + d| > 1e-12 on the unit sphere.
+_CATALOG = {
+    "hinged": (
+        (0, {0: [(1.0, 0, 0)]}),
+        (2, {2: [(-1.0, 0, 0)]}),
+        None),
+    "clamped": (
+        (0, {0: [(1.0, 0, 0)]}),
+        (1, {1: [(-1.0j, 0, 0)]}),
+        None),
+    "neumann_pair": (
+        (1, {1: [(-1.0j, 0, 0)]}),
+        (3, {3: [(1.0j, 0, 0)], 1: [(1.0j, 1, 0)]}),
+        None),
+    "ex2_dn2_dn3": (
+        (2, {2: [(-1.0, 0, 0)], 0: [(-2.0, 1, 0)]}),
+        (3, {3: [(1.0j, 0, 0)]}),
+        None),
+    "ex3_dn_dn3_A": (
+        (1, {1: [(-1.0j, 0, 0)]}),
+        (3, {3: [(1.0j, 0, 0)], 0: [(1.0, 0, 1)]}),
+        (3, -1.0, (1.0, -2.0))),
+    "ex4_id_dn2_A": (
+        (0, {0: [(1.0, 0, 0)]}),
+        (2, {2: [(-1.0, 0, 0)], 1: [(-1.0j, 0, 1)]}),
+        (1, 1.0, (1.0, 2.0))),
+    "ex5_dn2A_dn3": (
+        (2, {2: [(-1.0, 0, 0)], 1: [(-1.0j, 0, 1)]}),
+        (3, {3: [(1.0j, 0, 0)], 1: [(2.0j, 1, 0)]}),
+        (1, 1.0, (2.0, 3.0))),
+    # negative-control fixture: proportional rows can never be complete
+    "degenerate_equal": (
+        (1, {1: [(-1.0j, 0, 0)]}),
+        (1, {1: [(-1.0j, 0, 0)]}),
+        None),
+}
 
 
 def catalog_names(include_fixtures: bool = False):
@@ -173,16 +217,22 @@ def catalog_names(include_fixtures: bool = False):
     return sorted(names)
 
 
-def _register(name):
-    def deco(fn):
-        _CATALOG[name] = fn
-        return fn
-    return deco
+def _pair(name: str, b1: tuple, b2: tuple,
+          aprime: Optional[ParameterSymbol]) -> tuple:
+    """The operators {name}_b1 and {name}_b2 of a pair whose operators are
+    given as (order, {normal power: terms}), a term (coef, r_power,
+    a_power); catalog rows and boundary files both end here."""
+    return tuple(
+        BoundaryOperatorSymbol(
+            f"{name}_{tag}", order,
+            {m: [TangentialTerm(*t) for t in terms] for m, terms in table.items()},
+            aprime=aprime)
+        for tag, (order, table) in (("b1", b1), ("b2", b2)))
 
 
-def _admissibility_check(name: str, fn: Callable[[np.ndarray, np.ndarray], float],
+def _admissibility_check(name: str, ap: ParameterSymbol, c: float, d: float,
                          metric: MetricField, tdim: int):
-    """Sampled strict-inequality check at 64 points of the unit sphere
+    """Sampled check of |c a' + d| > 1e-12 at 64 points of the unit sphere
     |omega'|_g = 1."""
     rng = np.random.default_rng(12345)
     for _ in range(64):
@@ -192,95 +242,9 @@ def _admissibility_check(name: str, fn: Callable[[np.ndarray, np.ndarray], float
         if nrm == 0:
             continue
         omega = omega / nrm
-        if not fn(x, omega):
+        if not abs(c * complex(ap(x, omega, metric)) + d) > 1e-12:
             raise ValueError(f"{name}: parameter symbol violates the admissibility "
                              f"constraint on the unit sphere (at omega'={omega})")
-
-
-@_register("hinged")
-def _bc_hinged(params, metric, tdim):
-    b1 = BoundaryOperatorSymbol("hinged_b1", 0, {0: [TangentialTerm(1.0)]})
-    b2 = BoundaryOperatorSymbol("hinged_b2", 2, {2: [TangentialTerm(-1.0)]})
-    return b1, b2
-
-
-@_register("clamped")
-def _bc_clamped(params, metric, tdim):
-    b1 = BoundaryOperatorSymbol("clamped_b1", 0, {0: [TangentialTerm(1.0)]})
-    b2 = BoundaryOperatorSymbol("clamped_b2", 1, {1: [TangentialTerm(-1.0j)]})
-    return b1, b2
-
-
-@_register("neumann_pair")
-def _bc_neumann(params, metric, tdim):
-    b1 = BoundaryOperatorSymbol("neumann_b1", 1, {1: [TangentialTerm(-1.0j)]})
-    b2 = BoundaryOperatorSymbol("neumann_b2", 3, {
-        3: [TangentialTerm(1.0j)],
-        1: [TangentialTerm(1.0j, r_power=1)],
-    })
-    return b1, b2
-
-
-@_register("ex2_dn2_dn3")
-def _bc_ex2(params, metric, tdim):
-    b1 = BoundaryOperatorSymbol("ex2_b1", 2, {
-        2: [TangentialTerm(-1.0)],
-        0: [TangentialTerm(-2.0, r_power=1)],
-    })
-    b2 = BoundaryOperatorSymbol("ex2_b2", 3, {3: [TangentialTerm(1.0j)]})
-    return b1, b2
-
-
-@_register("ex3_dn_dn3_A")
-def _bc_ex3(params, metric, tdim):
-    ap = _param_symbol(params, degree=3, default_scale=-1.0)
-    b1 = BoundaryOperatorSymbol("ex3_b1", 1, {1: [TangentialTerm(-1.0j)]})
-    b2 = BoundaryOperatorSymbol("ex3_b2", 3, {
-        3: [TangentialTerm(1.0j)],
-        0: [TangentialTerm(1.0, a_power=1)],
-    }, aprime=ap)
-    _admissibility_check("ex3_dn_dn3_A",
-                         lambda x, om: abs(complex(ap(x, om, metric)) - 2.0) > 1e-12,
-                         metric, tdim)
-    return b1, b2
-
-
-@_register("ex4_id_dn2_A")
-def _bc_ex4(params, metric, tdim):
-    ap = _param_symbol(params, degree=1, default_scale=1.0)
-    b1 = BoundaryOperatorSymbol("ex4_b1", 0, {0: [TangentialTerm(1.0)]})
-    b2 = BoundaryOperatorSymbol("ex4_b2", 2, {
-        2: [TangentialTerm(-1.0)],
-        1: [TangentialTerm(-1.0j, a_power=1)],
-    }, aprime=ap)
-    _admissibility_check("ex4_id_dn2_A",
-                         lambda x, om: abs(complex(ap(x, om, metric)) + 2.0) > 1e-12,
-                         metric, tdim)
-    return b1, b2
-
-
-@_register("ex5_dn2A_dn3")
-def _bc_ex5(params, metric, tdim):
-    ap = _param_symbol(params, degree=1, default_scale=1.0)
-    b1 = BoundaryOperatorSymbol("ex5_b1", 2, {
-        2: [TangentialTerm(-1.0)],
-        1: [TangentialTerm(-1.0j, a_power=1)],
-    }, aprime=ap)
-    b2 = BoundaryOperatorSymbol("ex5_b2", 3, {
-        3: [TangentialTerm(1.0j)],
-        1: [TangentialTerm(2.0j, r_power=1)],
-    })
-    _admissibility_check("ex5_dn2A_dn3",
-                         lambda x, om: abs(2.0 * complex(ap(x, om, metric)) + 3.0) > 1e-12,
-                         metric, tdim)
-    return b1, b2
-
-
-@_register("degenerate_equal")
-def _bc_degenerate(params, metric, tdim):
-    # Negative-control fixture: proportional rows can never be complete.
-    b = BoundaryOperatorSymbol("degenerate_b", 1, {1: [TangentialTerm(-1.0j)]})
-    return b, b
 
 
 def _param_symbol(params, degree, default_scale) -> ParameterSymbol:
@@ -306,8 +270,13 @@ def catalog_bc(name: str, params: Optional[dict] = None,
     """
     if name not in _CATALOG:
         raise KeyError(f"unknown boundary pair '{name}'; catalog: {catalog_names(True)}")
-    metric = metric or MetricField.euclidean(tdim)
-    return _CATALOG[name](params, metric, tdim)
+    b1, b2, param = _CATALOG[name]
+    if param is None:
+        return _pair(name, b1, b2, None)
+    degree, default_scale, (c, d) = param
+    ap = _param_symbol(params, degree, default_scale)
+    _admissibility_check(name, ap, c, d, metric or MetricField.euclidean(tdim), tdim)
+    return _pair(name, b1, b2, ap)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +309,8 @@ def load_bc_file(path) -> tuple:
                     orders[tok[0]] = int(tok[2])
                 elif tok[0] in ("b1", "b2") and tok[1] == "term":
                     m = int(tok[2])
-                    t = TangentialTerm(complex(float(tok[3]), float(tok[4])),
-                                       int(tok[5]), int(tok[6]))
+                    t = (complex(float(tok[3]), float(tok[4])),
+                         int(tok[5]), int(tok[6]))
                     terms[tok[0]].setdefault(m, []).append(t)
                 else:
                     raise ValueError("unrecognized directive")
@@ -349,9 +318,8 @@ def load_bc_file(path) -> tuple:
                 raise ValueError(f"{path}:{lineno}: cannot parse {raw!r} ({exc})") from exc
     if name is None or "b1" not in orders or "b2" not in orders:
         raise ValueError(f"{path}: file must declare a name and both operator orders")
-    b1 = BoundaryOperatorSymbol(f"{name}_b1", orders["b1"], terms["b1"], aprime=aprime)
-    b2 = BoundaryOperatorSymbol(f"{name}_b2", orders["b2"], terms["b2"], aprime=aprime)
-    return b1, b2
+    return _pair(name, (orders["b1"], terms["b1"]), (orders["b2"], terms["b2"]),
+                 aprime)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def _sl_coeff_at(coeff, xs):
     return np.array([float(coeff(x)) for x in xs])
 
 
-def _dirichlet_laplacian(n: int, h: float, length: float, coeff=None) -> sp.csr_matrix:
+def _dirichlet_laplacian(n: int, h: float, coeff=None) -> sp.csr_matrix:
     """-(a u')' on interior nodes with u = 0 at both ends; a at half nodes."""
     xs_half = h * (np.arange(n) + 0.5)
     a = _sl_coeff_at(coeff, xs_half)
@@ -150,7 +150,7 @@ def _dirichlet_laplacian(n: int, h: float, length: float, coeff=None) -> sp.csr_
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-def _neumann_laplacian(n: int, h: float, length: float, coeff=None) -> sp.csr_matrix:
+def _neumann_laplacian(n: int, h: float, coeff=None) -> sp.csr_matrix:
     """-(a u')' on cell centers with zero-flux ends (graph Laplacian form)."""
     xs_faces = h * np.arange(1, n)
     a = _sl_coeff_at(coeff, xs_faces)
@@ -175,11 +175,11 @@ def _assemble_1d(grid: Grid, name: str, params: dict, coeff):
                                 "ex5_dn2A_dn3": 1.0}.get(name, 0.0)))
 
     if name == "hinged":
-        L = _dirichlet_laplacian(n, h, grid.lengths[0], coeff)
+        L = _dirichlet_laplacian(n, h, coeff)
         return (L @ L).tocsr(), "node"
 
     if name == "neumann_pair":
-        L = _neumann_laplacian(n, h, grid.lengths[0], coeff)
+        L = _neumann_laplacian(n, h, coeff)
         return (L @ L).tocsr(), "cell"
 
     if coeff is not None:
@@ -219,7 +219,7 @@ def _assemble_1d(grid: Grid, name: str, params: dict, coeff):
     if name == "ex3_dn_dn3_A":
         # zero slope ends with a third-derivative load: equals the squared
         # zero-flux Laplacian plus a boundary diagonal -a/h
-        L = _neumann_laplacian(n, h, grid.lengths[0], None)
+        L = _neumann_laplacian(n, h)
         M = (L @ L).tolil()
         M[0, 0] += -a0 / h
         M[-1, -1] += -a0 / h
@@ -275,7 +275,7 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
         coeffs = metric if isinstance(metric, (tuple, list)) else (metric,) * 2
         axes = [make_grid(k, l) for k, l in zip(grid.n, grid.lengths)]
         Bs = [_assemble_1d(g, name, params, c)[0] for g, c in zip(axes, coeffs)]
-        Ls = [lap(g.n[0], g.h[0], g.lengths[0], c) for g, c in zip(axes, coeffs)]
+        Ls = [lap(g.n[0], g.h[0], c) for g, c in zip(axes, coeffs)]
         I0, I1 = (sp.identity(L.shape[0], format="csr") for L in Ls)
         M = (sp.kron(Bs[0], I1, format="csr") + 2.0 * sp.kron(*Ls, format="csr")
              + sp.kron(I0, Bs[1], format="csr"))

@@ -171,13 +171,6 @@ class TangentialPoint:
         return math.sqrt(self.tau ** 2 + float(self.xi_prime @ self.xi_prime)
                          + self.sigma ** 2)
 
-    def metric_scale(self, metric: Optional[MetricField] = None) -> float:
-        """sqrt(tau^2 + r(x, xi') + sigma^2); equivalent to lambda_T_sigma."""
-        if metric is None:
-            return self.lambda_T_sigma
-        return math.sqrt(self.tau ** 2 + float(np.real(metric.r(self.x, self.xi_prime)))
-                         + self.sigma ** 2)
-
     def require_nondegenerate(self):
         if self.lambda_T_sigma == 0.0:
             raise ValueError("(xi', tau, sigma) = 0: point is degenerate")

@@ -169,6 +169,10 @@ class TestExitCodes:
          "the ex5_dn2A_dn3 boundary operators carry tangential derivatives"),
         (["ls-check", "--bc", "clamped", "--mu0", "-1"], None, "--mu0"),
         (["ls-check", "--bc", "clamped", "--mu1", "-1"], None, "--mu1"),
+        (["roots", "--dphi-normal", "0"], None, "--dphi-normal"),
+        (["roots", "--dphi-normal", "-1"], None, "--dphi-normal"),
+        (["roots", "--xi-prime", "0", "--tau", "0", "--sigma", "0"], None,
+         "--xi-prime, --tau and --sigma"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -180,7 +184,8 @@ class TestExitCodes:
             "alpha-negative", "alpha-nan", "alpha-blind-to-kernel",
             "indefinite-resolvent", "indefinite-simulate",
             "indefinite-decay-fit", "indefinite-tilted-hinge",
-            "2d-tangential-family", "mu0-negative", "mu1-negative"])
+            "2d-tangential-family", "mu0-negative", "mu1-negative",
+            "dphi-normal-0", "dphi-normal-negative", "roots-degenerate-point"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"

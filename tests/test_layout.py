@@ -2,8 +2,10 @@
 
 Caller guard: a name in a module's __all__ must be referenced somewhere in
 src/platelab outside its own definition, by an acceptance criterion, or by
-the benchmark's trace pass (perfbench/layers.py).  Names kept without a
-caller are listed in EXEMPT with the reason.
+the benchmark's trace pass (perfbench/layers.py).  The same holds for each
+public method and property of a public class, referenced by attribute name.
+Names kept without a caller are listed in EXEMPT with the reason, methods
+as Class.method.
 
 Field guard: every annotated class field and every `self.NAME =` attribute
 in src/platelab is read somewhere in src/, tests/ or perfbench/.
@@ -24,6 +26,9 @@ EXEMPT = {
                            "CLI caller needs an --exclusion option for "
                            "subell and gamma-search (ROADMAP)",
     "factor_symbol_eval": "reference evaluation that tests compare against",
+    "MetricField.diagonal": "the paper's variable metric; only tests build "
+                            "one until a CLI option exists",
+    "TangentialPoint.scaled": "homogeneity tests dilate points",
 }
 
 
@@ -31,15 +36,16 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _references(tree, strings=False):
-    """(name, line) of every identifier use in the tree; with strings, also
-    string constants (perfbench/layers.py names the functions it wraps)."""
+def _references(tree, strings=False, attributes=False):
+    """(name, line) of every identifier use in the tree, or with attributes
+    of every attribute use only; with strings, also string constants
+    (perfbench/layers.py names the functions it wraps)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.Name) and not attributes:
+            yield node.id, node.lineno
+        elif isinstance(node, ast.alias) and not attributes:
             yield node.name, node.lineno
         elif strings and isinstance(node, ast.Constant) \
                 and isinstance(node.value, str):
@@ -64,15 +70,15 @@ def _definition_lines(tree, name):
     return range(0)
 
 
-def _callers():
+def _callers(attributes=False):
     """name -> set of (file, line) references outside __all__ lists."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        for name, line in _references(_parse(path)):
+        for name, line in _references(_parse(path), attributes=attributes):
             found.setdefault(name, set()).add((path, line))
     for path, strings in ((ROOT / "tests" / "test_acceptance.py", False),
                           (ROOT / "perfbench" / "layers.py", True)):
-        for name, line in _references(_parse(path), strings):
+        for name, line in _references(_parse(path), strings, attributes):
             found.setdefault(name, set()).add((path, line))
     return found
 
@@ -80,7 +86,7 @@ def _callers():
 def test_every_public_name_has_a_caller():
     callers = _callers()
     public = list(_public_names())
-    assert set(EXEMPT) <= {name for _, name in public}
+    assert {k for k in EXEMPT if "." not in k} <= {name for _, name in public}
     orphans = []
     for path, name in public:
         own = _definition_lines(_parse(path), name)
@@ -89,6 +95,32 @@ def test_every_public_name_has_a_caller():
         if not uses and name not in EXEMPT:
             orphans.append(f"{path.stem}.{name}")
     assert not orphans, f"public names without a caller: {orphans}"
+
+
+def _public_methods():
+    """(file, Class.method, definition lines) of every public method and
+    property of a class named in its module's __all__."""
+    for path, name in _public_names():
+        for cls in _parse(path).body:
+            if isinstance(cls, ast.ClassDef) and cls.name == name:
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) \
+                            and not node.name.startswith("_"):
+                        yield (path, f"{name}.{node.name}",
+                               range(node.lineno, node.end_lineno + 1))
+
+
+def test_every_public_method_has_a_caller():
+    callers = _callers(attributes=True)
+    methods = list(_public_methods())
+    assert {k for k in EXEMPT if "." in k} <= {qual for _, qual, _ in methods}
+    orphans = []
+    for path, qual, own in methods:
+        uses = [(f, line) for f, line in callers.get(qual.split(".")[1], ())
+                if not (f == path and line in own)]
+        if not uses and qual not in EXEMPT:
+            orphans.append(f"{path.stem}.{qual}")
+    assert not orphans, f"public methods without a caller: {orphans}"
 
 
 def _fields():

@@ -214,6 +214,38 @@ class TestBCFile:
         with pytest.raises(ValueError, match="broken.bc:3"):
             load_bc_file(path)
 
+    @pytest.mark.parametrize("name, a", [
+        *((name, None) for name in catalog_names(include_fixtures=True)),
+        ("ex3_dn_dn3_A", 0.5), ("ex4_id_dn2_A", -1.3), ("ex5_dn2A_dn3", 2.2),
+    ])
+    def test_catalog_pair_round_trips_through_a_file(self, name, a, tmp_path):
+        # the pair written in the file format, floats as repr so exactly,
+        # loads to operators with the same names and coefficients bit for bit
+        pair = catalog_bc(name, None if a is None else {"a": a})
+        lines = [f"name {name}"]
+        ap = pair[0].aprime
+        if ap is not None:
+            lines.append(f"aprime {ap.degree} {ap.scale!r}")
+        for tag, b in zip(("b1", "b2"), pair):
+            lines.append(f"{tag} order {b.order}")
+            for m, entries in b.terms.items():
+                for t in entries:
+                    c = complex(t.coef)
+                    lines.append(f"{tag} term {m} {c.real!r} {c.imag!r} "
+                                 f"{t.r_power} {t.a_power}")
+        path = tmp_path / "pair.bc"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_bc_file(path)
+        rng = np.random.default_rng(17)
+        for tdim in (1, 2):
+            x = rng.normal(size=tdim + 1)
+            re, im = rng.normal(size=(2, 16, tdim))
+            for b, c in zip(pair, loaded):
+                assert (c.name, c.order) == (b.name, b.order)
+                for xs in (re, re + 1j * im):
+                    assert c.coeff_vector(x, xs).tobytes() == \
+                        b.coeff_vector(x, xs).tobytes(), b.name
+
 
 def non_marginal_samples(rng, count, kappa0=1.0, mu_cap=0.6):
     out = []
