@@ -247,25 +247,13 @@ def _admissibility_check(name: str, ap: ParameterSymbol, c: float, d: float,
                              f"constraint on the unit sphere (at omega'={omega})")
 
 
-def _param_symbol(params, degree, default_scale) -> ParameterSymbol:
-    params = params or {}
-    if "aprime" in params:
-        ap = params["aprime"]
-        if not isinstance(ap, ParameterSymbol):
-            raise ValueError("aprime parameter must be a ParameterSymbol")
-        if ap.degree != degree:
-            raise ValueError(f"parameter symbol degree {ap.degree} != required {degree}")
-        return ap
-    return ParameterSymbol(degree, scale=float(params.get("a", default_scale)))
-
-
 def catalog_bc(name: str, params: Optional[dict] = None,
                metric: Optional[MetricField] = None, tdim: int = 1):
     """Boundary-operator pair from the built-in catalog.
 
-    Families requiring a parameter symbol accept params={"a": scalar} or
-    params={"aprime": ParameterSymbol}.  Construction rejects parameters
-    that violate the family's strict admissibility inequality on the unit
+    Families requiring a parameter symbol accept params={"a": scalar}, the
+    scale of the parameter symbol.  Construction rejects parameters that
+    violate the family's strict admissibility inequality on the unit
     sphere (sampled check).
     """
     if name not in _CATALOG:
@@ -274,7 +262,7 @@ def catalog_bc(name: str, params: Optional[dict] = None,
     if param is None:
         return _pair(name, b1, b2, None)
     degree, default_scale, (c, d) = param
-    ap = _param_symbol(params, degree, default_scale)
+    ap = ParameterSymbol(degree, scale=float((params or {}).get("a", default_scale)))
     _admissibility_check(name, ap, c, d, metric or MetricField.euclidean(tdim), tdim)
     return _pair(name, b1, b2, ap)
 

@@ -1,12 +1,14 @@
 """Finite-difference bi-Laplacians on intervals and tensor rectangles.
 
-Interior rows use the five-point fourth-difference stencil (truncation
-order h^2); boundary conditions are enforced by eliminating two ghost
-layers.  Families containing the Dirichlet trace (hinged, clamped, ex4)
-live on lattice nodes with the boundary values removed; the remaining
-families (neumann_pair, ex2, ex3, ex5) live on cell centers, where the
-half-offset geometry makes the eliminated rows symmetric with the plain
-grid inner product <u, v> = h^d sum u v.
+Each boundary family is one row of `_FAMILIES`, which 1-D and 2-D
+assembly both read: the layout of its unknowns, its base matrix, the
+boundary rows left by eliminating two ghost layers, and its default
+parameter.  Families containing the Dirichlet trace (hinged, clamped, ex4)
+live on lattice nodes with the boundary values removed; the rest live on
+cell centers, where the half-offset geometry makes the eliminated rows
+symmetric with the plain grid inner product <u, v> = h^d sum u v.  The base
+is the square of the layout's three-point Laplacian or the five-point
+fourth-difference stencil (truncation order h^2).
 
 On a rectangle the operator is B0 x I + 2 L0 x L1 + I x B1, from the 1-D
 family matrix B and Laplacian L of each axis: exact where u = 0 on an edge
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -46,15 +48,6 @@ __all__ = [
 ]
 
 MAX_DENSE_UNKNOWNS = 3000   # cap of DiscretePlateOperator.dense()
-
-NODE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A")
-CELL_FAMILIES = ("neumann_pair", "ex2_dn2_dn3", "ex3_dn_dn3_A", "ex5_dn2A_dn3")
-# B = L^2: the 2-D spectrum comes from the eigenpairs of L0 and L1
-LAPLACIAN_SQUARES = ("hinged", "neumann_pair")
-
-
-def catalog_families():
-    return NODE_FAMILIES + CELL_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -161,83 +154,87 @@ def _neumann_laplacian(n: int, h: float, coeff=None) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-def _biharmonic_base(n_unknowns: int, h: float) -> sp.csr_matrix:
-    """Banded [1 -4 6 -4 1]/h^4 rows; boundary rows patched by caller."""
-    stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h ** 4
-    return sp.diags(stencil, range(-2, 3), shape=(n_unknowns,) * 2, format="csr")
+_LAPLACIANS = {"node": _dirichlet_laplacian, "cell": _neumann_laplacian}
 
 
-def _assemble_1d(grid: Grid, name: str, params: dict, coeff):
-    n = grid.n[0]
-    h = grid.h[0]
-    a0 = float(params.get("a", {"ex3_dn_dn3_A": -1.0,
-                                "ex4_id_dn2_A": 1.0,
-                                "ex5_dn2A_dn3": 1.0}.get(name, 0.0)))
+@dataclass(frozen=True)
+class _Family:
+    """One row of the family table: unknowns on lattice nodes or cell
+    centers (layout); a base matrix that is the square L^2 of the layout's
+    Laplacian (square) or the five-point stencil [1 -4 6 -4 1]/h^4; the
+    2 x 2 eliminated ghost rows corner(a, h), added at the first two
+    unknowns and mirrored at the last two; the default parameter a."""
 
-    if name == "hinged":
-        L = _dirichlet_laplacian(n, h, coeff)
-        return (L @ L).tocsr(), "node"
+    layout: str
+    square: bool
+    corner: Optional[Callable] = None
+    default_a: float = 0.0
 
-    if name == "neumann_pair":
-        L = _neumann_laplacian(n, h, coeff)
-        return (L @ L).tocsr(), "cell"
+    @property
+    def laplacian_square(self) -> bool:   # variable coefficients, 2-D factors
+        return self.square and self.corner is None
 
-    if coeff is not None:
-        raise NotImplementedError(
-            f"variable coefficients are supported for hinged and neumann_pair "
-            f"only, not {name}")
+    @property
+    def on_rectangles(self) -> bool:      # u = 0 on each edge, or B = L^2
+        return self.layout == "node" or self.laplacian_square
 
-    if name == "clamped":
-        # nodes 1..n-1; ghosts: u_0 = 0, u_-1 = u_1 (mirrored on the right)
-        M = _biharmonic_base(n - 1, h)
-        M[0, 0] += 1.0 / h ** 4
-        M[-1, -1] += 1.0 / h ** 4
-        return sp.csr_matrix(M), "node"
 
-    if name == "ex4_id_dn2_A":
-        # hinged ghosts with a first-order tilt: u_-1 = -c u_1,
-        # c = (1 - a h/2)/(1 + a h/2); only the diagonal entry moves
-        c = (1.0 - a0 * h / 2.0) / (1.0 + a0 * h / 2.0)
-        M = _biharmonic_base(n - 1, h)
-        M[0, 0] += -c / h ** 4
-        M[-1, -1] += -c / h ** 4
-        return sp.csr_matrix(M), "node"
+def _ex4_corner(a, h):
+    # hinged ghosts with a first-order tilt: u_-1 = -c u_1,
+    # c = (1 - a h/2)/(1 + a h/2); only the diagonal entry moves
+    c = (1.0 - a * h / 2.0) / (1.0 + a * h / 2.0)
+    return ((-c / h ** 4, 0.0), (0.0, 0.0))
 
-    if name == "ex2_dn2_dn3":
-        # free end: second and third normal derivatives vanish
-        M = _biharmonic_base(n, h)
-        M[0, 0] += -5.0 / h ** 4
-        M[0, 1] += 2.0 / h ** 4
-        M[1, 0] += 2.0 / h ** 4
-        M[1, 1] += -1.0 / h ** 4
-        M[-1, -1] += -5.0 / h ** 4
-        M[-1, -2] += 2.0 / h ** 4
-        M[-2, -1] += 2.0 / h ** 4
-        M[-2, -2] += -1.0 / h ** 4
-        return sp.csr_matrix(M), "cell"
 
-    if name == "ex3_dn_dn3_A":
-        # zero slope ends with a third-derivative load: equals the squared
-        # zero-flux Laplacian plus a boundary diagonal -a/h
-        L = _neumann_laplacian(n, h)
-        M = (L @ L).tolil()
-        M[0, 0] += -a0 / h
-        M[-1, -1] += -a0 / h
-        return M.tocsr(), "cell"
+def _ex5_corner(a, h):
+    # tilted second-derivative condition with free third derivative;
+    # beta = 1/(1 + a h) keeps the eliminated rows symmetric
+    beta = 1.0 / (1.0 + a * h)
+    return (((3.0 - beta * (2.0 + a * h) - 6.0) / h ** 4, (beta - 3.0 + 4.0) / h ** 4),
+            (beta * (2.0 + a * h) / h ** 4, -beta / h ** 4))
 
-    if name == "ex5_dn2A_dn3":
-        # tilted second-derivative condition with free third derivative;
-        # beta = 1/(1 + a h) keeps the eliminated rows symmetric
-        beta = 1.0 / (1.0 + a0 * h)
-        M = _biharmonic_base(n, h)
-        for first, second in ((0, 1), (n - 1, n - 2)):
-            M[first, first] += (3.0 - beta * (2.0 + a0 * h) - 6.0) / h ** 4
-            M[first, second] += (beta - 3.0 + 4.0) / h ** 4
-            M[second, first] += beta * (2.0 + a0 * h) / h ** 4
-            M[second, second] += -beta / h ** 4
-        return sp.csr_matrix(M), "cell"
 
-    raise KeyError(f"unknown boundary pair '{name}' for assembly")
+_FAMILIES = {
+    "hinged": _Family("node", True),
+    # ghosts u_0 = 0, u_-1 = u_1
+    "clamped": _Family("node", False, lambda a, h: ((1.0 / h ** 4, 0.0), (0.0, 0.0))),
+    "ex4_id_dn2_A": _Family("node", False, _ex4_corner, default_a=1.0),
+    "neumann_pair": _Family("cell", True),
+    # free end: second and third normal derivatives vanish
+    "ex2_dn2_dn3": _Family("cell", False, lambda a, h: (
+        (-5.0 / h ** 4, 2.0 / h ** 4), (2.0 / h ** 4, -1.0 / h ** 4))),
+    # zero slope with a third-derivative load: L^2 plus a boundary diagonal -a/h
+    "ex3_dn_dn3_A": _Family("cell", True, lambda a, h: ((-a / h, 0.0), (0.0, 0.0)),
+                            default_a=-1.0),
+    "ex5_dn2A_dn3": _Family("cell", False, _ex5_corner, default_a=1.0),
+}
+
+
+def catalog_families():
+    return tuple(_FAMILIES)
+
+
+def _axis_matrices(name: str, family: _Family, n: int, h: float, a: float,
+                   coeff):
+    """(B, L) on one axis of n cells of width h: the 1-D family matrix and
+    the Laplacian of the family's layout."""
+    if coeff is not None and not family.laplacian_square:
+        squares = " and ".join(k for k, f in _FAMILIES.items()
+                               if f.laplacian_square)
+        raise NotImplementedError(f"variable coefficients are supported for "
+                                  f"{squares} only, not {name}")
+    L = _LAPLACIANS[family.layout](n, h, coeff)
+    if family.square:
+        B = L @ L
+    else:
+        stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h ** 4
+        B = sp.diags(stencil, range(-2, 3), shape=L.shape, format="csr")
+    if family.corner is not None:
+        B.sort_indices()                  # L @ L leaves columns unsorted
+        for (i, j), v in np.ndenumerate(family.corner(a, h)):
+            B[i, j] += v
+            B[-1 - i, -1 - j] += v
+    return B, L
 
 
 def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
@@ -257,34 +254,33 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
     if name == "degenerate_equal":
         raise KeyError("degenerate_equal is an analysis fixture; it does not "
                        "determine a well-posed discretization")
-    if name not in catalog_families():
+    if name not in _FAMILIES:
         raise KeyError(f"unknown boundary pair '{name}'; "
                        f"families: {catalog_families()}")
-
-    factors = None
-    if grid.dimension == 1:
-        M, layout = _assemble_1d(grid, name, params, metric)
-    elif name in CELL_FAMILIES and name not in LAPLACIAN_SQUARES:
+    family = _FAMILIES[name]
+    a = float(params.get("a", family.default_a))
+    if grid.dimension == 2 and not family.on_rectangles:
+        covered = [k for k, f in _FAMILIES.items() if f.on_rectangles]
         raise NotImplementedError(
-            f"2-D assembly covers hinged, clamped, ex4_id_dn2_A and "
-            f"neumann_pair; the {name} boundary operators carry tangential "
-            f"derivatives, which a Kronecker sum of 1-D matrices omits")
+            f"2-D assembly covers {', '.join(covered[:-1])} and {covered[-1]}; "
+            f"the {name} boundary operators carry tangential derivatives, "
+            f"which a Kronecker sum of 1-D matrices omits")
+    coeffs = metric if isinstance(metric, (tuple, list)) else (metric,) * 2
+    axes = [_axis_matrices(name, family, k, h, a, c)
+            for k, h, c in zip(grid.n, grid.h, coeffs)]
+    if grid.dimension == 1:
+        M, factors = axes[0][0], None
     else:
-        layout, lap = (("node", _dirichlet_laplacian) if name in NODE_FAMILIES
-                       else ("cell", _neumann_laplacian))
-        coeffs = metric if isinstance(metric, (tuple, list)) else (metric,) * 2
-        axes = [make_grid(k, l) for k, l in zip(grid.n, grid.lengths)]
-        Bs = [_assemble_1d(g, name, params, c)[0] for g, c in zip(axes, coeffs)]
-        Ls = [lap(g.n[0], g.h[0], c) for g, c in zip(axes, coeffs)]
-        I0, I1 = (sp.identity(L.shape[0], format="csr") for L in Ls)
-        M = (sp.kron(Bs[0], I1, format="csr") + 2.0 * sp.kron(*Ls, format="csr")
-             + sp.kron(I0, Bs[1], format="csr"))
-        factors = tuple(Ls) if name in LAPLACIAN_SQUARES else None
-    coords = np.meshgrid(*(grid.axis_nodes(ax, layout)
+        (B0, L0), (B1, L1) = axes
+        I0, I1 = (sp.identity(L.shape[0], format="csr") for L in (L0, L1))
+        M = (sp.kron(B0, I1, format="csr") + 2.0 * sp.kron(L0, L1, format="csr")
+             + sp.kron(I0, B1, format="csr"))
+        factors = (L0, L1) if family.laplacian_square else None
+    coords = np.meshgrid(*(grid.axis_nodes(ax, family.layout)
                            for ax in range(grid.dimension)), indexing="ij")
     return DiscretePlateOperator(
-        grid, name, M, np.column_stack([c.ravel() for c in coords]), layout,
-        weight=math.prod(grid.h), tensor_factors=factors)
+        grid, name, M, np.column_stack([c.ravel() for c in coords]),
+        family.layout, weight=math.prod(grid.h), tensor_factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the production code paths they check: quartic
-roots come from an explicit companion matrix, Poisson brackets from central
-finite differences, beam frequencies from bisection on the characteristic
-equation, and polynomial coefficients from direct expansion.
+roots come from an explicit companion matrix polished by Newton steps on
+the quartic, Poisson brackets from central finite differences, beam
+frequencies from bisection on the characteristic equation, and polynomial
+coefficients from direct expansion.
 """
 
 import cmath
@@ -14,8 +15,11 @@ import pytest
 
 
 def companion_roots(coeffs):
-    """Roots of sum_k coeffs[k] z^k (ascending) as eigenvalues of the
-    explicitly assembled companion matrix."""
+    """Roots of sum_k coeffs[k] z^k (ascending): eigenvalues of the
+    explicitly assembled companion matrix, polished by four simultaneous
+    Newton steps on the polynomial in long double.  Each Newton correction is
+    deflated by the other roots (Aberth), so two near-double roots stay
+    apart; the eigenvalues alone miss by O(eps |C| / separation) there."""
     c = np.asarray(coeffs, dtype=complex)
     c = np.trim_zeros(c, "b")
     n = c.size - 1
@@ -25,7 +29,17 @@ def companion_roots(coeffs):
     C = np.zeros((n, n), dtype=complex)
     C[1:, :-1] = np.eye(n - 1)
     C[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(C)
+    z = np.linalg.eigvals(C).astype(np.clongdouble)
+    poly = c[::-1].astype(np.clongdouble)          # descending, for polyval
+    dpoly = np.polyder(poly)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            gap = z[:, None] - z[None, :]
+            np.fill_diagonal(gap, np.inf)
+            f = np.polyval(poly, z)
+            step = f / (np.polyval(dpoly, z) - f * (1.0 / gap).sum(axis=1))
+            z -= np.where(np.isfinite(step), step, 0.0)
+    return z.astype(complex)
 
 
 def match_roots(a, b):

@@ -42,7 +42,7 @@ from platelab.symbols import (
     RootCase,
     TangentialPoint,
     WeightJet,
-    classify_roots,
+    classify_stack,
     factor_roots,
     im_sign_criterion,
     quartic_roots,
@@ -171,16 +171,26 @@ def test_criterion_4_no_real_double_root():
     with criterion(4, "no real double upper root", budget=60.0):
         rng = np.random.default_rng(303)
         produced = 0
-        for _ in range(100_000):
-            p, w = random_sample(rng)
-            lam = p.lambda_T
-            if p.sigma < 0.01 * lam or lam == 0:
-                continue
-            conf = classify_roots(p, w)
-            if conf.marginal:
-                continue
-            assert conf.case is not RootCase.DOUBLE_UPPER
-            produced += 1
+        for _ in range(10):
+            kept = []
+            for _ in range(10_000):
+                p, w = random_sample(rng)
+                lam = p.lambda_T
+                if p.sigma < 0.01 * lam or lam == 0:
+                    continue
+                w.require_inward()          # the input checks of classify_roots
+                p.require_nondegenerate()
+                kept.append((p, w))
+            roots = classify_stack(
+                X0, np.array([p.xi_prime for p, _ in kept]),
+                np.array([p.tau for p, _ in kept]),
+                np.array([p.sigma for p, _ in kept]),
+                np.array([w.d_tangential for _, w in kept]),
+                np.array([w.d_normal for _, w in kept]))
+            clear = ~roots.marginal
+            assert not np.any(roots.case[clear] == tuple(RootCase).index(
+                RootCase.DOUBLE_UPPER))
+            produced += int(clear.sum())
         assert produced > 50_000
 
 

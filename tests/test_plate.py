@@ -1,5 +1,6 @@
 """Discrete bi-Laplacians: symmetry, spectra, kernels, exports."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,99 @@ from conftest import beam_characteristic_root
 
 GRID = make_grid(96)
 RECTANGLE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A", "neumann_pair")
+
+# SHA-256 of (shape, indptr, indices, data) of each matrix, keyed by
+# (family, cells per axis, boundary parameter a or None for the default);
+# recorded before assembly moved to the family table, so any change of a
+# stored bit, index or entry order fails here
+ASSEMBLY_DIGESTS = {
+    ('hinged', (8,), None):
+        "7b05bb8d11a97d458fdc62a2b1776e7a05ca9e57b7d968b2e0b08fdc83491411",
+    ('hinged', (9,), None):
+        "08d3887ea5afea004a7363e78517b9166f8ed496484a6a2e60bde099e1416097",
+    ('hinged', (97,), None):
+        "18c5e233fb2ec5cb5b465d482dc165a838f7646a8c2efb21368528bbce093a1e",
+    ('clamped', (8,), None):
+        "c783f7c3b5fc23fe48bce55081919817798c5029eb6ba9e7c01214bf0b138ff0",
+    ('clamped', (9,), None):
+        "0ea593c639b612009f1d606732100d16878a74d70d11fef4201dddcffae3b0b9",
+    ('clamped', (97,), None):
+        "158e240eb83833a64d9e18a3c134f630af9b6bca02306e0ee82dda4388a0c710",
+    ('ex4_id_dn2_A', (8,), None):
+        "9cd890d600cd9c8cb2f26cf04c55a3ef460c71ed60d8a56bfed3903c0ba0d1be",
+    ('ex4_id_dn2_A', (9,), None):
+        "53f4e144466e06018d815e79577f5acb8a27b2443ec452a8a991f1c34a6efe38",
+    ('ex4_id_dn2_A', (97,), None):
+        "48c49214150c4e0dcb39ec8d34c62c9e1ec0508b9deb8f75aff37a4575effe95",
+    ('neumann_pair', (8,), None):
+        "ac8618745bd50873962065b9c67342f88ea4bb5013e665a58920d19c7163ed6c",
+    ('neumann_pair', (9,), None):
+        "8cf69f8d9399983955b56d748afd9cf6998c1be25c52456f6db3b1a84e899978",
+    ('neumann_pair', (97,), None):
+        "2563c090c44f306bbd6d472b39fcd60051d34a63e8744ac2fd2d812a2e8f8ff3",
+    ('ex2_dn2_dn3', (8,), None):
+        "0f23406c64a03fed24ac2e0e2cac3758e2c85ce6ca557f08d65b3b41165cdbdc",
+    ('ex2_dn2_dn3', (9,), None):
+        "0f3a59e2fc01f53cc94e5cdf96f25469d331e764116525cb36c50ee568d0ccb2",
+    ('ex2_dn2_dn3', (97,), None):
+        "d0fbac819157bdce8d8bf8b04f531790aec33f433726f41126c5669dce966990",
+    ('ex3_dn_dn3_A', (8,), None):
+        "edd21fe88241e90911ab94eaca981ef06128bd8c0cde169eaaae77abcc1eb4e1",
+    ('ex3_dn_dn3_A', (9,), None):
+        "4b6eb9b702179176273c1adc19dd276bf92a4969dd25d912b48b49e37719c92b",
+    ('ex3_dn_dn3_A', (97,), None):
+        "cc18d311c6f45b2024ff8d3d19f089e2b713a2bf9ea55ffc4e894a28aea75979",
+    ('ex5_dn2A_dn3', (8,), None):
+        "7004ea3fd2c7593727c50fee101189b075d9a6eff30cc964b110a9d0e948c480",
+    ('ex5_dn2A_dn3', (9,), None):
+        "e51cee99245a52c711ecfed0fac5343f491628400b78ebceadbc201782f90f17",
+    ('ex5_dn2A_dn3', (97,), None):
+        "84d82533fca7ee2c8e261ae878f01f1fde47f3b724750baf49816021376bfe2d",
+    ('hinged', (9, 12), None):
+        "ed7cb04af970ed3edc96eb06175352e7598dfef67765d3fa858d468e48b3683b",
+    ('clamped', (9, 12), None):
+        "297bb90c5ad538d7eeb8d1dc90d9a0ea65199a1daf0b1e43850a3e9c5031c17f",
+    ('ex4_id_dn2_A', (9, 12), None):
+        "c51e1110e0027a688ba1abdfa2af1b17dfd2aba8a99a79d83514a0828854959e",
+    ('neumann_pair', (9, 12), None):
+        "daa1159c6111f02f8f694a634057b92993a5d72bd4b44c3b0b18d7778fd64375",
+    ('ex3_dn_dn3_A', (8,), -1.3):
+        "39c0965948e3a7eccee8dbc3d0b38d70ef53f4a1a830ca32e39256cb5db8825d",
+    ('ex3_dn_dn3_A', (9,), -1.3):
+        "ca9e9632732df9c7a8c8f5ffba10ba26061a6edd21898808475528f2034d5390",
+    ('ex3_dn_dn3_A', (97,), -1.3):
+        "0bd55850b196b3a06f2d437c0073d95bd7e46d5a9871e382b1516edfd4685f53",
+    ('ex3_dn_dn3_A', (8,), 0.5):
+        "b988c9c204ef1d93fa95e4c51a865224ef8dc70102eede2285ea5e4a9addd236",
+    ('ex3_dn_dn3_A', (9,), 0.5):
+        "77ec12a4e4a3bb0c6364795edb18f5bf444e0c7865525f23617080f73746e4b3",
+    ('ex3_dn_dn3_A', (97,), 0.5):
+        "e361241f38039760439394fff839f58f5b19f44076729dc101161679ac6707da",
+    ('ex4_id_dn2_A', (8,), -1.3):
+        "7aaf09e5d44788bc76f67b7148714c80c1043a92643c12fc601c4c74e792bdb8",
+    ('ex4_id_dn2_A', (9,), -1.3):
+        "fa6566feda913d32bd20696f05648fdf4092608140dc19bf3cc1a729e0dcd1f3",
+    ('ex4_id_dn2_A', (97,), -1.3):
+        "28b97eb61fd4132b381bd872e07bb929fddbc688399921d3843e00e0c9d7f7fb",
+    ('ex4_id_dn2_A', (8,), 0.5):
+        "a7856125f3e5b0b7a64a126f87b8b43ed9e3fb52ec408288213dc9f90a9f3996",
+    ('ex4_id_dn2_A', (9,), 0.5):
+        "941ae7c5e7146c9331a72658133dc96ea21365a86791f11727d5fca4c239c25c",
+    ('ex4_id_dn2_A', (97,), 0.5):
+        "e52b97983da809b1d83f711bf497698d594f4b07c0f870665af10c1a03c08c36",
+    ('ex5_dn2A_dn3', (8,), -1.3):
+        "80db4d8147937e05fcb68fd6119f4327dc8ce35916c9ebdaca156f7d16be68f7",
+    ('ex5_dn2A_dn3', (9,), -1.3):
+        "2c2a9d62b0d43fd47c4f7021e549a56062550930c00e1cb163b1538c3fb5c97e",
+    ('ex5_dn2A_dn3', (97,), -1.3):
+        "31a527e7fb7fb8a7524ba7e145a84af5ad046d9f04ebc5713ae11dadb3589af7",
+    ('ex5_dn2A_dn3', (8,), 0.5):
+        "a1fd2521b39ef361dd4af541e0089304646c64786fbc4a22aee0e74307c57af5",
+    ('ex5_dn2A_dn3', (9,), 0.5):
+        "85230033deeaaf4475f51097684f1a0ddbd9b1ff6a39d8d06ae24cbdc94a245e",
+    ('ex5_dn2A_dn3', (97,), 0.5):
+        "1a4b4164e0f987bcd3b285f09a6aefdb0568eb5cc080842c25cb2b8ac0ee8f45",
+}
 
 
 def every_operator():
@@ -117,6 +211,16 @@ class TestAssembly:
             op = assemble(make_grid(n), name)
             assert np.array_equal(op.dense(), dense_reference(name, n)), name
             assert np.all(op.matrix.data != 0.0), name
+
+    @pytest.mark.parametrize("name, n, a", list(ASSEMBLY_DIGESTS), ids=[
+        f"{name}-{'x'.join(map(str, n))}-a{a}" for name, n, a in ASSEMBLY_DIGESTS])
+    def test_matrix_bytes_match_pinned_digest(self, name, n, a):
+        M = assemble(make_grid(n), name,
+                     params=None if a is None else {"a": a}).matrix
+        digest = hashlib.sha256(repr(M.shape).encode())
+        for arr in (M.indptr, M.indices, M.data):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == ASSEMBLY_DIGESTS[name, n, a]
 
     def test_neumann_kernel_contains_constants(self):
         op = assemble(GRID, "neumann_pair")

@@ -200,6 +200,19 @@ class TestQuarticRoots:
             lam = max(p.lambda_T_sigma, p.tau * w.d_normal, 1e-30)
             assert match_roots(oracle, ours) <= 1e-8 * lam
 
+    def test_companion_oracle_at_near_double_upper_roots(self):
+        # sigma = 0.0359 puts the two upper roots 6.1e-6 apart at
+        # lambda = 124; the companion eigenvalues before Newton polishing
+        # miss by 4.9e-8 lambda here
+        p = TangentialPoint([0.0, 0.0, 0.0], [0.0, 37.5], 118.2, 0.0359)
+        w = WeightJet(1.0, [-0.93, -1.5], 0.27)
+        conf = classify_roots(p, w)
+        assert conf.case is RootCase.TWO_UPPER
+        assert abs(conf.upper_roots[0] - conf.upper_roots[1]) < 1e-5
+        oracle = companion_roots(conjugated_quartic_coeffs(p, w))
+        lam = max(p.lambda_T_sigma, p.tau * w.d_normal)
+        assert match_roots(oracle, quartic_roots(p, w)) <= 1e-8 * lam
+
 
 class TestClassification:
     def test_unconjugated_is_double_upper(self):

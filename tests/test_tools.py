@@ -18,3 +18,7 @@ def test_artifact_digest_finds_readme_lines_and_benchmark_ops():
     assert len(ops) == 17
     assert {name for name, _ in ops} == {"sweep", "decay", "plate", "audit"}
     assert all(argv[-2] == "--out" for _, argv in ops)
+    exports = digest.assemble_commands()
+    assert len(exports) == 11
+    assert all(argv[0] == "assemble" and argv[-2] == "--out" for argv in exports)
+    assert len({argv[-1] for argv in exports if "--dim" not in argv}) == 7

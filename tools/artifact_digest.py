@@ -1,17 +1,20 @@
-"""SHA-256 digests of the README commands and the benchmark's commands.
+"""SHA-256 digests of the README commands, the benchmark's commands and
+every family's matrix export.
 
-Runs each `platelab` line of the README's CLI block and each full-size
-command of the four perfbench workloads at seed 1, every run in a fresh
-temporary directory with `src` on PYTHONPATH, and prints one line per run:
-the exit code and the SHA-256 of stdout, of stderr and of each file the run
-wrote.  Two checkouts produce byte-identical artifacts exactly when their
+Runs each `platelab` line of the README's CLI block, each full-size
+command of the four perfbench workloads at seed 1, and `assemble --count 5`
+of every boundary family on a 16-cell interval and of the four rectangle
+families on a 9 x 12 grid.  Every run has a fresh temporary directory and
+`src` on PYTHONPATH; the script prints one line per run: the exit code and
+the SHA-256 of stdout, of stderr and of each file the run wrote.  Two checkouts produce byte-identical artifacts exactly when their
 outputs are equal, so the check is a diff:
 
     python3 tools/artifact_digest.py > new.txt   # in each checkout
     diff old.txt new.txt
 
-The commands are read from README.md and perfbench/workloads.py; this
-script changes neither.  It takes no options.
+The commands are read from README.md, perfbench/workloads.py and the
+family catalog of platelab.plate; this script changes none of them.  It
+takes no options.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+RECTANGLE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A", "neumann_pair")
 
 
 def readme_commands():
@@ -41,6 +45,18 @@ def perfbench_ops():
     return [(name, op.args + ["--out", op.out])
             for name, w in workloads.WORKLOADS.items()
             for op in w.ops(SEED, workloads.SIZES["full"])]
+
+
+def assemble_commands():
+    """Argument lists of `assemble --count 5` for each family in 1-D at
+    n = 16 and each rectangle family in 2-D at 9 x 12."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from platelab.plate import catalog_families
+    one_d = [["--n", "16"], catalog_families()]
+    two_d = [["--dim", "2", "--n", "9", "--n-y", "12"], RECTANGLE_FAMILIES]
+    return [["assemble", "--bc", name, *grid, "--count", "5",
+             "--out", f"assemble_{name}"]
+            for grid, names in (one_d, two_d) for name in names]
 
 
 def _sha(data: bytes) -> str:
@@ -63,7 +79,8 @@ def digest(argv) -> str:
 
 def main():
     sys.dont_write_bytecode = True     # leave perfbench/ as it is
-    runs = [("README", argv) for argv in readme_commands()] + perfbench_ops()
+    runs = ([("README", argv) for argv in readme_commands()] + perfbench_ops()
+            + [("assemble", argv) for argv in assemble_commands()])
     for label, argv in runs:
         print(f"{label}: {' '.join(argv)}: {digest(argv)}", flush=True)
 
