@@ -100,53 +100,69 @@ def read_config(path, keys) -> dict:
     return cfg
 
 
-def _spec_parser(parse):
-    """A malformed spec is a configuration error, not a traceback."""
-    @functools.wraps(parse)
-    def checked(spec, *args):
-        try:
-            return parse(spec, *args)
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"bad spec {spec!r}: {exc}") from None
-    return checked
+def _spec_parser(key):
+    """A malformed spec is a configuration error naming its key, not a
+    traceback."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(spec, *args):
+            try:
+                return parse(spec, *args)
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"bad spec for --{key} {spec!r}: {exc}") \
+                    from None
+        return checked
+    return wrap
 
 
-@_spec_parser
+def _split_spec(spec, forms: dict):
+    """Kind and fields of 'kind:field:...', as many fields as forms[kind]
+    (such as 'a:b:height') names."""
+    kind, *fields = spec.split(":")
+    if kind not in forms or len(fields) != forms[kind].count(":") + 1:
+        raise ValueError("expected " + " or ".join(
+            f"{k}:{form}" for k, form in forms.items()))
+    return kind, fields
+
+
+@_spec_parser("alpha")
 def parse_alpha_spec(spec, nodes: np.ndarray) -> np.ndarray:
-    """Damping profile: 'bump:a:b:height', 'const:v', or 'file:path'."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "bump":
-        a, b, height = (float(p) for p in parts[1:4])
-        return np.where((nodes[:, 0] >= a) & (nodes[:, 0] <= b), height, 0.0)
-    if kind == "const":
-        return float(parts[1]) * np.ones(nodes.shape[0])
+    """Damping profile: 'bump:a:b:height' (finite a <= b), 'const:v', or
+    'file:path'."""
+    kind, fields = _split_spec(spec, {"bump": "a:b:height", "const": "v",
+                                      "file": "path"})
     if kind == "file":
         from . import plate
-        return plate.load_damping_profile(parts[1], nodes)
-    raise ConfigError(f"unknown damping spec {spec!r}")
+        return plate.load_damping_profile(fields[0], nodes)
+    vals = [float(f) for f in fields]
+    if kind == "const":
+        return vals[0] * np.ones(nodes.shape[0])
+    a, b, height = vals
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError("bump ends a, b must be finite with a <= b")
+    return np.where((nodes[:, 0] >= a) & (nodes[:, 0] <= b), height, 0.0)
 
 
-@_spec_parser
+@_spec_parser("psi")
 def parse_psi_spec(spec) -> weights.ScalarField:
     """Base weight: 'affine:c:slope', 'parabola:c' (c + x - x^2), or
     'peak:x0:x1:center'."""
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, fields = _split_spec(spec, {"affine": "c:slope", "parabola": "c",
+                                      "peak": "x0:x1:center"})
+    vals = [float(f) for f in fields]
     if kind == "affine":
-        return weights.AffineField(float(parts[1]), [float(parts[2])])
+        return weights.AffineField(vals[0], [vals[1]])
     if kind == "parabola":
-        return weights.Polynomial1DField([float(parts[1]), 1.0, -1.0])
-    if kind == "peak":
-        return weights.PeakField1D(float(parts[1]), float(parts[2]), float(parts[3]))
-    raise ConfigError(f"unknown weight spec {spec!r}")
+        return weights.Polynomial1DField([vals[0], 1.0, -1.0])
+    return weights.PeakField1D(*vals)
 
 
-@_spec_parser
+@_spec_parser("sigma-grid")
 def parse_grid_spec(spec):
+    """Grid 'lo:hi:step' from lo through hi."""
     lo, hi, step = (float(p) for p in spec.split(":"))
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"bad grid spec {spec!r}")
+    if not (step > 0 and hi >= lo):
+        raise ValueError("step must be positive and hi >= lo")
     return np.arange(lo, hi + step / 2, step)
 
 

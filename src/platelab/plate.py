@@ -373,13 +373,13 @@ class IndefiniteError(ValueError):
     and no stationary space, is defined for it."""
 
 
-def kernel(op: DiscretePlateOperator):
-    """Grid-orthonormal basis of the numerical kernel, whose dimension is the
-    number of eigenvalues mu_j <= 1e-8 mu_ref, mu_ref the median of the
-    lowest 16, all read from the band or the tensor factors.  The basis is
-    the closed-form one when it covers that dimension, the eigenvectors
-    otherwise.  Empty when mu_0 clears the threshold; IndefiniteError when
-    mu_0 < -1e-8 mu_ref."""
+def kernel(op: DiscretePlateOperator) -> np.ndarray:
+    """Grid-orthonormal basis of the numerical kernel as the columns of one
+    (N, nk) array; nk is the number of eigenvalues mu_j <= 1e-8 mu_ref,
+    mu_ref the median of the lowest 16, all read from the band or the tensor
+    factors.  The basis is the closed-form one when it covers that
+    dimension, the eigenvectors otherwise.  Shape (N, 0) when mu_0 clears
+    the threshold; IndefiniteError when mu_0 < -1e-8 mu_ref."""
     count = min(16, op.size)
     mu, _ = spectrum(op, count, vectors=False)
     ref = mu[(count + 1) // 2]
@@ -391,11 +391,11 @@ def kernel(op: DiscretePlateOperator):
             f"lies below -1e-8 mu_ref = {-1e-8 * ref:.6g}")
     nk = int(np.count_nonzero(mu <= 1e-8 * ref))
     if not nk:
-        return []
+        return np.zeros((op.size, 0))
     basis = _structural_kernel(op, nk)
     if basis is None:
         basis = spectrum(op, nk)[1]
-    return [basis[:, k].copy() for k in range(nk)]
+    return np.ascontiguousarray(basis)
 
 
 def clamped_beam_beta(k: int = 1) -> float:
@@ -451,7 +451,8 @@ def export_columnar(op: DiscretePlateOperator, directory, eig_count: int = 0):
 def load_damping_profile(path, nodes: np.ndarray) -> np.ndarray:
     """Damping values on the operator's unknowns from a sampled-values file
     (columns: coordinates then value; '#' comments).  1-D profiles are
-    linearly interpolated; higher dimensions require one row per node."""
+    linearly interpolated; higher dimensions require one row per node, each
+    within a quarter cell of its node in every coordinate."""
     raw = np.loadtxt(path, ndmin=2)
     d = nodes.shape[1]
     if raw.shape[1] != d + 1:
@@ -462,9 +463,15 @@ def load_damping_profile(path, nodes: np.ndarray) -> np.ndarray:
         return np.interp(nodes[:, 0], raw[order, 0], raw[order, 1])
     if raw.shape[0] != nodes.shape[0]:
         raise ValueError("2-D profiles must supply one row per grid unknown")
-    # match rows to nodes by nearest coordinates
-    out = np.empty(nodes.shape[0])
-    for i, x in enumerate(nodes):
-        k = int(np.argmin(np.sum((raw[:, :d] - x) ** 2, axis=1)))
-        out[i] = raw[k, d]
-    return out
+    # a quarter of the smallest cell side: the nodes' balls are disjoint, so
+    # each row is matched at most once, and exactly once when every node is
+    from scipy.spatial import cKDTree
+    tol = min(np.diff(np.unique(nodes[:, ax])).min() for ax in range(d)) / 4
+    dist, k = cKDTree(raw[:, :d]).query(nodes, k=2)
+    bad = (dist[:, 0] > tol) | (dist[:, 1] <= tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"node {tuple(nodes[i].tolist())} has "
+                         f"{int(np.sum(dist[i] <= tol))} profile rows within "
+                         f"a quarter cell ({tol:.6g}); each node needs one")
+    return raw[k[:, 0], d]

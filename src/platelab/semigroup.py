@@ -37,7 +37,6 @@ __all__ = [
     "kernel_projection",
     "energy",
     "hdot_norm",
-    "hdot_inner",
     "MidpointStepper",
     "simulate",
     "decay_fit",
@@ -95,9 +94,10 @@ class EnergyLog:
 class Generator:
     """Plate generator data: operator, damping, and kernel basis.
 
-    kernel_damped columns are orthonormal for the damping-weighted product
-    <alpha u, v>, which is an inner product on the kernel precisely when the
-    damping sees every stationary mode.
+    kernel_damped is one (N, nk) array, (N, 0) without a kernel; its columns
+    are orthonormal for the damping-weighted product <alpha u, v>, which is
+    an inner product on the kernel precisely when the damping sees every
+    stationary mode.
     """
 
     op: DiscretePlateOperator
@@ -116,13 +116,14 @@ class Generator:
     def apply_A(self, Y: StateVector) -> StateVector:
         return StateVector(-Y.v, self.op.apply(Y.y) + self.alpha * Y.v, Y.t)
 
+    def _F(self, u, v) -> np.ndarray:
+        """F_j = w <alpha u + v, phi_j> for real or complex (u, v); the
+        damped-orthonormal basis makes the normalizing Gram factor I."""
+        return self.op.weight * (self.kernel_damped.T @ (self.alpha * u + v))
+
     def functionals(self, Y: StateVector) -> np.ndarray:
-        """F_j(Y) = <alpha u0, phi_j> + <u1, phi_j> over the damped-orthonormal
-        kernel basis (the normalizing Gram factor is the identity)."""
-        if self.kernel_dim == 0:
-            return np.zeros(0)
-        w = self.op.weight
-        return w * (self.kernel_damped.T @ (self.alpha * Y.y + Y.v))
+        """F_j(Y) = <alpha u0, phi_j> + <u1, phi_j> in the grid product."""
+        return self._F(Y.y, Y.v)
 
 
 class DampingError(ValueError):
@@ -148,27 +149,20 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
     if np.any(alpha < 0):
         raise DampingError("damping must be nonnegative")
 
-    kvecs = plate_kernel(op)
-    nk = len(kvecs)
-    K = np.column_stack(kvecs) if nk else np.zeros((op.size, 0))
-
-    if nk:
-        w = op.weight
-        G = w * (K.T @ (alpha[:, None] * K))
-        ev = scipy.linalg.eigvalsh(G)
-        if ev[0] <= 1e-12 * max(ev[-1], 1e-300):
-            raise DampingError(
-                "damping-weighted Gram matrix is singular on the stationary "
-                f"kernel (eigenvalues {ev}); the damping does not control "
-                "some stationary mode")
-        # Gram-Schmidt in the alpha-weighted product via Cholesky
-        L = scipy.linalg.cholesky(G, lower=True)
-        Kd = scipy.linalg.solve_triangular(L, K.T, lower=True).T
-        Gd = w * (Kd.T @ (alpha[:, None] * Kd))
-        if np.abs(Gd - np.eye(nk)).max() > 1e-10:
-            raise AssertionError("damped kernel basis failed orthonormality")
-    else:
-        Kd = K
+    K, w = plate_kernel(op), op.weight
+    G = w * (K.T @ (alpha[:, None] * K))
+    ev = scipy.linalg.eigvalsh(G)
+    if ev.size and ev[0] <= 1e-12 * max(ev[-1], 1e-300):
+        raise DampingError(
+            "damping-weighted Gram matrix is singular on the stationary "
+            f"kernel (eigenvalues {ev}); the damping does not control "
+            "some stationary mode")
+    # Gram-Schmidt in the alpha-weighted product via Cholesky
+    L = scipy.linalg.cholesky(G, lower=True)
+    Kd = scipy.linalg.solve_triangular(L, K.T, lower=True).T
+    Gd = w * (Kd.T @ (alpha[:, None] * Kd))
+    if np.abs(Gd - np.eye(ev.size)).max(initial=0.0) > 1e-10:
+        raise AssertionError("damped kernel basis failed orthonormality")
     return Generator(op, alpha, Kd)
 
 
@@ -176,10 +170,7 @@ def kernel_projection(Y: StateVector, gen: Generator):
     """Split Y into its stationary part sum F_j(Y) (phi_j, 0) and the
     complement; the two pieces are not orthogonal, but the splitting is a
     pair of continuous projectors."""
-    if gen.kernel_dim == 0:
-        return StateVector(np.zeros_like(Y.y), np.zeros_like(Y.v), Y.t), Y.copy()
-    coeff = gen.functionals(Y)
-    yn = gen.kernel_damped @ coeff
+    yn = gen.kernel_damped @ gen.functionals(Y)
     Yn = StateVector(yn, np.zeros_like(Y.v), Y.t)
     Yd = StateVector(Y.y - yn, Y.v.copy(), Y.t)
     return Yn, Yd
@@ -192,13 +183,9 @@ def energy(Y: StateVector, gen: Generator, Py=None) -> float:
     return 0.5 * (gen.op.inner(Py, Y.y) + gen.op.inner(Y.v, Y.v))
 
 
-def hdot_inner(gen: Generator, Y: StateVector, Z: StateVector) -> float:
-    op = gen.op
-    return op.inner(op.apply(Y.y), Z.y) + op.inner(Y.v, Z.v)
-
-
 def hdot_norm(gen: Generator, Y: StateVector) -> float:
-    return math.sqrt(max(hdot_inner(gen, Y, Y), 0.0))
+    """Energy norm sqrt(<P y, y> + |v|^2) = sqrt(2 E)."""
+    return math.sqrt(max(2.0 * energy(Y, gen), 0.0))
 
 
 class MidpointStepper:
@@ -433,9 +420,7 @@ class _Resolvent:
     def stationary_free(self, x):
         """x minus its stationary part (Phi F(x), 0)."""
         gen, n = self.gen, self.gen.size
-        if gen.kernel_dim:
-            Phi = gen.kernel_damped
-            x[:n] -= Phi @ (gen.op.weight * (Phi.T @ (gen.alpha * x[:n] + x[n:])))
+        x[:n] -= gen.kernel_damped @ gen._F(x[:n], x[n:])
         return x
 
     def apply(self, x):

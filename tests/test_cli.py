@@ -222,13 +222,24 @@ class TestExitCodes:
         ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "file:{p}"],
         ["gamma-search", "--psi", "affine:1"],
         ["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid", "0:5"],
-    ], ids=["bump-short", "file-columns", "affine-short", "grid-no-step"])
+        ["simulate", "--bc", "clamped", "--n", "16",
+         "--alpha", "bump:0.3:0.5:1.0:9"],
+        ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "const:1:2"],
+        ["gamma-search", "--psi", "parabola:0.1:9"],
+        ["simulate", "--bc", "clamped", "--n", "16",
+         "--alpha", "bump:nan:0.5:1.0"],
+        ["simulate", "--bc", "clamped", "--n", "16",
+         "--alpha", "bump:0.5:0.3:1.0"],
+    ], ids=["bump-short", "file-columns", "affine-short", "grid-no-step",
+            "bump-long", "const-long", "parabola-long", "bump-nan",
+            "bump-reversed"])
     def test_malformed_spec_is_config_error(self, args, tmp_path, capsys):
         profile = tmp_path / "alpha.txt"
         profile.write_text("0 0 1\n1 0 1\n")
         args = [a.format(p=profile) for a in args]
         assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
-        assert "bad spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad spec" in err and args[-2] in err
 
     def test_ls_check_stdout_is_one_document(self, capsys):
         # the determinant at omega' = 1 is in the report, and --tau is not

@@ -466,7 +466,8 @@ class TestKernel:
                     "neumann_pair": 1, "ex2_dn2_dn3": 2, "ex3_dn_dn3_A": 0,
                     "ex5_dn2A_dn3": 1}
         for op in every_operator():
-            assert len(kernel(op)) == expected[op.bc_name], op.bc_name
+            assert kernel(op).shape == (op.size, expected[op.bc_name]), \
+                op.bc_name
 
     def test_closed_form_basis(self):
         # constants and affine functions, exact to the residual check, not
@@ -475,7 +476,7 @@ class TestKernel:
                for name in ("neumann_pair", "ex2_dn2_dn3", "ex5_dn2A_dn3")]
         ops.append(assemble(make_grid((16, 12)), "neumann_pair"))
         for op in ops:
-            K = np.column_stack(kernel(op))
+            K = kernel(op)
             scale = float(np.abs(op.matrix).sum(axis=1).max())
             assert np.abs(op.matrix @ K).max() <= \
                 1e-12 * scale * np.abs(K).max(), op.bc_name
@@ -491,7 +492,7 @@ class TestKernel:
         nodes = np.vstack([op1.nodes, op1.nodes + 2.0])
         op2 = DiscretePlateOperator(op1.grid, "neumann_pair", M, nodes,
                                     "cell", op1.weight)
-        assert len(kernel(op2)) == 2
+        assert kernel(op2).shape == (op2.size, 2)
 
     def test_indefinite_operator_refused(self):
         # a parameter outside the nonnegative range: mu_0 < 0 is no
@@ -536,3 +537,17 @@ class TestExternalInterfaces:
         path.write_text("0.0 1.0 2.0\n")
         with pytest.raises(ValueError):
             load_damping_profile(path, op.nodes)
+
+    def test_damping_profile_rows_off_the_grid(self, tmp_path, capsys):
+        # one row per node of a 9 x 12 hinged grid, every coordinate shifted
+        # by 5.0: no node has a row within a quarter cell
+        from platelab.cli import main
+        op = assemble(make_grid((9, 12)), "hinged")
+        path = tmp_path / "alpha.txt"
+        np.savetxt(path, np.column_stack([op.nodes + 5.0, np.ones(op.size)]))
+        with pytest.raises(ValueError, match="0 profile rows within a quarter"):
+            load_damping_profile(path, op.nodes)
+        assert main(["simulate", "--bc", "hinged", "--dim", "2", "--n", "9",
+                     "--n-y", "12", "--alpha", f"file:{path}",
+                     "--out", str(tmp_path / "log.csv")]) == 2
+        assert "--alpha" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from platelab.semigroup import (
     decay_fit,
     energy,
     halfplane_check,
-    hdot_inner,
     hdot_norm,
     kernel_projection,
     reduced_generator,
@@ -181,18 +180,30 @@ class TestStepper:
         assert np.abs(Y1.v).max() <= floor
 
     def test_dissipation_identity(self, clamped_gen):
+        # the energies of the float64 states in long double: in float64 the
+        # rounding of <P y, y> alone takes 0.8 of the tolerance
         gen = clamped_gen
+        P = gen.op.matrix.tocoo()
+        entries = P.data.astype(np.longdouble)
+
+        def energy_ld(Z):
+            y, v = Z.y.astype(np.longdouble), Z.v.astype(np.longdouble)
+            Py = np.zeros_like(y)
+            np.add.at(Py, P.row, entries * y[P.col])
+            return gen.op.weight / 2 * (np.dot(Py, y) + np.dot(v, v))
+
         mu, V = spectrum(gen.op, 3)
         Y = StateVector(V[:, 0] + 0.2 * V[:, 2], np.zeros(gen.size))
         for dt in (1e-2, 5e-3):
             stepper = MidpointStepper(gen, dt)
             Z = Y.copy()
             for _ in range(50):
-                e_before = energy(Z, gen)
+                e_before = energy_ld(Z)
                 Z, _, diss = stepper.advance(Z, gen.op.apply(Z.y))
-                e_after = energy(Z, gen)
-                lhs = (e_after - e_before) / dt
-                assert lhs == pytest.approx(-diss, rel=1e-7, abs=1e-9 * e_before)
+                e_after = energy_ld(Z)
+                lhs = float((e_after - e_before) / dt)
+                assert lhs == pytest.approx(-diss, rel=1e-7,
+                                            abs=1e-9 * float(e_before))
 
     def test_undamped_hdot_isometry(self, rng):
         op = assemble(GRID, "clamped")
@@ -254,7 +265,7 @@ class TestStepper:
         mu, _ = spectrum(op1, 5, vectors=False)
         assert mu.size == 5
         assert spectrum(op2, 5)[1].shape == (op2.size, 5)
-        assert kernel(op2) == []
+        assert kernel(op2).shape == (op2.size, 0)
         gen1 = build_generator(op1, bump_alpha(op1))
         gen2 = build_generator(op2, bump_alpha(op2))
         assert gen1.kernel_dim == 0

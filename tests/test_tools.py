@@ -22,3 +22,6 @@ def test_artifact_digest_finds_readme_lines_and_benchmark_ops():
     assert len(exports) == 11
     assert all(argv[0] == "assemble" and argv[-2] == "--out" for argv in exports)
     assert len({argv[-1] for argv in exports if "--dim" not in argv}) == 7
+    runs = digest.kernel_commands()
+    assert len(runs) == 12
+    assert {argv[0] for argv in runs} == {"simulate", "decay-fit", "resolvent"}

@@ -1,13 +1,17 @@
-"""SHA-256 digests of the README commands, the benchmark's commands and
-every family's matrix export.
+"""SHA-256 digests of the README commands, the benchmark's commands, every
+family's matrix export and short runs on the families with stationary
+states.
 
 Runs each `platelab` line of the README's CLI block, each full-size
-command of the four perfbench workloads at seed 1, and `assemble --count 5`
+command of the four perfbench workloads at seed 1, `assemble --count 5`
 of every boundary family on a 16-cell interval and of the four rectangle
-families on a 9 x 12 grid.  Every run has a fresh temporary directory and
-`src` on PYTHONPATH; the script prints one line per run: the exit code and
-the SHA-256 of stdout, of stderr and of each file the run wrote.  Two checkouts produce byte-identical artifacts exactly when their
-outputs are equal, so the check is a diff:
+families on a 9 x 12 grid, and short `simulate`, `decay-fit` and
+`resolvent` runs on the three families with a stationary kernel at n = 40
+and on neumann_pair at 9 x 12.  Every run has a fresh temporary directory
+and `src` on PYTHONPATH; the script prints one line per run: the exit code
+and the SHA-256 of stdout, of stderr and of each file the run wrote.  Two
+checkouts produce byte-identical artifacts exactly when their outputs are
+equal, so the check is a diff:
 
     python3 tools/artifact_digest.py > new.txt   # in each checkout
     diff old.txt new.txt
@@ -29,6 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 RECTANGLE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A", "neumann_pair")
+KERNEL_FAMILIES = ("neumann_pair", "ex2_dn2_dn3", "ex5_dn2A_dn3")
+KERNEL_RUNS = (("simulate", "--T", "5", "--dt", "0.05"),
+               ("decay-fit", "--T", "50", "--dt", "0.5"),
+               ("resolvent", "--sigma-grid", "0:20:2"))
 
 
 def readme_commands():
@@ -59,6 +67,16 @@ def assemble_commands():
             for grid, names in (one_d, two_d) for name in names]
 
 
+def kernel_commands():
+    """Argument lists of each KERNEL_RUNS command on each kernel family at
+    n = 40 and on neumann_pair at 9 x 12: the stationary-space paths of the
+    generator, the stepper and the resolvent."""
+    grids = [(name, ["--n", "40"]) for name in KERNEL_FAMILIES]
+    grids.append(("neumann_pair", ["--dim", "2", "--n", "9", "--n-y", "12"]))
+    return [[cmd, "--bc", name, *grid, *args, "--out", f"{cmd}_{name}"]
+            for name, grid in grids for cmd, *args in KERNEL_RUNS]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -80,7 +98,8 @@ def digest(argv) -> str:
 def main():
     sys.dont_write_bytecode = True     # leave perfbench/ as it is
     runs = ([("README", argv) for argv in readme_commands()] + perfbench_ops()
-            + [("assemble", argv) for argv in assemble_commands()])
+            + [("assemble", argv) for argv in assemble_commands()]
+            + [("kernel", argv) for argv in kernel_commands()])
     for label, argv in runs:
         print(f"{label}: {' '.join(argv)}: {digest(argv)}", flush=True)
 
