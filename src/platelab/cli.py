@@ -12,6 +12,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import functools
 import json
 import math
@@ -47,6 +49,8 @@ def _cell(v) -> str:
 def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, enum.Enum):
+        return obj.value
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -108,7 +112,7 @@ def _spec_parser(key):
         def checked(spec, *args):
             try:
                 return parse(spec, *args)
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OSError) as exc:
                 raise ConfigError(f"bad spec for --{key} {spec!r}: {exc}") \
                     from None
         return checked
@@ -199,8 +203,7 @@ def cmd_catalog(cfg):
             b1, b2 = lscheck.catalog_bc(name)
             rep = lscheck.ls_unconjugated(b1, b2, [0.0, 0.0], [1.0])
             out.append({"name": name, "orders": [b1.order, b2.order],
-                        "det_at_unit": {"re": rep.determinant.real,
-                                        "im": rep.determinant.imag},
+                        "det_at_unit": rep.determinant,
                         "ls_holds": rep.verdict})
         except (ValueError, KeyError) as exc:
             out.append({"name": name, "error": str(exc)})
@@ -235,9 +238,8 @@ def cmd_ls_check(cfg):
     for radius in (0.5, 1.0, 2.0):
         for sgn in (1.0, -1.0):
             rep = lscheck.ls_unconjugated(b1, b2, x0, [sgn * radius])
-            rec = rep.to_dict()
-            rec["omega_prime"] = sgn * radius
-            unconjugated.append(rec)
+            unconjugated.append({**dataclasses.asdict(rep),
+                                 "omega_prime": sgn * radius})
             failed += not rep.verdict
 
     perturbation = []
@@ -381,6 +383,18 @@ def _damped(cfg):
         raise ConfigError(f"--bc-param-a {cfg['bc_param_a']}: {exc}")
 
 
+def _simulate(Y0, gen, T, dt, log_every):
+    """Energy log of the trajectory from Y0; a log whose energy goes
+    negative or rises fails the check."""
+    from . import semigroup
+    log, _ = semigroup.simulate(Y0, gen, T, dt, log_every=log_every)
+    try:
+        log.validate()
+    except AssertionError as exc:
+        raise CheckFailure(f"energy log failed validation: {exc}")
+    return log
+
+
 def cmd_simulate(cfg):
     from . import plate, semigroup
     (T, dt), seed = _horizon(cfg), cfg["seed"]
@@ -391,11 +405,7 @@ def cmd_simulate(cfg):
     mix = rng.normal(size=3)
     y0 = sum(float(mix[i]) * V[:, nk + i] for i in range(3))
     Y0 = semigroup.StateVector(y0, np.zeros(op.size))
-    log, _ = semigroup.simulate(Y0, gen, T, dt, log_every=cfg["log_every"])
-    try:
-        log.validate()
-    except AssertionError as exc:
-        raise CheckFailure(f"energy log failed validation: {exc}")
+    log = _simulate(Y0, gen, T, dt, cfg["log_every"])
     rows = list(zip(log.times.tolist(), log.energies.tolist(),
                     log.dissipations.tolist()))
     write_csv(cfg["out"], _manifest(cfg, op, scheme=log.scheme,
@@ -438,7 +448,7 @@ def cmd_decay_fit(cfg):
     for _ in range(npow):
         Z = gen.apply_A(Z)
     amp = semigroup.hdot_norm(gen, Z) ** 2
-    log, _ = semigroup.simulate(Y0, gen, T, dt, log_every=cfg["log_every"])
+    log = _simulate(Y0, gen, T, dt, cfg["log_every"])
     try:
         C = semigroup.decay_fit(log, npow, amp)
     except ValueError as exc:

@@ -2,14 +2,14 @@
 
 Boundary operators are polynomials of degree <= 3 in the normal frequency
 xi_d whose coefficients are tangential symbols built from the metric form
-r(x, xi') and an optional parameter symbol a'(x, xi').  The unconjugated
-condition reduces to a 2x2 determinant at xi_d = i|xi'|_x; after
-conjugation by an exponential weight the test dispatches on the root
-configuration of the conjugated quartic.  An independent rank oracle and a
-positivity margin provide two more routes to the same verdict.  All three
-routes run on stacks of points; the per-point functions ls_conjugated,
-ls_rank_oracle and positivity_margin are their m = 1 case, and
-sample_conjugated evaluates a block of samples in one pass.
+r(x, xi') and an optional parameter symbol a'(x, xi').  After conjugation
+by an exponential weight the test dispatches on the root configuration of
+the conjugated quartic; the unconjugated condition, a 2x2 determinant at
+xi_d = i|xi'|_x, is its tau = 0 double-root row.  An independent rank
+oracle and a positivity margin provide two more routes to the same verdict.
+All three routes run on stacks of points; the per-point functions
+ls_conjugated, ls_rank_oracle and positivity_margin are their m = 1 case,
+and sample_conjugated evaluates a block of samples in one pass.
 
 A boundary pair is data: two operators, each an order and a table of
 tangential terms per normal power, and an optional parameter symbol.  The
@@ -163,12 +163,16 @@ class BoundaryOperatorSymbol:
         return out
 
 
-def _horner_dz(c, z) -> tuple:
-    """Value and xi_d-derivative at z of the cubic with coefficients c; row
-    by row for an (m, 4) stack of c with a scalar or (m,) z."""
-    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
-    return (c0 + z * (c1 + z * (c2 + z * c3)),
-            c1 + z * (2.0 * c2 + z * 3.0 * c3))
+def _boundary_determinants(c1, c2, z0, z1) -> tuple:
+    """b1(z0), b2(z0), the two-point determinant b1(z0) b2(z1) - b2(z0) b1(z1)
+    and the value/derivative determinant b1(z0) b2'(z0) - b2(z0) b1'(z0)
+    (' the xi_d-derivative), row by row for (..., 4) coefficient stacks c1,
+    c2 of b1, b2 in xi_d and z0, z1 of their leading shape."""
+    def horner(c, z):
+        return (c[..., 0] + z * (c[..., 1] + z * (c[..., 2] + z * c[..., 3])),
+                c[..., 1] + z * (2.0 * c[..., 2] + z * 3.0 * c[..., 3]))
+    (v1, d1), (v2, d2) = horner(c1, z0), horner(c2, z0)
+    return v1, v2, v1 * horner(c2, z1)[0] - v2 * horner(c1, z1)[0], v1 * d2 - v2 * d1
 
 
 # One row per pair: name -> (b1, b2, parameter).  An operator is (order,
@@ -323,44 +327,31 @@ class LSReport:
     marginal: bool
     scale: float = 1.0
 
-    def to_dict(self):
-        det = None
-        if self.determinant is not None:
-            det = {"re": self.determinant.real, "im": self.determinant.imag}
-        return {
-            "verdict": self.verdict,
-            "case": self.case.value if self.case is not None else None,
-            "determinant": det,
-            "margin": self.margin,
-            "marginal": self.marginal,
-            "scale": self.scale,
-        }
-
 
 def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                     x, omega_prime, metric: Optional[MetricField] = None
                     ) -> LSReport:
-    """2x2 determinant test at xi_d = i|omega'|_x.
+    """2x2 determinant test at xi_d = i|omega'|_x: the tau = 0 row of
+    _determinants, a double upper root (case code 3) i|omega'|_x at scale
+    lambda = |omega'|_x.
 
     The verdict compares |det| against DEFAULT_MARGIN_TOL times the
     homogeneity power
     |omega'|^(k1+k2-1); posed only for omega' != 0.
     """
-    omega_prime = np.asarray(omega_prime, dtype=float).reshape(-1)
+    omega_prime = np.asarray(omega_prime, dtype=float).reshape(1, -1)
     metric = metric or MetricField.euclidean(omega_prime.size)
-    nrm = metric.tangential_norm(x, omega_prime)
+    nrm = metric.tangential_norm(x, omega_prime[0])
     if nrm == 0.0:
         raise ValueError("undefined: the unconjugated condition is posed only "
                          "for omega' != 0")
-    zd = 1j * nrm
-    m11, m21 = _horner_dz(b1.coeff_vector(x, omega_prime, metric), zd)
-    m12, m22 = _horner_dz(b2.coeff_vector(x, omega_prime, metric), zd)
-    det = m11 * m22 - m12 * m21
-    power = b1.order + b2.order - 1
-    margin = abs(det) / nrm ** power
-    return LSReport(verdict=bool(margin > DEFAULT_MARGIN_TOL),
-                    case=RootCase.DOUBLE_UPPER,
-                    determinant=det, margin=margin, marginal=False, scale=nrm)
+    det, margin = _determinants(b1, b2, _Conjugated(
+        np.array([3]), np.full((1, 2), 1j * nrm), np.array([nrm]),
+        b1.coeff_vector(x, omega_prime, metric),
+        b2.coeff_vector(x, omega_prime, metric)))
+    return LSReport(verdict=bool(margin[0] > DEFAULT_MARGIN_TOL),
+                    case=RootCase.DOUBLE_UPPER, determinant=complex(det[0]),
+                    margin=float(margin[0]), marginal=False, scale=nrm)
 
 
 class _Conjugated(NamedTuple):
@@ -412,11 +403,9 @@ def _determinants(b1, b2, st: _Conjugated) -> tuple:
     determinant, which coincides with the unconjugated test at tau = 0.
     """
     k1, k2, lam = b1.order, b2.order, st.lam
-    z0, z1 = st.upper[:, 0], st.upper[:, 1]
-    v1, d1 = _horner_dz(st.c1, z0)
-    v2, d2 = _horner_dz(st.c2, z0)
-    det = np.where(st.case == 2, v1 * _horner_dz(st.c2, z1)[0]
-                   - v2 * _horner_dz(st.c1, z1)[0], v1 * d2 - v2 * d1)
+    v1, v2, pair, double = _boundary_determinants(st.c1, st.c2, st.upper[:, 0],
+                                                  st.upper[:, 1])
+    det = np.where(st.case == 2, pair, double)
     margin = np.where(st.case == 1,
                       np.sqrt(np.abs(v1) ** 2 / lam ** (2 * k1)
                               + np.abs(v2) ** 2 / lam ** (2 * k2)),
@@ -605,10 +594,9 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
         h = nrm * radii[lo:lo + PERTURBATION_BLOCK, None]
         zp = xi_prime + h[..., None] * zeta
         zd, zd2 = 1j * nrm + h * delta, 1j * nrm + h * delta2
-        cv1, cv2 = b1.coeff_vector(x, zp, metric), b2.coeff_vector(x, zp, metric)
-        (v1, d1), (v2, d2) = _horner_dz(cv1, zd), _horner_dz(cv2, zd)
-        det1 = v1 * d2 - v2 * d1
-        det2 = v1 * _horner_dz(cv2, zd2)[0] - v2 * _horner_dz(cv1, zd2)[0]
+        _, _, det2, det1 = _boundary_determinants(
+            b1.coeff_vector(x, zp, metric), b2.coeff_vector(x, zp, metric),
+            zd, zd2)
         fails = ((np.abs(det1) < c1 * nrm ** power) | (
             np.abs(det2) < c1 * np.abs(h * (delta - delta2)) * nrm ** (power - 1))
         ).any(axis=1)

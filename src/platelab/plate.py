@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -242,13 +243,11 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
     """Constrained bi-Laplace matrix on the unknowns determined by the
     boundary family.
 
-    bc_pair is a catalog name or (name, params).  metric, when given, is a
-    positive coefficient function a(x) for the Sturm-Liouville composition
+    bc_pair is a catalog name.  metric, when given, is a positive
+    coefficient function a(x) for the Sturm-Liouville composition
     (-(a u')')^2 of hinged and neumann_pair (in 2-D, one or one per axis).
     Rectangles take hinged, clamped, ex4_id_dn2_A and neumann_pair.
     """
-    if isinstance(bc_pair, tuple):
-        bc_pair, params = bc_pair
     params = dict(params or {})
     name = bc_pair
     if name == "degenerate_equal":
@@ -428,39 +427,41 @@ def clamped_beam_beta(k: int = 1) -> float:
 def export_columnar(op: DiscretePlateOperator, directory, eig_count: int = 0):
     """Write node coordinates, matrix triplets, and optionally eigenvalues
     as plain columnar text files."""
-    import os
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "nodes.txt"), "w") as fh:
-        fh.write("# index coordinates\n")
-        for i, xyz in enumerate(op.nodes):
-            fh.write(f"{i} " + " ".join(f"{c:.17g}" for c in xyz) + "\n")
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    np.savetxt(out / "nodes.txt", np.column_stack([np.arange(op.size), op.nodes]),
+               fmt=["%d"] + ["%.17g"] * op.nodes.shape[1],
+               header="index coordinates")
     coo = op.matrix.tocoo()
-    with open(os.path.join(directory, "matrix.txt"), "w") as fh:
-        fh.write("# row col value\n")
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
+    order = np.lexsort((coo.col, coo.row))
+    np.savetxt(out / "matrix.txt", np.column_stack(
+        [coo.row[order], coo.col[order], coo.data[order]]),
+        fmt=["%d", "%d", "%.17g"], header="row col value")
     if eig_count:
         mu, _ = spectrum(op, eig_count, vectors=False)
-        with open(os.path.join(directory, "eigenvalues.txt"), "w") as fh:
-            fh.write("# index eigenvalue\n")
-            for i, m in enumerate(mu):
-                fh.write(f"{i} {m:.17g}\n")
+        np.savetxt(out / "eigenvalues.txt", np.column_stack(
+            [np.arange(eig_count), mu]), fmt=["%d", "%.17g"],
+            header="index eigenvalue")
 
 
 def load_damping_profile(path, nodes: np.ndarray) -> np.ndarray:
     """Damping values on the operator's unknowns from a sampled-values file
     (columns: coordinates then value; '#' comments).  1-D profiles are
-    linearly interpolated; higher dimensions require one row per node, each
-    within a quarter cell of its node in every coordinate."""
+    linearly interpolated and their rows must span every node; higher
+    dimensions require one row per node, each within a quarter cell of its
+    node in every coordinate."""
     raw = np.loadtxt(path, ndmin=2)
     d = nodes.shape[1]
     if raw.shape[1] != d + 1:
         raise ValueError(f"profile file has {raw.shape[1]} columns, "
                          f"expected {d + 1}")
     if d == 1:
+        x = nodes[:, 0]
+        if not raw[:, 0].min() <= x.min() <= x.max() <= raw[:, 0].max():
+            raise ValueError(f"1-D profile rows must span every node, "
+                             f"[{x.min():.6g}, {x.max():.6g}]")
         order = np.argsort(raw[:, 0])
-        return np.interp(nodes[:, 0], raw[order, 0], raw[order, 1])
+        return np.interp(x, raw[order, 0], raw[order, 1])
     if raw.shape[0] != nodes.shape[0]:
         raise ValueError("2-D profiles must supply one row per grid unknown")
     # a quarter of the smallest cell side: the nodes' balls are disjoint, so

@@ -230,13 +230,19 @@ class TestExitCodes:
          "--alpha", "bump:nan:0.5:1.0"],
         ["simulate", "--bc", "clamped", "--n", "16",
          "--alpha", "bump:0.5:0.3:1.0"],
+        ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "file:{far}"],
+        ["simulate", "--bc", "clamped", "--n", "16",
+         "--alpha", "file:/nonexistent/x.txt"],
     ], ids=["bump-short", "file-columns", "affine-short", "grid-no-step",
             "bump-long", "const-long", "parabola-long", "bump-nan",
-            "bump-reversed"])
+            "bump-reversed", "file-off-interval", "file-missing"])
     def test_malformed_spec_is_config_error(self, args, tmp_path, capsys):
         profile = tmp_path / "alpha.txt"
         profile.write_text("0 0 1\n1 0 1\n")
-        args = [a.format(p=profile) for a in args]
+        # a 1-D profile whose rows, x in [5, 6], miss every node
+        far = tmp_path / "far.txt"
+        far.write_text("5 0\n5.5 1\n5.75 1\n6 0\n")
+        args = [a.format(p=profile, far=far) for a in args]
         assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert "bad spec" in err and args[-2] in err
@@ -443,6 +449,20 @@ class TestArtifacts:
                        "--T", "50", "--dt", "0.5", "--out", str(out)) == 0
         rep = json.loads(out.read_text())
         assert math.isfinite(rep["C"]) and rep["C"] > 0
+
+    @pytest.mark.parametrize("cmd", ["simulate", "decay-fit"])
+    def test_rising_energy_log_fails(self, cmd, tmp_path, monkeypatch, capsys):
+        # both commands validate the log: one row whose energy rises
+        simulate = semigroup.simulate
+
+        def rising(*args, **kwargs):
+            log, state = simulate(*args, **kwargs)
+            log.energies[-1] = 2.0 * log.energies[0]
+            return log, state
+        monkeypatch.setattr(semigroup, "simulate", rising)
+        assert run_cli(cmd, "--bc", "clamped", "--n", "16", "--T", "5",
+                       "--dt", "0.5", "--out", str(tmp_path / "out")) == 1
+        assert "energy increases" in capsys.readouterr().err
 
     def test_assemble_export(self, tmp_path):
         outdir = tmp_path / "op"

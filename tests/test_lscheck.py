@@ -59,6 +59,80 @@ def closed_form_det(name, a, omega):
     raise KeyError(name)
 
 
+# float.hex of the real and imaginary parts of ls_unconjugated's determinant
+# and of its margin, keyed by (pair, parameter a or None for the default,
+# omega'); recorded while ls_unconjugated still evaluated its own
+# determinant, so a change of any bit, a signed zero included, fails here
+UNCONJUGATED_HEX = {
+    ('clamped', None, 0.5): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('clamped', None, -0.5): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('clamped', None, 1.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('clamped', None, -1.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('clamped', None, 2.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('clamped', None, -2.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('degenerate_equal', None, 0.5): ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ('degenerate_equal', None, -0.5): ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ('degenerate_equal', None, 1.0): ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ('degenerate_equal', None, -1.0): ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ('degenerate_equal', None, 2.0): ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ('degenerate_equal', None, -2.0): ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ('ex2_dn2_dn3', None, 0.5): ('0x0.0p+0', '0x1.4000000000000p-2', '0x1.4000000000000p+2'),
+    ('ex2_dn2_dn3', None, -0.5): ('0x0.0p+0', '0x1.4000000000000p-2', '0x1.4000000000000p+2'),
+    ('ex2_dn2_dn3', None, 1.0): ('0x0.0p+0', '0x1.4000000000000p+2', '0x1.4000000000000p+2'),
+    ('ex2_dn2_dn3', None, -1.0): ('0x0.0p+0', '0x1.4000000000000p+2', '0x1.4000000000000p+2'),
+    ('ex2_dn2_dn3', None, 2.0): ('0x0.0p+0', '0x1.4000000000000p+6', '0x1.4000000000000p+2'),
+    ('ex2_dn2_dn3', None, -2.0): ('0x0.0p+0', '0x1.4000000000000p+6', '0x1.4000000000000p+2'),
+    ('ex3_dn_dn3_A', None, 0.5): ('0x0.0p+0', '-0x1.8000000000000p-2', '0x1.8000000000000p+1'),
+    ('ex3_dn_dn3_A', None, -0.5): ('0x0.0p+0', '-0x1.0000000000000p-3', '0x1.0000000000000p+0'),
+    ('ex3_dn_dn3_A', None, 1.0): ('0x0.0p+0', '-0x1.8000000000000p+1', '0x1.8000000000000p+1'),
+    ('ex3_dn_dn3_A', None, -1.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('ex3_dn_dn3_A', None, 2.0): ('0x0.0p+0', '-0x1.8000000000000p+4', '0x1.8000000000000p+1'),
+    ('ex3_dn_dn3_A', None, -2.0): ('0x0.0p+0', '-0x1.0000000000000p+3', '0x1.0000000000000p+0'),
+    ('ex4_id_dn2_A', None, 0.5): ('0x0.0p+0', '-0x1.8000000000000p+0', '0x1.8000000000000p+1'),
+    ('ex4_id_dn2_A', None, -0.5): ('0x0.0p+0', '-0x1.0000000000000p-1', '0x1.0000000000000p+0'),
+    ('ex4_id_dn2_A', None, 1.0): ('0x0.0p+0', '-0x1.8000000000000p+1', '0x1.8000000000000p+1'),
+    ('ex4_id_dn2_A', None, -1.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('ex4_id_dn2_A', None, 2.0): ('0x0.0p+0', '-0x1.8000000000000p+2', '0x1.8000000000000p+1'),
+    ('ex4_id_dn2_A', None, -2.0): ('0x0.0p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p+0'),
+    ('ex5_dn2A_dn3', None, 0.5): ('0x0.0p+0', '-0x1.4000000000000p-2', '0x1.4000000000000p+2'),
+    ('ex5_dn2A_dn3', None, -0.5): ('0x0.0p+0', '-0x1.0000000000000p-4', '0x1.0000000000000p+0'),
+    ('ex5_dn2A_dn3', None, 1.0): ('0x0.0p+0', '-0x1.4000000000000p+2', '0x1.4000000000000p+2'),
+    ('ex5_dn2A_dn3', None, -1.0): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('ex5_dn2A_dn3', None, 2.0): ('0x0.0p+0', '-0x1.4000000000000p+6', '0x1.4000000000000p+2'),
+    ('ex5_dn2A_dn3', None, -2.0): ('0x0.0p+0', '-0x1.0000000000000p+4', '0x1.0000000000000p+0'),
+    ('hinged', None, 0.5): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+1'),
+    ('hinged', None, -0.5): ('0x0.0p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p+1'),
+    ('hinged', None, 1.0): ('0x0.0p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p+1'),
+    ('hinged', None, -1.0): ('0x0.0p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p+1'),
+    ('hinged', None, 2.0): ('0x0.0p+0', '-0x1.0000000000000p+2', '0x1.0000000000000p+1'),
+    ('hinged', None, -2.0): ('0x0.0p+0', '-0x1.0000000000000p+2', '0x1.0000000000000p+1'),
+    ('neumann_pair', None, 0.5): ('0x0.0p+0', '-0x1.0000000000000p-2', '0x1.0000000000000p+1'),
+    ('neumann_pair', None, -0.5): ('0x0.0p+0', '-0x1.0000000000000p-2', '0x1.0000000000000p+1'),
+    ('neumann_pair', None, 1.0): ('0x0.0p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p+1'),
+    ('neumann_pair', None, -1.0): ('0x0.0p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p+1'),
+    ('neumann_pair', None, 2.0): ('0x0.0p+0', '-0x1.0000000000000p+4', '0x1.0000000000000p+1'),
+    ('neumann_pair', None, -2.0): ('0x0.0p+0', '-0x1.0000000000000p+4', '0x1.0000000000000p+1'),
+    ('ex3_dn_dn3_A', 0.5, 0.5): ('0x0.0p+0', '-0x1.8000000000000p-3', '0x1.8000000000000p+0'),
+    ('ex3_dn_dn3_A', 0.5, -0.5): ('0x0.0p+0', '-0x1.4000000000000p-2', '0x1.4000000000000p+1'),
+    ('ex3_dn_dn3_A', 0.5, 1.0): ('0x0.0p+0', '-0x1.8000000000000p+0', '0x1.8000000000000p+0'),
+    ('ex3_dn_dn3_A', 0.5, -1.0): ('0x0.0p+0', '-0x1.4000000000000p+1', '0x1.4000000000000p+1'),
+    ('ex3_dn_dn3_A', 0.5, 2.0): ('0x0.0p+0', '-0x1.8000000000000p+3', '0x1.8000000000000p+0'),
+    ('ex3_dn_dn3_A', 0.5, -2.0): ('0x0.0p+0', '-0x1.4000000000000p+4', '0x1.4000000000000p+1'),
+    ('ex4_id_dn2_A', -1.3, 0.5): ('0x0.0p+0', '-0x1.6666666666666p-2', '0x1.6666666666666p-1'),
+    ('ex4_id_dn2_A', -1.3, -0.5): ('0x0.0p+0', '-0x1.a666666666666p+0', '0x1.a666666666666p+1'),
+    ('ex4_id_dn2_A', -1.3, 1.0): ('0x0.0p+0', '-0x1.6666666666666p-1', '0x1.6666666666666p-1'),
+    ('ex4_id_dn2_A', -1.3, -1.0): ('0x0.0p+0', '-0x1.a666666666666p+1', '0x1.a666666666666p+1'),
+    ('ex4_id_dn2_A', -1.3, 2.0): ('0x0.0p+0', '-0x1.6666666666666p+0', '0x1.6666666666666p-1'),
+    ('ex4_id_dn2_A', -1.3, -2.0): ('0x0.0p+0', '-0x1.a666666666666p+2', '0x1.a666666666666p+1'),
+    ('ex5_dn2A_dn3', 2.2, 0.5): ('0x0.0p+0', '-0x1.d99999999999ap-2', '0x1.d99999999999ap+2'),
+    ('ex5_dn2A_dn3', 2.2, -0.5): ('0x0.0p+0', '0x1.6666666666668p-4', '0x1.6666666666668p+0'),
+    ('ex5_dn2A_dn3', 2.2, 1.0): ('0x0.0p+0', '-0x1.d99999999999ap+2', '0x1.d99999999999ap+2'),
+    ('ex5_dn2A_dn3', 2.2, -1.0): ('0x0.0p+0', '0x1.6666666666668p+0', '0x1.6666666666668p+0'),
+    ('ex5_dn2A_dn3', 2.2, 2.0): ('0x0.0p+0', '-0x1.d99999999999ap+6', '0x1.d99999999999ap+2'),
+    ('ex5_dn2A_dn3', 2.2, -2.0): ('0x0.0p+0', '0x1.6666666666668p+4', '0x1.6666666666668p+0'),
+}
+
+
 def aprime_value(name, c, omega):
     """Default scalar parameter symbol evaluated at a signed 1-D omega."""
     if name == "ex3_dn_dn3_A":
@@ -111,6 +185,15 @@ class TestCatalog:
                 expected = closed_form_det(name, aval, omega)
                 assert abs(rep.determinant - expected) <= \
                     1e-12 * max(abs(expected), 1.0)
+
+    def test_unconjugated_bits_pinned(self):
+        got = {}
+        for name, a, omega in UNCONJUGATED_HEX:
+            pair = catalog_bc(name, None if a is None else {"a": a})
+            rep = ls_unconjugated(*pair, X0, [omega])
+            got[name, a, omega] = (rep.determinant.real.hex(),
+                                   rep.determinant.imag.hex(), rep.margin.hex())
+        assert got == UNCONJUGATED_HEX
 
     def test_excluded_equality_case(self):
         # a' == -2|omega'| is rejected by the catalog; built directly

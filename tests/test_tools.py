@@ -25,3 +25,7 @@ def test_artifact_digest_finds_readme_lines_and_benchmark_ops():
     runs = digest.kernel_commands()
     assert len(runs) == 12
     assert {argv[0] for argv in runs} == {"simulate", "decay-fit", "resolvent"}
+    checks = digest.ls_check_commands()
+    assert len(checks) == 3
+    assert all(argv[0] == "ls-check" and "--bc-param-a" in argv
+               for argv in checks)

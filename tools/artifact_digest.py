@@ -1,17 +1,18 @@
 """SHA-256 digests of the README commands, the benchmark's commands, every
-family's matrix export and short runs on the families with stationary
-states.
+family's matrix export, short runs on the families with stationary states
+and LS checks of the parameter families.
 
 Runs each `platelab` line of the README's CLI block, each full-size
 command of the four perfbench workloads at seed 1, `assemble --count 5`
 of every boundary family on a 16-cell interval and of the four rectangle
-families on a 9 x 12 grid, and short `simulate`, `decay-fit` and
+families on a 9 x 12 grid, short `simulate`, `decay-fit` and
 `resolvent` runs on the three families with a stationary kernel at n = 40
-and on neumann_pair at 9 x 12.  Every run has a fresh temporary directory
-and `src` on PYTHONPATH; the script prints one line per run: the exit code
-and the SHA-256 of stdout, of stderr and of each file the run wrote.  Two
-checkouts produce byte-identical artifacts exactly when their outputs are
-equal, so the check is a diff:
+and on neumann_pair at 9 x 12, and `ls-check --samples 300` of the three
+parameter families at a non-default a.  Every run has a fresh temporary
+directory and `src` on PYTHONPATH; the script prints one line per run: the
+exit code and the SHA-256 of stdout, of stderr and of each file the run
+wrote.  Two checkouts produce byte-identical artifacts exactly when their
+outputs are equal, so the check is a diff:
 
     python3 tools/artifact_digest.py > new.txt   # in each checkout
     diff old.txt new.txt
@@ -37,6 +38,8 @@ KERNEL_FAMILIES = ("neumann_pair", "ex2_dn2_dn3", "ex5_dn2A_dn3")
 KERNEL_RUNS = (("simulate", "--T", "5", "--dt", "0.05"),
                ("decay-fit", "--T", "50", "--dt", "0.5"),
                ("resolvent", "--sigma-grid", "0:20:2"))
+PARAMETER_RUNS = (("ex3_dn_dn3_A", "0.5"), ("ex4_id_dn2_A", "-1.3"),
+                  ("ex5_dn2A_dn3", "2.2"))
 
 
 def readme_commands():
@@ -77,6 +80,14 @@ def kernel_commands():
             for name, grid in grids for cmd, *args in KERNEL_RUNS]
 
 
+def ls_check_commands():
+    """Argument lists of `ls-check --samples 300` of each PARAMETER_RUNS
+    family at its --bc-param-a."""
+    return [["ls-check", "--bc", name, "--bc-param-a", a, "--samples", "300",
+             "--seed", str(SEED), "--out", f"ls_check_{name}.json"]
+            for name, a in PARAMETER_RUNS]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -99,7 +110,8 @@ def main():
     sys.dont_write_bytecode = True     # leave perfbench/ as it is
     runs = ([("README", argv) for argv in readme_commands()] + perfbench_ops()
             + [("assemble", argv) for argv in assemble_commands()]
-            + [("kernel", argv) for argv in kernel_commands()])
+            + [("kernel", argv) for argv in kernel_commands()]
+            + [("ls-check", argv) for argv in ls_check_commands()])
     for label, argv in runs:
         print(f"{label}: {' '.join(argv)}: {digest(argv)}", flush=True)
 
