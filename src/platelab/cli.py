@@ -20,10 +20,21 @@ import math
 import os
 import sys
 
-import numpy as np
+# One BLAS thread per CLI process unless the caller chose a count.  OpenBLAS
+# reads OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS, then OMP_NUM_THREADS,
+# once, when numpy loads it.  No dense problem here reaches 3,000 unknowns:
+# extra threads spin idle and cost CPU without saving wall time, and they
+# make the 2-D resolvent norms depend on the core count.  A process that
+# loaded numpy before this module keeps its own setting.
+if "numpy" not in sys.modules and not any(
+        var in os.environ for var in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import SizeLimitError, lscheck, weights
-from .symbols import TangentialPoint, WeightJet, classify_roots
+import numpy as np  # noqa: E402
+
+from . import SizeLimitError, lscheck, weights  # noqa: E402
+from .symbols import TangentialPoint, WeightJet, classify_roots  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

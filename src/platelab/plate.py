@@ -119,9 +119,10 @@ class DiscretePlateOperator:
         if self.size > MAX_DENSE_UNKNOWNS:
             raise SizeLimitError(
                 f"dense matrix refused for {self.size} > {MAX_DENSE_UNKNOWNS} plate "
-                f"unknowns: 1-D eigenvectors and the generator reduction are "
-                f"dense O(N^3); spectrum eigenvalues, time stepping and the "
-                f"resolvent are banded or sparse")
+                f"unknowns: eigenvectors of an operator without tensor factors "
+                f"and the generator reduction are dense O(N^3); spectrum "
+                f"eigenvalues, tensor-factor eigenvectors, time stepping and "
+                f"the resolvent are banded or sparse")
         return self.matrix.toarray()
 
 
@@ -164,12 +165,15 @@ class _Family:
     centers (layout); a base matrix that is the square L^2 of the layout's
     Laplacian (square) or the five-point stencil [1 -4 6 -4 1]/h^4; the
     2 x 2 eliminated ghost rows corner(a, h), added at the first two
-    unknowns and mirrored at the last two; the default parameter a."""
+    unknowns and mirrored at the last two; the default parameter a; why a
+    family off rectangles is refused there, when the reason is not a
+    tangential term that the Kronecker sum omits (no_rectangle)."""
 
     layout: str
     square: bool
     corner: Optional[Callable] = None
     default_a: float = 0.0
+    no_rectangle: Optional[str] = None
 
     @property
     def laplacian_square(self) -> bool:   # variable coefficients, 2-D factors
@@ -203,7 +207,11 @@ _FAMILIES = {
     "neumann_pair": _Family("cell", True),
     # free end: second and third normal derivatives vanish
     "ex2_dn2_dn3": _Family("cell", False, lambda a, h: (
-        (-5.0 / h ** 4, 2.0 / h ** 4), (2.0 / h ** 4, -1.0 / h ** 4))),
+        (-5.0 / h ** 4, 2.0 / h ** 4), (2.0 / h ** 4, -1.0 / h ** 4)),
+        no_rectangle="the ex2_dn2_dn3 symbols are the free edge with Poisson "
+                     "ratio nu = 2, whose energy is unbounded below on a "
+                     "rectangle (u = xy gives -2|Omega|), so no 2-D "
+                     "discretization of them is a nonnegative plate operator"),
     # zero slope with a third-derivative load: L^2 plus a boundary diagonal -a/h
     "ex3_dn_dn3_A": _Family("cell", True, lambda a, h: ((-a / h, 0.0), (0.0, 0.0)),
                             default_a=-1.0),
@@ -260,10 +268,12 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
     a = float(params.get("a", family.default_a))
     if grid.dimension == 2 and not family.on_rectangles:
         covered = [k for k, f in _FAMILIES.items() if f.on_rectangles]
-        raise NotImplementedError(
-            f"2-D assembly covers {', '.join(covered[:-1])} and {covered[-1]}; "
+        reason = family.no_rectangle or (
             f"the {name} boundary operators carry tangential derivatives, "
             f"which a Kronecker sum of 1-D matrices omits")
+        raise NotImplementedError(
+            f"2-D assembly covers {', '.join(covered[:-1])} and {covered[-1]}; "
+            f"{reason}")
     coeffs = metric if isinstance(metric, (tuple, list)) else (metric,) * 2
     axes = [_axis_matrices(name, family, k, h, a, c)
             for k, h, c in zip(grid.n, grid.h, coeffs)]
@@ -325,8 +335,9 @@ def _tensor_pairs(op: DiscretePlateOperator, count: int):
 def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
     """Lowest eigenpairs, ascending, grid-orthonormal eigenvectors; with
     vectors=False, (eigenvalues, None) from the band or the tensor factors.
-    1-D eigenvectors come from the dense eigh of the whole matrix: the decay
-    experiments' initial data depend on its LAPACK signs."""
+    Eigenvectors of an operator without tensor factors come from the dense
+    eigh of the whole matrix: the decay experiments' initial data depend on
+    its LAPACK signs."""
     if count > op.size:
         raise ValueError(f"requested {count} eigenpairs of a size-{op.size} operator")
     if op.tensor_factors is not None:

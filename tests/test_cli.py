@@ -167,6 +167,8 @@ class TestExitCodes:
           "0.1"], None, "--bc-param-a -3.0: the operator is indefinite"),
         (["spectrum", "--bc", "ex5_dn2A_dn3", "--dim", "2", "--n", "16"], None,
          "the ex5_dn2A_dn3 boundary operators carry tangential derivatives"),
+        (["spectrum", "--bc", "ex2_dn2_dn3", "--dim", "2", "--n", "16"], None,
+         "free edge with Poisson ratio nu = 2"),
         (["ls-check", "--bc", "clamped", "--mu0", "-1"], None, "--mu0"),
         (["ls-check", "--bc", "clamped", "--mu1", "-1"], None, "--mu1"),
         (["roots", "--dphi-normal", "0"], None, "--dphi-normal"),
@@ -184,8 +186,9 @@ class TestExitCodes:
             "alpha-negative", "alpha-nan", "alpha-blind-to-kernel",
             "indefinite-resolvent", "indefinite-simulate",
             "indefinite-decay-fit", "indefinite-tilted-hinge",
-            "2d-tangential-family", "mu0-negative", "mu1-negative",
-            "dphi-normal-0", "dphi-normal-negative", "roots-degenerate-point"])
+            "2d-tangential-family", "2d-free-edge-nu2", "mu0-negative",
+            "mu1-negative", "dphi-normal-0", "dphi-normal-negative",
+            "roots-degenerate-point"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -621,7 +624,37 @@ print(main(["spectrum", "--bc", "hinged", "--n", "16", "--out", out]),
 """
 
 
+# prints what the imports named in argv changed in os.environ
+_ENV_CHILD = """
+import json, os, sys
+before = dict(os.environ)
+for name in sys.argv[1:]:
+    __import__(name)
+after = dict(os.environ)
+print(json.dumps({k: after.get(k) for k in sorted(set(before) | set(after))
+                  if before.get(k) != after.get(k)}))
+"""
+
+
 class TestConsoleEntry:
+    @pytest.mark.parametrize("env, modules, changed", [
+        ({}, ["platelab.cli"], {"OPENBLAS_NUM_THREADS": "1"}),
+        ({"OMP_NUM_THREADS": "2"}, ["platelab.cli"], {}),
+        ({"GOTO_NUM_THREADS": "2"}, ["platelab.cli"], {}),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ["platelab.cli"], {}),
+        ({}, ["numpy", "platelab.cli"], {}),
+    ], ids=["default-one-thread", "omp-set", "goto-set", "openblas-set",
+            "numpy-first"])
+    def test_blas_thread_policy(self, env, modules, changed):
+        # the child's environment is built here, not inherited
+        src = os.path.dirname(os.path.dirname(platelab.__file__))
+        proc = subprocess.run([sys.executable, "-c", _ENV_CHILD, *modules],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src,
+                                   "PYTHONDONTWRITEBYTECODE": "1", **env})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == changed
+
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "platelab.cli",
                                "catalog"], capture_output=True, text=True,

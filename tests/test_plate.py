@@ -382,6 +382,15 @@ class TestSpectrum:
         mu, vecs = spectrum(op, 5, vectors=False)
         assert vecs is None and np.all(np.diff(mu) > 0)
 
+    def test_dense_cap_names_operators_without_tensor_factors(self):
+        # 55 x 55 clamped unknowns: dense() refuses before any eigensolve
+        op = assemble(make_grid((56, 56)), "clamped")
+        with pytest.raises(SizeLimitError,
+                           match="3025 > 3000 .*without tensor factors.*"
+                                 "reduction") as exc:
+            spectrum(op, 1)
+        assert "1-D" not in str(exc.value)
+
     def test_eigenvalues_only_match_dense_solver(self):
         for op in every_operator():
             M = op.dense()
@@ -453,11 +462,20 @@ class TestRectangle:
             assert scipy.linalg.eigvalsh(M)[0] >= -tol, name
 
     def test_tangential_families_refused(self):
-        for name in ("ex2_dn2_dn3", "ex3_dn_dn3_A", "ex5_dn2A_dn3"):
+        for name in ("ex3_dn_dn3_A", "ex5_dn2A_dn3"):
             with pytest.raises(NotImplementedError,
                                match=f"{name} boundary operators carry "
                                      f"tangential derivatives"):
                 assemble(make_grid((16, 12)), name)
+
+    def test_free_edge_nu2_refused(self):
+        # ex2 is the nu = 2 free edge: u = xy has energy -2|Omega|
+        with pytest.raises(NotImplementedError,
+                           match=r"ex2_dn2_dn3 symbols are the free edge with "
+                                 r"Poisson ratio nu = 2, whose energy is "
+                                 r"unbounded below") as exc:
+            assemble(make_grid((16, 12)), "ex2_dn2_dn3")
+        assert "tangential" not in str(exc.value)
 
 
 class TestKernel:

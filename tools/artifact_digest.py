@@ -9,10 +9,12 @@ families on a 9 x 12 grid, short `simulate`, `decay-fit` and
 `resolvent` runs on the three families with a stationary kernel at n = 40
 and on neumann_pair at 9 x 12, and `ls-check --samples 300` of the three
 parameter families at a non-default a.  Every run has a fresh temporary
-directory and `src` on PYTHONPATH; the script prints one line per run: the
-exit code and the SHA-256 of stdout, of stderr and of each file the run
-wrote.  Two checkouts produce byte-identical artifacts exactly when their
-outputs are equal, so the check is a diff:
+directory and `src` on PYTHONPATH, and none of OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS: each run takes the CLI's own BLAS
+thread count, whatever the calling shell sets.  The script prints one line
+per run: the exit code and the SHA-256 of stdout, of stderr and of each
+file the run wrote.  Two checkouts produce byte-identical artifacts
+exactly when their outputs are equal, so the check is a diff:
 
     python3 tools/artifact_digest.py > new.txt   # in each checkout
     diff old.txt new.txt
@@ -40,6 +42,7 @@ KERNEL_RUNS = (("simulate", "--T", "5", "--dt", "0.05"),
                ("resolvent", "--sigma-grid", "0:20:2"))
 PARAMETER_RUNS = (("ex3_dn_dn3_A", "0.5"), ("ex4_id_dn2_A", "-1.3"),
                   ("ex5_dn2A_dn3", "2.2"))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def readme_commands():
@@ -94,8 +97,9 @@ def _sha(data: bytes) -> str:
 
 def digest(argv) -> str:
     """One line: exit code and digests of stdout, stderr and written files."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-m", "platelab.cli", *argv],
                               cwd=tmp, env=env, capture_output=True)
