@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 # One BLAS thread per CLI process unless the caller chose a count.  OpenBLAS
@@ -97,7 +98,8 @@ def read_config(path, keys) -> dict:
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            # '#' opens a comment at the start of a line or after whitespace
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -130,29 +130,18 @@ class DiscretePlateOperator:
 # one-dimensional building blocks
 # ---------------------------------------------------------------------------
 
-def _sl_coeff_at(coeff, xs):
-    if coeff is None:
-        return np.ones_like(xs)
-    return np.array([float(coeff(x)) for x in xs])
-
-
-def _dirichlet_laplacian(n: int, h: float, coeff=None) -> sp.csr_matrix:
-    """-(a u')' on interior nodes with u = 0 at both ends; a at half nodes."""
-    xs_half = h * (np.arange(n) + 0.5)
-    a = _sl_coeff_at(coeff, xs_half)
-    main = (a[:-1] + a[1:]) / h ** 2
-    off = -a[1:-1] / h ** 2
+def _dirichlet_laplacian(n: int, h: float) -> sp.csr_matrix:
+    """-u'' on the n - 1 interior nodes with u = 0 at both ends."""
+    main = np.full(n - 1, 2.0 / h ** 2)
+    off = np.full(n - 2, -1.0 / h ** 2)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-def _neumann_laplacian(n: int, h: float, coeff=None) -> sp.csr_matrix:
-    """-(a u')' on cell centers with zero-flux ends (graph Laplacian form)."""
-    xs_faces = h * np.arange(1, n)
-    a = _sl_coeff_at(coeff, xs_faces)
-    main = np.zeros(n)
-    main[:-1] += a / h ** 2
-    main[1:] += a / h ** 2
-    off = -a / h ** 2
+def _neumann_laplacian(n: int, h: float) -> sp.csr_matrix:
+    """-u'' on n cell centers with zero-flux ends (graph Laplacian form)."""
+    main = np.full(n, 2.0 / h ** 2)
+    main[[0, -1]] = 1.0 / h ** 2
+    off = np.full(n - 1, -1.0 / h ** 2)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
@@ -176,7 +165,7 @@ class _Family:
     no_rectangle: Optional[str] = None
 
     @property
-    def laplacian_square(self) -> bool:   # variable coefficients, 2-D factors
+    def laplacian_square(self) -> bool:   # B = L^2: the 2-D tensor factors
         return self.square and self.corner is None
 
     @property
@@ -223,16 +212,10 @@ def catalog_families():
     return tuple(_FAMILIES)
 
 
-def _axis_matrices(name: str, family: _Family, n: int, h: float, a: float,
-                   coeff):
+def _axis_matrices(family: _Family, n: int, h: float, a: float):
     """(B, L) on one axis of n cells of width h: the 1-D family matrix and
     the Laplacian of the family's layout."""
-    if coeff is not None and not family.laplacian_square:
-        squares = " and ".join(k for k, f in _FAMILIES.items()
-                               if f.laplacian_square)
-        raise NotImplementedError(f"variable coefficients are supported for "
-                                  f"{squares} only, not {name}")
-    L = _LAPLACIANS[family.layout](n, h, coeff)
+    L = _LAPLACIANS[family.layout](n, h)
     if family.square:
         B = L @ L
     else:
@@ -246,15 +229,13 @@ def _axis_matrices(name: str, family: _Family, n: int, h: float, a: float,
     return B, L
 
 
-def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
+def assemble(grid: Grid, bc_pair, params: Optional[dict] = None
              ) -> DiscretePlateOperator:
     """Constrained bi-Laplace matrix on the unknowns determined by the
     boundary family.
 
-    bc_pair is a catalog name.  metric, when given, is a positive
-    coefficient function a(x) for the Sturm-Liouville composition
-    (-(a u')')^2 of hinged and neumann_pair (in 2-D, one or one per axis).
-    Rectangles take hinged, clamped, ex4_id_dn2_A and neumann_pair.
+    bc_pair is a catalog name.  Rectangles take hinged, clamped,
+    ex4_id_dn2_A and neumann_pair.
     """
     params = dict(params or {})
     name = bc_pair
@@ -274,9 +255,7 @@ def assemble(grid: Grid, bc_pair, metric=None, params: Optional[dict] = None
         raise NotImplementedError(
             f"2-D assembly covers {', '.join(covered[:-1])} and {covered[-1]}; "
             f"{reason}")
-    coeffs = metric if isinstance(metric, (tuple, list)) else (metric,) * 2
-    axes = [_axis_matrices(name, family, k, h, a, c)
-            for k, h, c in zip(grid.n, grid.h, coeffs)]
+    axes = [_axis_matrices(family, k, h, a) for k, h in zip(grid.n, grid.h)]
     if grid.dimension == 1:
         M, factors = axes[0][0], None
     else:

@@ -34,7 +34,6 @@ __all__ = [
     "branch_sqrt",
     "point_stack",
     "classify_stack",
-    "factor_radicand",
     "factor_symbol_eval",
     "factor_roots",
     "quartic_roots",
@@ -59,6 +58,9 @@ class MetricField:
     Complex tangential arguments are admitted: the form is evaluated
     bilinearly, which is exactly the expansion
     r(a) - r(b) + 2i r~(a, b) for xi' = a + i b.
+
+    x is one point (d,) or an (m, d) stack; ``ginv`` and ``dginv`` take the
+    stack and return (m, tdim, tdim) and (m, d, tdim, tdim).
     """
 
     def __init__(self, tdim: int,
@@ -78,45 +80,55 @@ class MetricField:
 
     @classmethod
     def diagonal(cls, tdim: int,
-                 coeffs: Sequence[Callable[[np.ndarray], float]],
+                 coeffs: Sequence[Callable[[np.ndarray], np.ndarray]],
                  dcoeffs: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
                  ) -> "MetricField":
         """Diagonal metric with coefficient functions g^ii(x) > 0.
 
-        ``dcoeffs[i](x)`` must return the spatial gradient of g^ii, one entry
-        per coordinate of x; required only for Poisson-bracket evaluation.
+        ``coeffs[i]`` maps an (m, d) stack of points to the (m,) values of
+        g^ii; ``dcoeffs[i]`` maps it to their (m, d) spatial gradients and
+        is required only for Poisson-bracket evaluation.  Each function is
+        called once per stack.
         """
         if len(coeffs) != tdim:
             raise ValueError("need one coefficient function per tangential axis")
 
-        def ginv(x):
-            return np.diag([float(c(x)) for c in coeffs])
+        def diagonal_of(fs):   # (..., tdim) values times the identity
+            return lambda x: (np.stack([f(x) for f in fs], axis=-1)[..., None]
+                              * np.eye(tdim))
 
-        dg = None
-        if dcoeffs is not None:
-            def dg(x):
-                d = len(np.atleast_1d(x))
-                out = np.zeros((d, tdim, tdim))
-                for i, dc in enumerate(dcoeffs):
-                    out[:, i, i] = np.asarray(dc(x), dtype=float)
-                return out
+        return cls(tdim, diagonal_of(coeffs),
+                   None if dcoeffs is None else diagonal_of(dcoeffs))
 
-        return cls(tdim, ginv, dg)
+    def _stacked(self, f, x, shape):
+        """f on x as an (m, d) stack, checked against (m, *shape); one
+        point (d,) gives the single (shape) row."""
+        x = np.asarray(x, dtype=float)
+        xs = np.atleast_2d(x)
+        out = np.asarray(f(xs), dtype=float)
+        if out.shape != (len(xs), *shape):
+            raise ValueError(f"metric returned shape {out.shape}, "
+                             f"expected {(len(xs), *shape)}")
+        return out if x.ndim == 2 else out[0]
 
     def gmatrix(self, x) -> np.ndarray:
+        """g^ij at one point (d,) or an (m, d) stack: (tdim, tdim) or
+        (m, tdim, tdim).  The identity metric returns its one read-only
+        matrix, broadcast over a stack."""
         if self._ginv is None:
-            return self._eye
-        g = np.asarray(self._ginv(np.asarray(x, dtype=float)))
-        if g.shape != (self.tdim, self.tdim):
-            raise ValueError(f"metric returned shape {g.shape}, expected {(self.tdim, self.tdim)}")
-        return g
+            x = np.asarray(x)
+            return self._eye if x.ndim < 2 else np.broadcast_to(
+                self._eye, (len(x), self.tdim, self.tdim))
+        return self._stacked(self._ginv, x, (self.tdim, self.tdim))
 
     def dgmatrix(self, x) -> np.ndarray:
-        """d/dx_k of g^ij, shape (len(x), tdim, tdim).  Zero for constant metrics."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """d/dx_k of g^ij at one point (d,) or an (m, d) stack: (d, tdim,
+        tdim) or (m, d, tdim, tdim).  Zero for constant metrics."""
+        x = np.asarray(x, dtype=float)
+        d = np.atleast_1d(x).shape[-1]
         if self._dginv is None:
-            return np.zeros((x.size, self.tdim, self.tdim))
-        return np.asarray(self._dginv(x), dtype=float)
+            return np.broadcast_to(0.0, (*x.shape[:-1], d, self.tdim, self.tdim))
+        return self._stacked(self._dginv, x, (d, self.tdim, self.tdim))
 
     def bilinear(self, x, a, b):
         """Symmetric bilinear form r~(x, a, b); complex arguments allowed.
@@ -313,17 +325,14 @@ def _pairs(roots: RootStack) -> tuple:
                      roots.pi_2[0].tolist(), roots.radicand[0].tolist()))
 
 
-def factor_radicand(p: TangentialPoint, w: WeightJet, j: int,
-                    metric: Optional[MetricField] = None) -> complex:
-    """r(x, xi' + i tau dphi_t) + (-1)^j sigma^2, via bilinear expansion."""
-    return factor_roots(p, w, j, metric).radicand
-
-
 def factor_symbol_eval(p: TangentialPoint, w: WeightJet, j: int, xi_d: complex,
                        metric: Optional[MetricField] = None) -> complex:
-    """Value of the quadratic factor q_j at a (possibly complex) xi_d."""
+    """Value of the quadratic factor q_j at a (possibly complex) xi_d, with
+    its radicand r(x, xi' + i tau dphi_t) + (-1)^j sigma^2 from metric.r."""
+    metric = metric or MetricField.euclidean(p.xi_prime.size)
+    radicand = complex(metric.r(p.x, p.xi_prime + 1j * p.tau * w.d_tangential))
     return (complex(xi_d) + 1j * p.tau * w.d_normal) ** 2 \
-        + factor_radicand(p, w, j, metric)
+        + radicand + (-1) ** j * p.sigma ** 2
 
 
 def factor_roots(p: TangentialPoint, w: WeightJet, j: int,

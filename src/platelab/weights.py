@@ -214,10 +214,9 @@ def symbol_jets(wf: WeightField, x, xi, tau, sigma, j: int,
     r_xi = r_dp = r_mix = dr_xi = dr_dp = dr_mix = g_dp = g_mix = 0.0
     g_xit = g_dpt = np.zeros((m, 0))
     if tdim:
-        # a MetricField takes one point per call
         metric = metric or MetricField.euclidean(tdim)
-        g = np.array([metric.gmatrix(p) for p in x]).reshape(m, tdim, tdim)
-        dg = np.array([metric.dgmatrix(p) for p in x]).reshape(m, d, tdim, tdim)
+        g = metric.gmatrix(x)
+        dg = metric.dgmatrix(x)
         r_xi = np.einsum("mi,mij,mj->m", xit, g, xit)
         r_dp = np.einsum("mi,mij,mj->m", dpt, g, dpt)
         r_mix = np.einsum("mi,mij,mj->m", xit, g, dpt)
@@ -280,7 +279,7 @@ def characteristic_points(wf: WeightField, x, j: int,
         sigma = rho_star[ix] * tau
     else:
         metric = metric or MetricField.euclidean(tdim)
-        g = np.array([metric.gmatrix(p) for p in x]).reshape(-1, tdim, tdim)
+        g = metric.gmatrix(x)
         if directions is None:
             directions = _default_directions(tdim)
         e = np.array(directions, dtype=float).reshape(-1, tdim)

@@ -4,42 +4,51 @@ These deliberately avoid the production code paths they check: quartic
 roots come from an explicit companion matrix polished by Newton steps on
 the quartic, Poisson brackets from central finite differences, beam
 frequencies from bisection on the characteristic equation, and polynomial
-coefficients from direct expansion.
+coefficients from direct expansion in 50-digit arithmetic.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+ORACLE_DPS = 50
+
 
 def companion_roots(coeffs):
-    """Roots of sum_k coeffs[k] z^k (ascending): eigenvalues of the
-    explicitly assembled companion matrix, polished by four simultaneous
-    Newton steps on the polynomial in long double.  Each Newton correction is
-    deflated by the other roots (Aberth), so two near-double roots stay
-    apart; the eigenvalues alone miss by O(eps |C| / separation) there."""
-    c = np.asarray(coeffs, dtype=complex)
-    c = np.trim_zeros(c, "b")
-    n = c.size - 1
-    if n < 1:
-        return np.array([])
-    monic = c / c[-1]
-    C = np.zeros((n, n), dtype=complex)
-    C[1:, :-1] = np.eye(n - 1)
-    C[:, -1] = -monic[:-1]
-    z = np.linalg.eigvals(C).astype(np.clongdouble)
-    poly = c[::-1].astype(np.clongdouble)          # descending, for polyval
-    dpoly = np.polyder(poly)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(4):
-            gap = z[:, None] - z[None, :]
-            np.fill_diagonal(gap, np.inf)
-            f = np.polyval(poly, z)
-            step = f / (np.polyval(dpoly, z) - f * (1.0 / gap).sum(axis=1))
-            z -= np.where(np.isfinite(step), step, 0.0)
-    return z.astype(complex)
+    """Roots of sum_k coeffs[k] z^k (ascending; complex or mpmath numbers):
+    eigenvalues of the explicitly assembled companion matrix, polished by
+    simultaneous Newton steps until a step is below 1e-14 relative.  The
+    polynomial and its derivative are evaluated in ORACLE_DPS digits, so the
+    polish is limited only by the float64 roots it returns.  Each Newton
+    correction is deflated by the other roots (Aberth), so two near-double
+    roots stay apart; the eigenvalues alone miss by O(eps |C| / separation)
+    there."""
+    with mpmath.workdps(ORACLE_DPS):
+        c = [mpmath.mpc(v) for v in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        n = len(c) - 1
+        if n < 1:
+            return np.array([])
+        C = np.zeros((n, n), dtype=complex)
+        C[1:, :-1] = np.eye(n - 1)
+        C[:, -1] = [-complex(v / c[-1]) for v in c[:-1]]
+        z = np.linalg.eigvals(C)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(60):
+                f, df = np.array([[complex(v) for v in mpmath.polyval(
+                    c[::-1], mpmath.mpc(zk), derivative=True)] for zk in z]).T
+                gap = z[:, None] - z[None, :]
+                np.fill_diagonal(gap, np.inf)
+                step = f / (df - f * (1.0 / gap).sum(axis=1))
+                step = np.where(np.isfinite(step), step, 0.0)
+                z = z - step
+                if np.abs(step).max() <= 1e-14 * max(1.0, np.abs(z).max()):
+                    break
+    return z
 
 
 def match_roots(a, b):
@@ -56,17 +65,26 @@ def match_roots(a, b):
 
 
 def conjugated_quartic_coeffs(p, w, metric=None):
-    """xi_d-coefficients of the conjugated fourth-order symbol by direct
-    expansion of the product of the two quadratic factors."""
-    from platelab.symbols import factor_radicand
-    s = 1j * p.tau * w.d_normal
-    out = {}
-    quads = []
-    for j in (1, 2):
-        rad = factor_radicand(p, w, j, metric)
+    """xi_d-coefficients (ascending, ORACLE_DPS-digit mpmath numbers) of the
+    conjugated fourth-order symbol: each factor's radicand
+    r(x, xi' + i tau dphi_t) -/+ sigma^2 from the matrix metric.gmatrix(x)
+    (the identity without a metric), then the product of the two quadratic
+    factors, all expanded from the float64 inputs in extended precision."""
+    tdim = p.xi_prime.size
+    g = np.eye(tdim) if metric is None else metric.gmatrix(p.x)
+    with mpmath.workdps(ORACLE_DPS):
+        mpf = mpmath.mpf
+        tau = mpf(p.tau)
+        a = [mpmath.mpc(mpf(xi), tau * mpf(dt))
+             for xi, dt in zip(p.xi_prime.tolist(), w.d_tangential.tolist())]
+        r = sum(mpf(g[i, k]) * a[i] * a[k]
+                for i in range(tdim) for k in range(tdim))
+        s = mpmath.mpc(0, tau * mpf(w.d_normal))
+        s2 = mpf(p.sigma) ** 2
         # (z + s)^2 + rad = z^2 + 2 s z + (s^2 + rad)
-        quads.append(np.array([s ** 2 + rad, 2 * s, 1.0], dtype=complex))
-    return np.convolve(quads[0], quads[1])
+        q1, q2 = ([s ** 2 + r + sign * s2, 2 * s, mpf(1)] for sign in (-1, 1))
+        return [sum(q1[i] * q2[k - i] for i in range(3) if 0 <= k - i < 3)
+                for k in range(5)]
 
 
 def fd_bracket(fval, gval, x, xi, h=1e-6):

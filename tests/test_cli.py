@@ -561,6 +561,13 @@ class TestConfigFile:
                  if not l.startswith("#")]
         assert len(lines[1:]) == 2
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("  # comment\nbc = clamped # trailing comment\n"
+                       "alpha = file:/data/prof#1.txt\n")
+        parsed = read_config(cfg, COMMANDS["simulate"][1])
+        assert parsed == {"bc": "clamped", "alpha": "file:/data/prof#1.txt"}
+
     def test_malformed_line_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bc壊hinged\n")

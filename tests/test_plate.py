@@ -304,21 +304,6 @@ class TestAssembly:
         T = trace_form(1.0, +1.0) + trace_form(0.0, -1.0)
         assert lhs == pytest.approx(T, abs=20 * h)
 
-    def test_variable_coefficient_families(self):
-        coeff = lambda x: 1.0 + 0.5 * x
-        for name in ("hinged", "neumann_pair"):
-            op = assemble(GRID, name, metric=coeff)
-            M = op.dense()
-            assert np.abs(M - M.T).max() <= 1e-10 * np.abs(M).max()
-            mu, _ = spectrum(op, 3)
-            scale = np.abs(op.matrix.data).max()
-            assert mu[0] >= -1e-8 * scale
-        op_var = assemble(GRID, "hinged", metric=coeff)
-        op_id = assemble(GRID, "hinged")
-        assert np.abs(op_var.dense() - op_id.dense()).max() > 1.0
-        with pytest.raises(NotImplementedError):
-            assemble(GRID, "clamped", metric=coeff)
-
 
 class TestSpectrum:
     def test_hinged_against_sine_modes(self):

@@ -64,10 +64,10 @@ def stack_points(points):
 def variable_metric():
     return MetricField.diagonal(
         2,
-        coeffs=[lambda x: 1.0 + 0.3 * math.sin(x[0]),
-                lambda x: 2.0 + 0.5 * x[1] ** 2],
-        dcoeffs=[lambda x: np.array([0.3 * math.cos(x[0]), 0.0, 0.0]),
-                 lambda x: np.array([0.0, 1.0 * x[1], 0.0])],
+        coeffs=[lambda x: 1.0 + 0.3 * np.sin(x[..., 0]),
+                lambda x: 2.0 + 0.5 * x[..., 1] ** 2],
+        dcoeffs=[lambda x: 0.3 * np.cos(x[..., :1]) * [1.0, 0.0, 0.0],
+                 lambda x: x[..., 1:2] * [0.0, 1.0, 0.0]],
     )
 
 
@@ -212,6 +212,19 @@ class TestQuarticRoots:
         oracle = companion_roots(conjugated_quartic_coeffs(p, w))
         lam = max(p.lambda_T_sigma, p.tau * w.d_normal)
         assert match_roots(oracle, quartic_roots(p, w)) <= 1e-8 * lam
+
+    def test_companion_oracle_at_two_near_double_pairs(self):
+        # small xi' and sigma: the two factors' roots form two pairs 4.4e-7
+        # apart, so rounding the quartic's coefficients to float64 alone
+        # moves the roots by 1.5e-6 lambda
+        p = TangentialPoint([0.0, 0.0], [-0.01533], 2.544, 9.56e-5)
+        w = WeightJet(1.0, [-0.00548], 1.802)
+        ours = quartic_roots(p, w)
+        pairs = sorted(ours, key=lambda z: z.imag)
+        assert max(abs(pairs[0] - pairs[1]), abs(pairs[2] - pairs[3])) < 1e-6
+        oracle = companion_roots(conjugated_quartic_coeffs(p, w))
+        lam = max(p.lambda_T_sigma, p.tau * w.d_normal)
+        assert match_roots(oracle, ours) <= 1e-8 * lam
 
 
 class TestClassification:
@@ -371,3 +384,41 @@ class TestMetricField:
             g[0, 0] = 2.0
         xi = np.array([[1.0, 2.0], [3.0, 1j]])
         assert np.array_equal(metric.r([0.0, 0.0], xi), [5.0, 8.0])
+        stack = metric.gmatrix(np.zeros((5, 3)))    # a view, not 5 copies
+        assert np.shares_memory(stack, g) and stack.strides[0] == 0
+        assert not metric.dgmatrix(np.zeros((5, 3))).any()
+
+    @pytest.mark.parametrize("metric", [MetricField.euclidean(2), variable_metric()],
+                             ids=["euclidean", "variable-diagonal"])
+    def test_point_and_stack_shapes(self, metric):
+        xs = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, 0.2], [1.0, 1.0, 1.0]])
+        g, dg = metric.gmatrix(xs), metric.dgmatrix(xs)
+        assert g.shape == (3, 2, 2) and dg.shape == (3, 3, 2, 2)
+        for i, x in enumerate(xs):
+            assert metric.gmatrix(x).shape == (2, 2)
+            assert metric.dgmatrix(x).shape == (3, 2, 2)
+            assert np.array_equal(metric.gmatrix(x), g[i])
+            assert np.array_equal(metric.dgmatrix(x), dg[i])
+
+    def test_diagonal_calls_each_function_once_per_stack(self):
+        calls = []
+
+        def coeff(x):
+            calls.append(x.shape)
+            return 1.0 + x[..., 0] ** 2
+
+        def dcoeff(x):
+            calls.append(x.shape)
+            return 2.0 * x[..., :1] * [1.0, 0.0]
+
+        metric = MetricField.diagonal(1, [coeff], [dcoeff])
+        xs = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros(7)])
+        g, dg = metric.gmatrix(xs), metric.dgmatrix(xs)
+        assert calls == [(7, 2), (7, 2)]
+        assert np.array_equal(g[:, 0, 0], 1.0 + xs[:, 0] ** 2)
+        assert np.array_equal(dg[:, :, 0, 0], 2.0 * xs[:, :1] * [1.0, 0.0])
+
+    def test_wrong_shape_is_refused(self):
+        metric = MetricField(2, ginv=lambda x: np.eye(2))
+        with pytest.raises(ValueError, match="expected"):
+            metric.gmatrix([0.0, 0.0, 0.0])

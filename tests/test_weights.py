@@ -77,8 +77,8 @@ def close_rows(batch, one, rtol=1e-13):
 
 
 VARIABLE_METRIC = MetricField.diagonal(
-    1, coeffs=[lambda x: 1.0 + 0.4 * math.sin(x[0])],
-    dcoeffs=[lambda x: np.array([0.4 * math.cos(x[0]), 0.0])])
+    1, coeffs=[lambda x: 1.0 + 0.4 * np.sin(x[..., 0])],
+    dcoeffs=[lambda x: 0.4 * np.cos(x[..., :1]) * [1.0, 0.0]])
 
 
 class TestBatchedKernels:
@@ -139,6 +139,26 @@ class TestBatchedKernels:
                     assert close_rows(f.dx[i:i + 1], f1.dx)
                     assert close_rows(f.dxi[i:i + 1], f1.dxi)
                 assert close_rows(br[i:i + 1], poisson_bracket(qs1, qa1))
+
+    @pytest.mark.parametrize("metric", [None, VARIABLE_METRIC],
+                             ids=["euclidean", "variable-diagonal"])
+    def test_2d_characteristic_points(self, rng, metric):
+        wf = make_wf2d()
+        x = rng.uniform(0.1, 0.9, size=(6, 2))
+        for j in (1, 2):
+            args = (j, [0.0, 0.4, 1.5], (1.0, 2.5), None, metric)
+            batch = characteristic_points(wf, x, *args)
+            rows = [characteristic_points(wf, x[i], *args) for i in range(6)]
+            assert len(batch[2]) == sum(len(r[2]) for r in rows) > 0
+            for k in range(4):
+                assert close_rows(batch[k], np.concatenate([r[k] for r in rows]))
+            # q vanishes on the set, so each jet is scaled by its largest entry
+            for k in (4, 5):
+                fields = [(getattr(batch[k], f), np.concatenate(
+                    [getattr(r[k], f) for r in rows])) for f in ("value", "dx", "dxi")]
+                scale = max(np.abs(got).max() for got, _ in fields)
+                for got, want in fields:
+                    assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
 
 
 class TestPoissonBracket:
