@@ -12,6 +12,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -70,26 +71,37 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
+def _target(path):
+    """Text stream of an artifact: standard output for None or '-', which
+    stays open, else the file."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
+
+
 def write_json(path, obj):
     text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
-    if path in (None, "-"):
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    with _target(path) as fh:
+        fh.write(text + "\n")
 
 
-def write_csv(path, meta: dict, header, rows):
-    lines = [f"# {k} = {_cell(v)}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+CSV_CHUNK_ROWS = 256   # rows formatted per write: the text held at once
+
+
+def write_csv(path, meta: dict, columns: dict):
+    """Metadata lines, then the header and rows of `columns`, which maps
+    each header to a 1-D array: fmt on a float column, str on any other.
+    Rows are formatted and written CSV_CHUNK_ROWS at a time, so no copy of
+    the whole table or its text is held."""
+    cells = [fmt if col.dtype.kind == "f" else str for col in columns.values()]
+    nrows = len(next(iter(columns.values())))
+    with _target(path) as fh:
+        fh.write("".join(f"# {k} = {_cell(v)}\n" for k, v in sorted(meta.items()))
+                 + ",".join(columns) + "\n")
+        for lo in range(0, nrows, CSV_CHUNK_ROWS):
+            chunk = [map(cell, col[lo:lo + CSV_CHUNK_ROWS].tolist())
+                     for cell, col in zip(cells, columns.values())]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*chunk)))
 
 
 def read_config(path, keys) -> dict:
@@ -325,11 +337,16 @@ def _operator(cfg):
     from . import plate
     n, length = cfg["n"], cfg["length"]
     name, _, params = _bc_pair(cfg)
-    if cfg["dim"] == 1:
-        grid = plate.make_grid(n, length)
-    else:
-        grid = plate.make_grid((n, cfg["n_y"] or n),
-                               (length, cfg["length_y"] or length))
+    try:
+        if cfg["dim"] == 1:
+            grid = plate.make_grid(n, length)
+        else:
+            grid = plate.make_grid((n, cfg["n_y"] or n),
+                                   (length, cfg["length_y"] or length))
+    except plate.GridScaleError as exc:
+        key = "length_y" if exc.axis and cfg["length_y"] else "length"
+        raise ConfigError(f"--{key.replace('_', '-')} {cfg[key]}: {exc}") \
+            from None
     try:
         return plate.assemble(grid, name, params=params)
     except (KeyError, NotImplementedError) as exc:
@@ -366,9 +383,8 @@ def cmd_spectrum(cfg):
     op = _operator(cfg)
     count = _count(cfg, op)
     mu, _ = plate.spectrum(op, count, vectors=False)
-    rows = [(k, float(mu[k])) for k in range(count)]
     write_csv(cfg["out"], _manifest(cfg, op, schema="spectrum-v3"),
-              ["k", "mu"], rows)
+              {"k": np.arange(count), "mu": mu})
     return EXIT_OK
 
 
@@ -419,28 +435,29 @@ def cmd_simulate(cfg):
     y0 = sum(float(mix[i]) * V[:, nk + i] for i in range(3))
     Y0 = semigroup.StateVector(y0, np.zeros(op.size))
     log = _simulate(Y0, gen, T, dt, cfg["log_every"])
-    rows = list(zip(log.times.tolist(), log.energies.tolist(),
-                    log.dissipations.tolist()))
     write_csv(cfg["out"], _manifest(cfg, op, scheme=log.scheme,
                                     schema="energylog-v3"),
-              ["t", "energy", "dissipation"], rows)
+              {"t": log.times, "energy": log.energies,
+               "dissipation": log.dissipations})
     return EXIT_OK
 
 
 def cmd_resolvent(cfg):
     from . import semigroup
     op, gen = _damped(cfg)
-    sweep = semigroup.resolvent_sweep(gen, parse_grid_spec(cfg["sigma_grid"]))
+    try:
+        sweep = semigroup.resolvent_sweep(gen,
+                                          parse_grid_spec(cfg["sigma_grid"]))
+    except OverflowError as exc:
+        raise ConfigError(f"--sigma-grid {cfg['sigma_grid']}: {exc}") from None
     unconverged = int((~sweep.converged).sum())
-    rows = [(float(s), float(nrm), float(sl), float(d))
-            for s, nrm, sl, d in zip(sweep.sigmas, sweep.norms,
-                                     sweep.slack, sweep.nearest_dist)]
     write_csv(cfg["out"], _manifest(cfg, op, C=sweep.C, vacuous=sweep.vacuous,
                                     skipped=len(sweep.skipped),
                                     unconverged=unconverged,
                                     max_iterations=int(sweep.iterations.max()),
                                     schema="resolvent-v4"),
-              ["sigma", "norm", "slack", "nearest_eig_dist"], rows)
+              {"sigma": sweep.sigmas, "norm": sweep.norms,
+               "slack": sweep.slack, "nearest_eig_dist": sweep.nearest_dist})
     if not np.all(np.isfinite(sweep.norms[~np.isnan(sweep.norms)])):
         raise CheckFailure("non-finite resolvent norm on the grid")
     if unconverged:

@@ -22,6 +22,7 @@ so the operator stays nonnegative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -35,6 +36,7 @@ from . import SizeLimitError
 __all__ = [
     "Grid",
     "make_grid",
+    "GridScaleError",
     "SizeLimitError",
     "IndefiniteError",
     "DiscretePlateOperator",
@@ -49,6 +51,20 @@ __all__ = [
 ]
 
 MAX_DENSE_UNKNOWNS = 3000   # cap of DiscretePlateOperator.dense()
+# cell widths h whose matrix scale h^-4 is a normal float, with room for the
+# row sums, at most 64 h^-4 on a square cell
+CELL_WIDTHS = ((64.0 / sys.float_info.max) ** 0.25, sys.float_info.min ** -0.25)
+
+
+class GridScaleError(ValueError):
+    """A cell width outside CELL_WIDTHS: h^4 under- or overflows."""
+
+    def __init__(self, axis: int, h: float):
+        super().__init__(f"cell width h = {h:.3g} on axis {axis} lies outside "
+                         f"[{CELL_WIDTHS[0]:.3g}, {CELL_WIDTHS[1]:.3g}], where "
+                         f"the plate matrices' scale h^-4 is a finite normal "
+                         f"float")
+        self.axis = axis
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,9 @@ class Grid:
             raise ValueError("need at least 8 cells per axis for the stencil width")
         if any(l <= 0 for l in self.lengths):
             raise ValueError("lengths must be positive")
+        for axis, h in enumerate(self.h):
+            if not CELL_WIDTHS[0] <= h <= CELL_WIDTHS[1]:
+                raise GridScaleError(axis, h)
 
     @property
     def h(self) -> tuple:

@@ -222,17 +222,21 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
              log_every: int = 1):
     """Trajectory of the damped plate flow with its energy ledger.
 
-    The log records (t, E, mean dissipation rate since the previous row);
-    the energy is nonincreasing up to solver roundoff, and the kernel
-    component of the state is a constant of the motion.  NaN or overflow,
-    which makes the energy non-finite, aborts with the step index.
+    The log records (t, E, mean dissipation rate since the previous row)
+    every log_every steps and after the last, in three arrays of
+    1 + ceil(nsteps / log_every) rows allocated up front; the energy is
+    nonincreasing up to solver roundoff, and the kernel component of the
+    state is a constant of the motion.  NaN or overflow, which makes the
+    energy non-finite, aborts with the step index.
     """
     if not (np.all(np.isfinite(Y0.y)) and np.all(np.isfinite(Y0.v))):
         raise FloatingPointError("initial state is not finite")
     stepper = MidpointStepper(gen, dt)
     nsteps = int(round(T / dt))
-    Y, Py, rate = Y0.copy(), gen.op.apply(Y0.y), 0.0
-    times, energies, diss = [Y.t], [energy(Y, gen, Py)], [0.0]
+    rows = 1 + -(-nsteps // log_every)
+    times, energies, diss = np.empty(rows), np.empty(rows), np.zeros(rows)
+    Y, Py, rate, row = Y0.copy(), gen.op.apply(Y0.y), 0.0, 0
+    times[0], energies[0] = Y.t, energy(Y, gen, Py)
     for i in range(nsteps):
         Y, Py, d = stepper.advance(Y, Py)
         e = energy(Y, gen, Py)
@@ -240,11 +244,11 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
             raise FloatingPointError(f"state blew up at step {i + 1}")
         rate += d
         if (i + 1) % log_every == 0 or i == nsteps - 1:
-            times.append(Y.t)
-            energies.append(e)
-            diss.append(rate / (i % log_every + 1))    # steps since last row
+            row += 1
+            times[row], energies[row] = Y.t, e
+            diss[row] = rate / (i % log_every + 1)    # steps since last row
             rate = 0.0
-    log = EnergyLog(np.array(times), np.array(energies), np.array(diss), dt,
+    log = EnergyLog(times, energies, diss, dt,
                     meta={"T": T, "nsteps": nsteps, "log_every": log_every})
     return log, Y
 
@@ -349,7 +353,9 @@ class _Pencil:
     grid weight.  Without a kernel B(z) is K(z).  Solving with B(z) gives a
     state in the complement {F = 0} whose image under z - A is the right-hand
     side up to a stationary state; B(z) is nonsingular exactly when z is not
-    an eigenvalue of the reduced generator, z = 0 included."""
+    an eigenvalue of the reduced generator, z = 0 included.  A z at which
+    an entry overflows (z^2 first) raises OverflowError: no factor of B(z)
+    is then a statement about z."""
 
     indices: np.ndarray
     indptr: np.ndarray
@@ -357,7 +363,10 @@ class _Pencil:
 
     def at(self, z: complex):
         m = self.indptr.size - 1
-        data = self.coeffs[0] + z * self.coeffs[1] + z * z * self.coeffs[2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = self.coeffs[0] + z * self.coeffs[1] + z * z * self.coeffs[2]
+        if not np.isfinite(data).all():
+            raise OverflowError(f"B(z) has a non-finite entry at z = {z}")
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
 
 
@@ -534,8 +543,9 @@ def resolvent_norm(gen: Generator, z: complex, maxiter: int = 1000) -> float:
 
     Lanczos on R* R through one sparse factor of B(z).  Raises ValueError
     when z sits on (or numerically at) an eigenvalue of the reduced
-    generator, and RuntimeError when Lanczos or the nearest-eigenvalue
-    search does not converge.
+    generator, OverflowError when B(z) has a non-finite entry, and
+    RuntimeError when Lanczos or the nearest-eigenvalue search does not
+    converge.
     """
     pencil, skip = _prepare(gen, maxiter)
     dist, nrm, steps, converged = _point(gen, pencil, complex(z), maxiter, skip)
@@ -579,6 +589,7 @@ def resolvent_sweep(gen: Generator, sigma_grid,
     to the nearest reduced eigenvalue gives the universal lower bound
     |R| >= 1/dist for cross-checking.  Each point costs one sparse LU of
     B(i s), then two solves per Lanczos step and one per ARPACK product.
+    A sigma at which B(i sigma) has a non-finite entry raises OverflowError.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     pencil, skip = _prepare(gen, maxiter)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ class TestExitCodes:
         (["roots", "--dphi-normal", "-1"], None, "--dphi-normal"),
         (["roots", "--xi-prime", "0", "--tau", "0", "--sigma", "0"], None,
          "--xi-prime, --tau and --sigma"),
+        (["spectrum", "--bc", "clamped", "--n", "8", "--length", "1e-80"],
+         None, "--length 1e-80: cell width"),
+        (["spectrum", "--bc", "clamped", "--n", "8", "--length", "1e80"],
+         None, "--length 1e+80: cell width"),
+        (["spectrum", "--bc", "hinged", "--dim", "2", "--n", "16",
+          "--length-y", "1e-80"], None, "--length-y 1e-80: cell width"),
+        (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
+          "0:1e308:1e307"], None, "--sigma-grid 0:1e308:1e307: B(z) has a "
+         "non-finite entry"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -188,7 +198,9 @@ class TestExitCodes:
             "indefinite-decay-fit", "indefinite-tilted-hinge",
             "2d-tangential-family", "2d-free-edge-nu2", "mu0-negative",
             "mu1-negative", "dphi-normal-0", "dphi-normal-negative",
-            "roots-degenerate-point"])
+            "roots-degenerate-point", "length-h4-underflow",
+            "length-h4-overflow", "length-y-h4-underflow",
+            "sigma-grid-overflow"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -546,6 +558,47 @@ class TestDeterminism:
             assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
                            "--sigma-grid", "0:5:1", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--bc", "hinged", "--dim", "2", "--n", "16",
+         "--count", "7"],
+        # 5,001 rows: more than one CSV_CHUNK_ROWS block
+        ["simulate", "--bc", "clamped", "--n", "16", "--T", "2500",
+         "--dt", "0.5"],
+        ["resolvent", "--bc", "neumann_pair", "--n", "16",
+         "--sigma-grid", "0:4:1"],
+    ], ids=["spectrum", "simulate", "resolvent"])
+    def test_stdout_and_file_bytes_agree(self, args, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run_cli(*args, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*args, "--out", "-") == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        if args[0] == "simulate":
+            lines = [l for l in out.read_text().splitlines()
+                     if not l.startswith("#")]
+            t = np.loadtxt(lines[1:], delimiter=",")[:, 0]
+            assert np.array_equal(t, 0.5 * np.arange(5001))
+
+
+class TestLogMemory:
+    def test_simulate_memory_per_logged_row(self, tmp_path):
+        # the log is three float arrays (24 B a row) and the CSV is written
+        # in blocks of rows, so the traced peak grows by well under 64 B per
+        # logged row; both horizons pass more than one block
+        def peak(T):
+            args = ["simulate", "--bc", "clamped", "--n", "16", "--T", str(T),
+                    "--dt", "0.5", "--out", str(tmp_path / "log.csv")]
+            tracemalloc.start()
+            try:
+                assert run_cli(*args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        run_cli("simulate", "--bc", "clamped", "--n", "16", "--T", "1",
+                "--dt", "0.5", "--out", str(tmp_path / "warm.csv"))
+        short, long = peak(2100), peak(5100)     # 4,201 and 10,201 rows
+        assert long - short <= 64 * 6000, (short, long)
 
 
 class TestConfigFile:

@@ -9,7 +9,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from platelab.plate import (
+    CELL_WIDTHS,
     DiscretePlateOperator,
+    GridScaleError,
     IndefiniteError,
     SizeLimitError,
     assemble,
@@ -232,6 +234,23 @@ class TestAssembly:
             make_grid(4)
         with pytest.raises(ValueError):
             make_grid(16, -1.0)
+
+    @pytest.mark.parametrize("n, lengths, axis", [
+        (8, 1e-80, 0), (8, 1e80, 0), ((16, 16), (1.0, 1e-80), 1)])
+    def test_cell_width_whose_h4_leaves_the_floats(self, n, lengths, axis):
+        # h^4 underflows (the clamped corner divided by zero, a hinged 2-D
+        # square listed inf eigenvalues) or overflows
+        with pytest.raises(GridScaleError, match=f"on axis {axis}") as exc:
+            make_grid(n, lengths)
+        assert exc.value.axis == axis
+
+    def test_extreme_cell_widths_inside_the_range_stay_finite(self):
+        lo, hi = CELL_WIDTHS
+        for h in (1.01 * lo, 0.99 * hi):
+            for name in ("hinged", "clamped"):
+                op = assemble(make_grid((8, 8), (8 * h, 8 * h)), name)
+                assert np.all(np.isfinite(op.matrix.data)), (h, name)
+                assert np.all(np.isfinite(spectrum(op, 3, vectors=False)[0]))
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

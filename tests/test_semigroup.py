@@ -1,10 +1,12 @@
 """Generator structure, time integration, resolvent, and decay fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from platelab.plate import (
     DiscretePlateOperator,
@@ -499,6 +501,26 @@ class TestResolvent:
     def test_sweep_includes_origin(self, neumann_gen):
         sweep = resolvent_sweep(neumann_gen, [0.0])
         assert math.isfinite(sweep.norms[0])
+
+    def test_exactly_singular_point_is_skipped(self):
+        # undamped P = diag(1, 4, ..., 225): B(2i) = P - 4 has an exact zero
+        # pivot, so sigma = 2 sits on the eigenvalue 2i and is skipped
+        op = dataclasses.replace(assemble(make_grid(16), "clamped"),
+                                 matrix=sp.diags(np.arange(1.0, 16.0) ** 2,
+                                                 format="csr"))
+        gen = build_generator(op, np.zeros(op.size))
+        sweep = resolvent_sweep(gen, [0.5, 2.0])
+        assert sweep.skipped == [2.0]
+        assert math.isfinite(sweep.norms[0]) and math.isnan(sweep.norms[1])
+        assert sweep.nearest_dist[1] == 0.0 and sweep.iterations[1] == 0
+
+    @pytest.mark.parametrize("z", [1e307j, 1e160j, complex(1e200, 1e200)])
+    def test_overflowing_point_is_refused(self, clamped_gen, z):
+        # z^2 overflows B(z); its failed factor says nothing about z
+        with pytest.raises(OverflowError, match="non-finite entry"):
+            resolvent_norm(clamped_gen, z)
+        with pytest.raises(OverflowError, match="non-finite entry"):
+            resolvent_sweep(clamped_gen, [0.0, z.imag])
 
 
 def dense_reference(gen, z):
