@@ -105,10 +105,15 @@ def write_csv(path, meta: dict, columns: dict):
 
 
 def read_config(path, keys) -> dict:
-    """Values of a key = value file, each parsed and range-checked like its
-    flag; a key outside `keys` is an error naming the file and line."""
+    """Values of the --config file of key = value lines, each parsed and
+    range-checked like its flag; a key outside `keys` is an error naming
+    the file and line."""
     cfg = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"--config: {exc}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             # '#' opens a comment at the start of a line or after whitespace
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
@@ -146,11 +151,12 @@ def _spec_parser(key):
 
 def _split_spec(spec, forms: dict):
     """Kind and fields of 'kind:field:...', as many fields as forms[kind]
-    (such as 'a:b:height') names."""
+    (such as 'a:b:height') names; kind "" is a form without a kind, split
+    from ':' + spec."""
     kind, *fields = spec.split(":")
     if kind not in forms or len(fields) != forms[kind].count(":") + 1:
         raise ValueError("expected " + " or ".join(
-            f"{k}:{form}" for k, form in forms.items()))
+            f"{k}:{form}" if k else form for k, form in forms.items()))
     return kind, fields
 
 
@@ -188,11 +194,24 @@ def parse_psi_spec(spec) -> weights.ScalarField:
 
 @_spec_parser("sigma-grid")
 def parse_grid_spec(spec):
-    """Grid 'lo:hi:step' from lo through hi."""
-    lo, hi, step = (float(p) for p in spec.split(":"))
-    if not (step > 0 and hi >= lo):
-        raise ValueError("step must be positive and hi >= lo")
-    return np.arange(lo, hi + step / 2, step)
+    """Grid 'lo:hi:step' of finite values, step > 0 and hi >= lo: the points
+    lo + k step below hi + step / 2, as np.arange builds them.  A grid that
+    np.arange cannot build is refused by the point that overflows, by its
+    extent or by its point count."""
+    _, fields = _split_spec(":" + spec, {"": "lo:hi:step"})
+    lo, hi, step = (float(f) for f in fields)
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
+        raise ValueError("need finite lo <= hi and finite step > 0")
+    count = hi / step - lo / step + 0.5    # np.arange's point count, unrounded
+    if math.isfinite(count) and math.isinf(hi + step / 2 - lo):
+        k = math.ceil(count) - 1
+        if math.isinf(step * (lo / step + k)):
+            raise ValueError(f"grid point {k} = lo + {k} step overflows a float")
+        raise ValueError("the grid's extent hi + step / 2 - lo overflows a float")
+    try:
+        return np.arange(lo, hi + step / 2, step)
+    except (ValueError, MemoryError):
+        raise ValueError(f"{count:.3g} grid points cannot be built") from None
 
 
 def _bc_pair(cfg, path=None):
@@ -215,6 +234,8 @@ def _bc_pair(cfg, path=None):
         return name, lscheck.catalog_bc(name, params or None), params
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
+    except OSError as exc:      # only a --bc-file is opened here
+        raise ConfigError(f"--bc-file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

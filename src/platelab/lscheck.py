@@ -1,11 +1,12 @@
 """Lopatinskii-Shapiro checks for the bi-Laplacian with two boundary operators.
 
 Boundary operators are polynomials of degree <= 3 in the normal frequency
-xi_d whose coefficients are tangential symbols built from the metric form
-r(x, xi') and an optional parameter symbol a'(x, xi').  After conjugation
-by an exponential weight the test dispatches on the root configuration of
-the conjugated quartic; the unconjugated condition, a 2x2 determinant at
-xi_d = i|xi'|_x, is its tau = 0 double-root row.  An independent rank
+xi_d whose coefficients are tangential symbols built from the Euclidean
+form r(x, xi') = |xi'|^2 (at a frozen boundary point a constant metric is
+only a linear change of xi') and an optional parameter symbol a'(x, xi').
+After conjugation by an exponential weight the test dispatches on the root
+configuration of the conjugated quartic; the unconjugated condition, a 2x2
+determinant at xi_d = i|xi'|_x, is its tau = 0 double-root row.  An independent rank
 oracle and a positivity margin provide two more routes to the same verdict.
 All three routes run on stacks of points; the per-point functions
 ls_conjugated, ls_rank_oracle and positivity_margin are their m = 1 case,
@@ -85,11 +86,12 @@ class ParameterSymbol:
         self.degree = int(degree)
         self.scale = float(scale)
 
-    def __call__(self, x, xi, metric: MetricField):
+    def __call__(self, x, xi):
         xi = np.asarray(xi)
         if self.degree == 0:
             return self.scale
-        r = np.asarray(metric.r(x, xi), dtype=complex)
+        r = np.asarray(MetricField.euclidean(xi.shape[-1]).r(x, xi),
+                       dtype=complex)
         if self.degree % 2 == 0:
             return self.scale * r ** (self.degree // 2)
         return self.scale * xi[..., 0] * r ** ((self.degree - 1) // 2)
@@ -126,33 +128,32 @@ class BoundaryOperatorSymbol:
                         f"term {t} at normal power {m} breaks homogeneity "
                         f"(degree {deg} != order {self.order})")
 
-    def coeff_vector(self, x, xi, metric: Optional[MetricField] = None) -> np.ndarray:
+    def coeff_vector(self, x, xi) -> np.ndarray:
         """Coefficients (c_0, ..., c_3) of the polynomial in xi_d at frozen
         (x, xi'); xi' may be complex.  An (m, tdim) stack of xi' gives an
         (m, 4) array; a tdim-vector is the m = 1 case and gives a 4-vector."""
         xi = np.asarray(xi)
         rows = xi.reshape(-1, xi.shape[-1])
-        metric = metric or MetricField.euclidean(xi.shape[-1])
+        r = MetricField.euclidean(xi.shape[-1]).r
         out = np.zeros((len(rows), 4), dtype=complex)
         for m, entries in self.terms.items():
             acc = 0.0 + 0.0j
             for t in entries:
                 val = complex(t.coef)
                 if t.r_power:
-                    val = val * np.asarray(metric.r(x, rows), dtype=complex) ** t.r_power
+                    val = val * np.asarray(r(x, rows), dtype=complex) ** t.r_power
                 if t.a_power:
-                    val = val * self.aprime(x, rows, metric) ** t.a_power
+                    val = val * self.aprime(x, rows) ** t.a_power
                 acc = acc + val
             out[:, m] = acc
         return out.reshape(xi.shape[:-1] + (4,))
 
-    def conjugated_coeff_vector(self, x, arg, shift,
-                                metric: Optional[MetricField] = None) -> np.ndarray:
+    def conjugated_coeff_vector(self, x, arg, shift) -> np.ndarray:
         """(m, 4) coefficients of b(x, xi' + i tau dphi_t, xi_d + i tau dphi_n)
         in powers of xi_d, for an (m, tdim) stack arg = xi' + i tau dphi_t
         and (m,) shift = i tau dphi_n: the frozen-coefficient stack at arg,
         binomially shifted."""
-        c = self.coeff_vector(x, arg, metric)
+        c = self.coeff_vector(x, arg)
         shift2 = shift * shift
         powers = (None, shift, shift2, shift * shift2)
         out = np.zeros_like(c)
@@ -234,25 +235,23 @@ def _pair(name: str, b1: tuple, b2: tuple,
         for tag, (order, table) in (("b1", b1), ("b2", b2)))
 
 
-def _admissibility_check(name: str, ap: ParameterSymbol, c: float, d: float,
-                         metric: MetricField, tdim: int):
+def _admissibility_check(name: str, ap: ParameterSymbol, c: float, d: float):
     """Sampled check of |c a' + d| > 1e-12 at 64 points of the unit sphere
-    |omega'|_g = 1."""
+    |omega'| = 1 in one tangential dimension."""
     rng = np.random.default_rng(12345)
     for _ in range(64):
-        x = rng.normal(size=tdim + 1)
-        omega = rng.normal(size=tdim)
-        nrm = metric.tangential_norm(x, omega)
+        x = rng.normal(size=2)
+        omega = rng.normal(size=1)
+        nrm = MetricField.euclidean(1).tangential_norm(x, omega)
         if nrm == 0:
             continue
         omega = omega / nrm
-        if not abs(c * complex(ap(x, omega, metric)) + d) > 1e-12:
+        if not abs(c * complex(ap(x, omega)) + d) > 1e-12:
             raise ValueError(f"{name}: parameter symbol violates the admissibility "
                              f"constraint on the unit sphere (at omega'={omega})")
 
 
-def catalog_bc(name: str, params: Optional[dict] = None,
-               metric: Optional[MetricField] = None, tdim: int = 1):
+def catalog_bc(name: str, params: Optional[dict] = None):
     """Boundary-operator pair from the built-in catalog.
 
     Families requiring a parameter symbol accept params={"a": scalar}, the
@@ -267,7 +266,7 @@ def catalog_bc(name: str, params: Optional[dict] = None,
         return _pair(name, b1, b2, None)
     degree, default_scale, (c, d) = param
     ap = ParameterSymbol(degree, scale=float((params or {}).get("a", default_scale)))
-    _admissibility_check(name, ap, c, d, metric or MetricField.euclidean(tdim), tdim)
+    _admissibility_check(name, ap, c, d)
     return _pair(name, b1, b2, ap)
 
 
@@ -329,8 +328,7 @@ class LSReport:
 
 
 def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                    x, omega_prime, metric: Optional[MetricField] = None
-                    ) -> LSReport:
+                    x, omega_prime) -> LSReport:
     """2x2 determinant test at xi_d = i|omega'|_x: the tau = 0 row of
     _determinants, a double upper root (case code 3) i|omega'|_x at scale
     lambda = |omega'|_x.
@@ -340,15 +338,14 @@ def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     |omega'|^(k1+k2-1); posed only for omega' != 0.
     """
     omega_prime = np.asarray(omega_prime, dtype=float).reshape(1, -1)
-    metric = metric or MetricField.euclidean(omega_prime.size)
-    nrm = metric.tangential_norm(x, omega_prime[0])
+    nrm = MetricField.euclidean(omega_prime.size).tangential_norm(
+        x, omega_prime[0])
     if nrm == 0.0:
         raise ValueError("undefined: the unconjugated condition is posed only "
                          "for omega' != 0")
     det, margin = _determinants(b1, b2, _Conjugated(
         np.array([3]), np.full((1, 2), 1j * nrm), np.array([nrm]),
-        b1.coeff_vector(x, omega_prime, metric),
-        b2.coeff_vector(x, omega_prime, metric)))
+        b1.coeff_vector(x, omega_prime), b2.coeff_vector(x, omega_prime)))
     return LSReport(verdict=bool(margin[0] > DEFAULT_MARGIN_TOL),
                     case=RootCase.DOUBLE_UPPER, determinant=complex(det[0]),
                     margin=float(margin[0]), marginal=False, scale=nrm)
@@ -370,27 +367,27 @@ class _Conjugated(NamedTuple):
 _UPPER_COUNT = np.array([0, 1, 2, 2])
 
 
-def _conjugated(b1, b2, x, xi, tau, sigma, dphi_t, dphi_n, case, upper,
-                metric) -> _Conjugated:
+def _conjugated(b1, b2, x, xi, tau, sigma, dphi_t, dphi_n, case,
+                upper) -> _Conjugated:
     """The _Conjugated stack of m points at one x, from their root cases
     and upper roots."""
-    lam = np.sqrt(tau ** 2 + np.real(metric.r(x, xi)) + sigma ** 2)
+    r = MetricField.euclidean(xi.shape[-1]).r(x, xi)
+    lam = np.sqrt(tau ** 2 + np.real(r) + sigma ** 2)
     arg = xi + 1j * tau[:, None] * dphi_t
     shift = 1j * tau * dphi_n
     return _Conjugated(case, upper, lam,
-                       b1.conjugated_coeff_vector(x, arg, shift, metric),
-                       b2.conjugated_coeff_vector(x, arg, shift, metric))
+                       b1.conjugated_coeff_vector(x, arg, shift),
+                       b2.conjugated_coeff_vector(x, arg, shift))
 
 
-def _point(b1, b2, w: WeightJet, p: TangentialPoint, metric):
+def _point(b1, b2, w: WeightJet, p: TangentialPoint):
     """(RootConfiguration, m = 1 _Conjugated stack) of one point, classified
     by classify_roots, which checks the weight and the point."""
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
-    conf = classify_roots(p, w, metric)
+    conf = classify_roots(p, w)
     up = conf.upper_roots or (0j,)
     case = np.array([tuple(RootCase).index(conf.case)])
     return conf, _conjugated(b1, b2, p.x, *point_stack(p, w), case,
-                             np.array([[up[0], up[-1]]]), metric)
+                             np.array([[up[0], up[-1]]]))
 
 
 def _determinants(b1, b2, st: _Conjugated) -> tuple:
@@ -453,8 +450,7 @@ def _rank(s: np.ndarray) -> np.ndarray:
 
 
 def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                  w: WeightJet, p: TangentialPoint,
-                  metric: Optional[MetricField] = None) -> LSReport:
+                  w: WeightJet, p: TangentialPoint) -> LSReport:
     """Conjugated condition at (x, xi', tau, sigma), dispatching on the root
     configuration (see _determinants): no upper root holds trivially; one
     upper root rho holds iff (b1, b2)(rho) does not vanish; two distinct or
@@ -462,7 +458,7 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     root classification withholds the verdict.  The m = 1 case of the
     stacked routes that sample_conjugated runs.
     """
-    conf, st = _point(b1, b2, w, p, metric)
+    conf, st = _point(b1, b2, w, p)
     det, margin = _determinants(b1, b2, st)
     verdict = None if conf.marginal else bool(margin[0] > DEFAULT_MARGIN_TOL)
     return LSReport(verdict=verdict, case=conf.case,
@@ -473,23 +469,21 @@ def ls_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
 
 
 def ls_rank_oracle(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                   w: WeightJet, p: TangentialPoint,
-                   metric: Optional[MetricField] = None) -> int:
+                   w: WeightJet, p: TangentialPoint) -> int:
     """Rank of the m' x 4 coefficient matrix of {b1, b2} joined with the
     xi_d-shifts of the upper-root factor; 4 exactly when the conjugated
     condition holds.  Independent of the determinant dispatch."""
-    _, st = _point(b1, b2, w, p, metric)
+    _, st = _point(b1, b2, w, p)
     return int(_rank(_singular_values(b1, b2, st))[0])
 
 
 def positivity_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                      w: WeightJet, p: TangentialPoint,
-                      metric: Optional[MetricField] = None) -> float:
+                      w: WeightJet, p: TangentialPoint) -> float:
     """Smallest eigenvalue of the weighted Gram matrix M*M: the constant in
     the boundary quadratic-form lower bound.  Positive exactly when the
     conjugated condition holds; invariant under (xi', tau, sigma) dilation
     thanks to the homogeneity weights."""
-    _, st = _point(b1, b2, w, p, metric)
+    _, st = _point(b1, b2, w, p)
     return float(_singular_values(b1, b2, st)[0, -1] ** 2)
 
 
@@ -513,7 +507,6 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     """
     rng = np.random.default_rng(seed)
     x0 = np.array([0.0, 0.0])
-    metric = MetricField.euclidean(1)
     dn = 1.0
     agree = 0
     marginal = 0
@@ -531,8 +524,8 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
             row[:] = xi[0], tau, sigma, dtang[0]
         pts = (draws[:, :1], draws[:, 1], draws[:, 2], draws[:, 3:],
                np.full(len(draws), dn))
-        roots = classify_stack(x0, *pts, metric)
-        st = _conjugated(b1, b2, x0, *pts, roots.case, roots.upper, metric)
+        roots = classify_stack(x0, *pts)
+        st = _conjugated(b1, b2, x0, *pts, roots.case, roots.upper)
         s = _singular_values(b1, b2, st)
         good = roots.marginal | ((_determinants(b1, b2, st)[1] > DEFAULT_MARGIN_TOL)
                                  & (_rank(s) == 4) & (s[:, -1] ** 2 > 1e-16))
@@ -558,22 +551,20 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
 
 
 def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
-                        x, xi_prime, metric: Optional[MetricField] = None,
-                        seed: int = 0) -> float:
+                        x, xi_prime) -> float:
     """On PERTURBATION_RADII log-spaced radii eps from PERTURBATION_FLOOR
     to PERTURBATION_CAP, the largest one below the first at which a
     perturbed determinant lower bound fails, with C1 = half the unperturbed
     margin, over sampled complex perturbations with
     |zeta'| + |delta| + |delta~| = eps |xi'|_x.
 
-    Sample directions are drawn once from a fixed seed and rescaled, so the
-    scan is reproducible.  Returns PERTURBATION_CAP when no radius fails,
+    Sample directions are drawn once from seed 0 and rescaled, so the scan
+    is reproducible.  Returns PERTURBATION_CAP when no radius fails,
     and 0 when the smallest one fails or the unperturbed margin is already
     below tolerance.
     """
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
-    metric = metric or MetricField.euclidean(xi_prime.size)
-    base = ls_unconjugated(b1, b2, x, xi_prime, metric)
+    base = ls_unconjugated(b1, b2, x, xi_prime)
     if base.margin <= DEFAULT_MARGIN_TOL:
         return 0.0
     c1, nrm, power = 0.5 * base.margin, base.scale, b1.order + b2.order - 1
@@ -581,7 +572,7 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     # row k holds direction k's draws in the order of one draw per
     # direction: Re zeta', Im zeta', then delta and delta~ (Re, Im each)
     tdim = xi_prime.size
-    g = np.random.default_rng(seed).normal(
+    g = np.random.default_rng(0).normal(
         size=(PERTURBATION_DIRECTIONS, 2 * tdim + 4))
     zeta = g[:, :tdim] + 1j * g[:, tdim:2 * tdim]
     delta, delta2 = g[:, -4] + 1j * g[:, -3], g[:, -2] + 1j * g[:, -1]
@@ -595,7 +586,7 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
         zp = xi_prime + h[..., None] * zeta
         zd, zd2 = 1j * nrm + h * delta, 1j * nrm + h * delta2
         _, _, det2, det1 = _boundary_determinants(
-            b1.coeff_vector(x, zp, metric), b2.coeff_vector(x, zp, metric),
+            b1.coeff_vector(x, zp), b2.coeff_vector(x, zp),
             zd, zd2)
         fails = ((np.abs(det1) < c1 * nrm ** power) | (
             np.abs(det2) < c1 * np.abs(h * (delta - delta2)) * nrm ** (power - 1))

@@ -340,6 +340,7 @@ def reduced_generator(gen: Generator) -> ReducedGenerator:
 
 MAX_RESOLVENT_BYTES = 2 ** 30   # cap of _resolvent_bytes, per point
 ARNOLDI_VECTORS = 8             # ARPACK basis: 20 takes twice the solves
+LANCZOS_MAXITER = 1000          # Lanczos steps per point before giving up
 
 
 @dataclass
@@ -394,11 +395,11 @@ def _pencil(gen: Generator) -> _Pencil:
     return _Pencil(B[0].indices, B[0].indptr, np.array([Bp.data for Bp in B]))
 
 
-def _resolvent_bytes(gen: Generator, maxiter: int) -> int:
+def _resolvent_bytes(gen: Generator) -> int:
     """Bytes of one point, complex entries at 16 B: the LU factor of B(z)
     at the band bound of natural order (L within P's half-bandwidth b and U
     within 2b under partial pivoting, plus k dense rows and columns from the
-    border), then min(maxiter, 2N) Lanczos vectors and ARNOLDI_VECTORS
+    border), then min(LANCZOS_MAXITER, 2N) Lanczos vectors and ARNOLDI_VECTORS
     ARPACK vectors of length 2N.  The minimum-degree order fills less: on a
     64 x 48 hinged plate L + U hold 294,087 entries against the bound's
     837,963."""
@@ -406,7 +407,7 @@ def _resolvent_bytes(gen: Generator, maxiter: int) -> int:
     P = gen.op.matrix.tocoo()
     b = int(np.abs(P.row - P.col).max()) if P.nnz else 0
     factor = (n + k) * (3 * b + 1) + 2 * k * (n + k)
-    vectors = (min(maxiter, 2 * n) + ARNOLDI_VECTORS) * 2 * n
+    vectors = (min(LANCZOS_MAXITER, 2 * n) + ARNOLDI_VECTORS) * 2 * n
     return 16 * (factor + vectors)
 
 
@@ -466,14 +467,15 @@ class _Resolvent:
                   return_eigenvectors=False)[0]
         return 1.0 / abs(mu)
 
-    def norm(self, start, maxiter: int):
+    def norm(self, start):
         """|R| in the energy norm, the square root of the largest eigenvalue
         of R* R: Lanczos in the energy product with full reorthogonalization
         from `start`, stopped when the top Ritz value's square root moves by
         at most 1e-9 relative.  Returns (norm, steps, converged); when
-        maxiter runs out, converged is False and norm is only a lower bound.
+        LANCZOS_MAXITER runs out, converged is False and norm is only a
+        lower bound.
         """
-        m = min(maxiter, start.size)
+        m = min(LANCZOS_MAXITER, start.size)
         Q = np.empty((m, start.size), dtype=complex)
         diag, off = np.zeros(m), np.zeros(m)
         q = start / math.sqrt(np.vdot(start, self.gram(start)).real)
@@ -497,11 +499,10 @@ class _Resolvent:
                 return sigma, j + 1, True
             sigma_old = sigma
             q = r / off[j]
-        return sigma, m, m < maxiter
+        return sigma, m, m < LANCZOS_MAXITER
 
 
-def _point(gen: Generator, pencil: _Pencil, z: complex, maxiter: int,
-           skip: float):
+def _point(gen: Generator, pencil: _Pencil, z: complex, skip: float):
     """(nearest_dist, norm, steps, converged) at z.  The norm is nan and
     steps 0 when z lies within `skip` of the reduced spectrum; nearest_dist
     is nan, and converged False, when ARPACK does not converge."""
@@ -518,16 +519,16 @@ def _point(gen: Generator, pencil: _Pencil, z: complex, maxiter: int,
         dist, found = math.nan, False
     if dist < skip:
         return dist, math.nan, 0, True
-    nrm, steps, converged = res.norm(start, maxiter)
+    nrm, steps, converged = res.norm(start)
     return dist, nrm, steps, converged and found
 
 
-def _prepare(gen: Generator, maxiter: int):
+def _prepare(gen: Generator):
     """The pencil and the skip distance 1e-12 scale, with scale =
     max(max alpha + sqrt(|P|_inf), 1) bounding every eigenvalue modulus of
     the generator; raises SizeLimitError when _resolvent_bytes exceeds
     MAX_RESOLVENT_BYTES."""
-    need = _resolvent_bytes(gen, maxiter)
+    need = _resolvent_bytes(gen)
     if need > MAX_RESOLVENT_BYTES:
         raise SizeLimitError(
             f"resolvent refused for {gen.size} plate unknowns: its LU factor "
@@ -538,7 +539,7 @@ def _prepare(gen: Generator, maxiter: int):
     return _pencil(gen), 1e-12 * max(bound, 1.0)
 
 
-def resolvent_norm(gen: Generator, z: complex, maxiter: int = 1000) -> float:
+def resolvent_norm(gen: Generator, z: complex) -> float:
     """Operator norm of (z - reduced A)^(-1) in the energy inner product.
 
     Lanczos on R* R through one sparse factor of B(z).  Raises ValueError
@@ -547,8 +548,8 @@ def resolvent_norm(gen: Generator, z: complex, maxiter: int = 1000) -> float:
     RuntimeError when Lanczos or the nearest-eigenvalue search does not
     converge.
     """
-    pencil, skip = _prepare(gen, maxiter)
-    dist, nrm, steps, converged = _point(gen, pencil, complex(z), maxiter, skip)
+    pencil, skip = _prepare(gen)
+    dist, nrm, steps, converged = _point(gen, pencil, complex(z), skip)
     if math.isnan(nrm):
         raise ValueError(f"z = {z} is within {dist:.2e} of the reduced "
                          f"spectrum; resolvent norm undefined")
@@ -562,7 +563,7 @@ def resolvent_norm(gen: Generator, z: complex, maxiter: int = 1000) -> float:
 @dataclass
 class SweepResult:
     """Per-point arrays over the grid.  Skipped points carry a nan norm and
-    0 iterations; converged is False where Lanczos ran out of maxiter, so
+    0 iterations; converged is False where Lanczos ran out of steps, so
     that norm is a lower bound, or where ARPACK did not find the nearest
     eigenvalue, whose distance is then nan.  vacuous is True when no
     evaluated norm exceeds 1: log |R| is clipped at 0, so C = 0 then
@@ -579,8 +580,7 @@ class SweepResult:
     converged: np.ndarray
 
 
-def resolvent_sweep(gen: Generator, sigma_grid,
-                    maxiter: int = 1000) -> SweepResult:
+def resolvent_sweep(gen: Generator, sigma_grid) -> SweepResult:
     """Resolvent norms along the imaginary axis and the least C with
     log |R(i s)| <= C (1 + sqrt|s|) on the grid.
 
@@ -592,7 +592,7 @@ def resolvent_sweep(gen: Generator, sigma_grid,
     A sigma at which B(i sigma) has a non-finite entry raises OverflowError.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
-    pencil, skip = _prepare(gen, maxiter)
+    pencil, skip = _prepare(gen)
     norms = np.full(sigmas.size, np.nan)
     dists = np.empty(sigmas.size)
     iterations = np.zeros(sigmas.size, dtype=int)
@@ -600,7 +600,7 @@ def resolvent_sweep(gen: Generator, sigma_grid,
     skipped = []
     for i, s in enumerate(sigmas):
         dists[i], norms[i], iterations[i], converged[i] = _point(
-            gen, pencil, 1j * s, maxiter, skip)
+            gen, pencil, 1j * s, skip)
         if np.isnan(norms[i]):
             skipped.append(float(s))
 

@@ -9,6 +9,9 @@ j = 1, 2, where r is the tangential metric form and (dphi_t, dphi_n) is the
 gradient of the exponential weight.  Roots and their classification are
 computed on stacks of m points (classify_stack); the per-point functions
 classify_roots, factor_roots and quartic_roots are its m = 1 case.
+Roots are taken with the Euclidean r: at one frozen point a constant
+metric is only a linear change of xi'.  MetricField serves the bracket
+layer (weights), where the metric's derivatives enter.
 Everything in this module is a pure function of its arguments; there is no
 shared state.
 """
@@ -272,8 +275,7 @@ def point_stack(p: TangentialPoint, w: WeightJet) -> tuple:
             np.array([w.d_normal], dtype=float))
 
 
-def classify_stack(x, xi, tau, sigma, dphi_t, dphi_n,
-                   metric: Optional[MetricField] = None) -> RootStack:
+def classify_stack(x, xi, tau, sigma, dphi_t, dphi_n) -> RootStack:
     """Factor roots and root classification of m points at one x: (m, tdim)
     stacks xi' and dphi_t, (m,) arrays tau, sigma and dphi_n.
 
@@ -288,8 +290,7 @@ def classify_stack(x, xi, tau, sigma, dphi_t, dphi_n,
     the point it wraps.
     """
     tol = DEFAULT_CLASSIFY_TOL
-    metric = metric or MetricField.euclidean(xi.shape[-1])
-    r = metric.r(x, xi + 1j * tau[:, None] * dphi_t)
+    r = MetricField.euclidean(xi.shape[-1]).r(x, xi + 1j * tau[:, None] * dphi_t)
     s2 = sigma ** 2
     radicand = np.empty((len(r), 2), dtype=complex)
     radicand[:, 0], radicand[:, 1] = r - s2, r + s2
@@ -325,42 +326,40 @@ def _pairs(roots: RootStack) -> tuple:
                      roots.pi_2[0].tolist(), roots.radicand[0].tolist()))
 
 
-def factor_symbol_eval(p: TangentialPoint, w: WeightJet, j: int, xi_d: complex,
-                       metric: Optional[MetricField] = None) -> complex:
+def factor_symbol_eval(p: TangentialPoint, w: WeightJet, j: int,
+                       xi_d: complex) -> complex:
     """Value of the quadratic factor q_j at a (possibly complex) xi_d, with
-    its radicand r(x, xi' + i tau dphi_t) + (-1)^j sigma^2 from metric.r."""
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
-    radicand = complex(metric.r(p.x, p.xi_prime + 1j * p.tau * w.d_tangential))
+    its radicand r(x, xi' + i tau dphi_t) + (-1)^j sigma^2 from the
+    Euclidean r."""
+    radicand = complex(MetricField.euclidean(p.xi_prime.size).r(
+        p.x, p.xi_prime + 1j * p.tau * w.d_tangential))
     return (complex(xi_d) + 1j * p.tau * w.d_normal) ** 2 \
         + radicand + (-1) ** j * p.sigma ** 2
 
 
-def factor_roots(p: TangentialPoint, w: WeightJet, j: int,
-                 metric: Optional[MetricField] = None) -> RootPair:
+def factor_roots(p: TangentialPoint, w: WeightJet, j: int) -> RootPair:
     """Both roots of q_j.  pi_1 always lies in the closed lower half-plane;
     the sign of Im pi_2 depends on the balance between tau dphi_n and the
     radicand (see im_sign_criterion)."""
     if j not in (1, 2):
         raise ValueError("factor index must be 1 or 2")
-    return _pairs(classify_stack(p.x, *point_stack(p, w), metric))[j - 1]
+    return _pairs(classify_stack(p.x, *point_stack(p, w)))[j - 1]
 
 
-def quartic_roots(p: TangentialPoint, w: WeightJet,
-                  metric: Optional[MetricField] = None) -> tuple:
+def quartic_roots(p: TangentialPoint, w: WeightJet) -> tuple:
     """All four roots of the conjugated fourth-order symbol, with
     multiplicity, as the union of the two factor root pairs."""
-    r1, r2 = _pairs(classify_stack(p.x, *point_stack(p, w), metric))
+    r1, r2 = _pairs(classify_stack(p.x, *point_stack(p, w)))
     return (r1.pi_1, r1.pi_2, r2.pi_1, r2.pi_2)
 
 
-def classify_roots(p: TangentialPoint, w: WeightJet,
-                   metric: Optional[MetricField] = None) -> RootConfiguration:
+def classify_roots(p: TangentialPoint, w: WeightJet) -> RootConfiguration:
     """Count the factor roots pi_{j,2} lying in the closed upper half-plane:
     the m = 1 case of classify_stack, after checking that the weight is
     inward and the point nondegenerate."""
     w.require_inward()
     p.require_nondegenerate()
-    roots = classify_stack(p.x, *point_stack(p, w), metric)
+    roots = classify_stack(p.x, *point_stack(p, w))
     case = tuple(RootCase)[roots.case[0]]
     count = 1 if case is RootCase.DOUBLE_UPPER else int(roots.case[0])
     return RootConfiguration(
@@ -370,8 +369,7 @@ def classify_roots(p: TangentialPoint, w: WeightJet,
         pairs=_pairs(roots))
 
 
-def im_sign_criterion(p: TangentialPoint, w: WeightJet, j: int,
-                      metric: Optional[MetricField] = None) -> bool:
+def im_sign_criterion(p: TangentialPoint, w: WeightJet, j: int) -> bool:
     """Algebraic test for Im pi_{j,2} < 0, without computing roots:
 
         (dphi_n)^2 r(x,xi') + r~(x,xi',dphi_t)^2
@@ -381,7 +379,7 @@ def im_sign_criterion(p: TangentialPoint, w: WeightJet, j: int,
     sign test whenever tau > 0.
     """
     w.require_inward()
-    metric = metric or MetricField.euclidean(p.xi_prime.size)
+    metric = MetricField.euclidean(p.xi_prime.size)
     dn = w.d_normal
     r_xi = float(np.real(metric.r(p.x, p.xi_prime)))
     r_mix = float(np.real(metric.bilinear(p.x, p.xi_prime, w.d_tangential)))

@@ -185,6 +185,18 @@ class TestExitCodes:
         (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
           "0:1e308:1e307"], None, "--sigma-grid 0:1e308:1e307: B(z) has a "
          "non-finite entry"),
+        (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
+          "0:1.7e308:1e308"], None, "grid point 2 = lo + 2 step overflows"),
+        (["resolvent", "--bc", "clamped", "--n", "16",
+          "--sigma-grid=-1.7e308:1.7e308:1e308"], None,
+         "hi + step / 2 - lo overflows"),
+        (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
+          "0:1:1e-300"], None, "1e+300 grid points cannot be built"),
+        (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid", "0:1"],
+         None, "--sigma-grid '0:1': expected lo:hi:step"),
+        (["ls-check", "--bc-file", "/nonexistent/x.bc"], None, "--bc-file"),
+        (["spectrum", "--bc", "clamped", "--config", "/nonexistent/run.cfg"],
+         None, "--config"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -200,7 +212,9 @@ class TestExitCodes:
             "mu1-negative", "dphi-normal-0", "dphi-normal-negative",
             "roots-degenerate-point", "length-h4-underflow",
             "length-h4-overflow", "length-y-h4-underflow",
-            "sigma-grid-overflow"])
+            "sigma-grid-overflow", "sigma-grid-point-overflow",
+            "sigma-grid-extent-overflow", "sigma-grid-count", "sigma-grid-short",
+            "bc-file-missing", "config-missing"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -376,9 +390,7 @@ class TestArtifacts:
         assert float(meta["C"]) == pytest.approx(6.5703157083e-4, rel=1e-5)
 
     def test_resolvent_unconverged_fails(self, tmp_path, monkeypatch, capsys):
-        sweep = semigroup.resolvent_sweep
-        monkeypatch.setattr(semigroup, "resolvent_sweep",
-                            lambda gen, grid: sweep(gen, grid, maxiter=1))
+        monkeypatch.setattr(semigroup, "LANCZOS_MAXITER", 1)
         out = tmp_path / "res.csv"
         assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
                        "--sigma-grid", "0:5:1", "--out", str(out)) == 1
@@ -637,6 +649,9 @@ class TestConfigFile:
     def test_grid_spec(self):
         g = parse_grid_spec("0:2:0.5")
         assert np.allclose(g, [0, 0.5, 1.0, 1.5, 2.0])
+        # the points of np.arange, bit for bit
+        assert parse_grid_spec("118:124:0.1").tobytes() == \
+            np.arange(118.0, 124.0 + 0.05, 0.1).tobytes()
 
 
 def _readme_commands():

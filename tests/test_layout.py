@@ -7,6 +7,16 @@ public method and property of a public class, referenced by attribute name.
 Names kept without a caller are listed in EXEMPT with the reason, methods
 as Class.method.
 
+Option guard: every defaulted parameter of a public function, public
+method or __init__ in symbols, lscheck, plate, semigroup and cli must be
+passed a value other than its default by some call in src/platelab, in an
+acceptance criterion or in perfbench/layers.py.  Calls are matched by the
+function's name (for __init__, its class's), the value by keyword or by
+position.  Any expression but a constant equal to the default counts, so
+forwarding the caller's own parameter of the same name does.  Options kept
+without a caller are listed in EXEMPT as function:parameter or
+Class.method:parameter.
+
 Field guard: every annotated class field and every `self.NAME =` attribute
 in src/platelab is read somewhere in src/, tests/ or perfbench/.
 
@@ -29,7 +39,17 @@ EXEMPT = {
     "MetricField.diagonal": "the paper's variable metric; only tests build "
                             "one until a CLI option exists",
     "TangentialPoint.scaled": "homogeneity tests dilate points",
+    "MetricField.__init__:ginv": "the paper's variable metric; only tests "
+                                 "build one until a CLI option exists",
+    "MetricField.__init__:dginv": "the variable metric's gradient, as ginv",
+    "MetricField.diagonal:dcoeffs": "the variable metric's gradient, as ginv",
+    "clamped_beam_beta:k": "the k-th clamped beam root; criterion 6 asks "
+                           "for k = 1",
 }
+
+# the modules whose options the option guard checks; weights keeps its
+# metric for the bracket layer, where the metric's derivatives enter
+OPTION_MODULES = ("symbols", "lscheck", "plate", "semigroup", "cli")
 
 
 def _parse(path):
@@ -86,7 +106,8 @@ def _callers(attributes=False):
 def test_every_public_name_has_a_caller():
     callers = _callers()
     public = list(_public_names())
-    assert {k for k in EXEMPT if "." not in k} <= {name for _, name in public}
+    assert {k for k in EXEMPT if "." not in k and ":" not in k} \
+        <= {name for _, name in public}
     orphans = []
     for path, name in public:
         own = _definition_lines(_parse(path), name)
@@ -113,7 +134,8 @@ def _public_methods():
 def test_every_public_method_has_a_caller():
     callers = _callers(attributes=True)
     methods = list(_public_methods())
-    assert {k for k in EXEMPT if "." in k} <= {qual for _, qual, _ in methods}
+    assert {k for k in EXEMPT if "." in k and ":" not in k} \
+        <= {qual for _, qual, _ in methods}
     orphans = []
     for path, qual, own in methods:
         uses = [(f, line) for f, line in callers.get(qual.split(".")[1], ())
@@ -177,3 +199,87 @@ def test_every_artifact_is_a_manifest():
     assert writers == {"cmd_catalog", "cmd_roots", "cmd_ls_check",
                        "cmd_subell", "cmd_gamma_search", "cmd_spectrum",
                        "cmd_simulate", "cmd_resolvent", "cmd_decay_fit"}
+
+
+def _public_defs(path):
+    """(qualified name, FunctionDef, parameters bound by position) of each
+    public function of a module and each public method and __init__ of its
+    public classes; a module without __all__ (cli) is public in its names
+    without a leading underscore."""
+    defs = [node for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    public = {name for p, name in _public_names() if p == path} or {
+        node.name for node in defs if not node.name.startswith("_")}
+    for node in defs:
+        if node.name not in public:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, node.args.args
+            continue
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and (
+                    fn.name == "__init__" or not fn.name.startswith("_")):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list)
+                yield (f"{node.name}.{fn.name}", fn,
+                       fn.args.args[0 if static else 1:])
+
+
+def _options(path):
+    """(Class.method:parameter or function:parameter, callee name, default,
+    positional parameters) of every defaulted parameter of _public_defs;
+    the callee of __init__ is its class."""
+    for qual, fn, positional in _public_defs(path):
+        cls, _, method = qual.rpartition(".")
+        callee = cls if method == "__init__" else method
+        args = fn.args
+        defaults = [*zip(args.args[::-1], args.defaults[::-1]),
+                    *zip(args.kwonlyargs, args.kw_defaults)]
+        for arg, default in defaults:
+            if default is not None:
+                yield f"{qual}:{arg.arg}", callee, default, positional
+
+
+def _calls():
+    """callee name -> Call nodes in src/platelab, the acceptance criteria
+    and perfbench/layers.py; an import alias counts as its name."""
+    found = {}
+    for path in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+                 ROOT / "perfbench" / "layers.py"]:
+        tree = _parse(path)
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names
+                 if a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", None)
+                found.setdefault(alias.get(name, name), []).append(node)
+    return found
+
+
+def _sets(call, positional, param, default):
+    """Whether call passes param, by keyword or by position before any
+    *args, a value that is not the default constant."""
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    for arg, p in zip(call.args, positional):
+        if isinstance(arg, ast.Starred):
+            break
+        if p.arg == param:
+            value = arg
+    if value is None:
+        return False
+    return not (isinstance(value, ast.Constant)
+                and isinstance(default, ast.Constant)
+                and value.value == default.value)
+
+
+def test_every_option_has_a_caller():
+    calls = _calls()
+    options = [opt for m in OPTION_MODULES for opt in _options(SRC / f"{m}.py")]
+    assert {k for k in EXEMPT if ":" in k} <= {key for key, *_ in options}
+    orphans = [key for key, callee, default, positional in options
+               if key not in EXEMPT and not any(
+                   _sets(call, positional, key.split(":")[1], default)
+                   for call in calls.get(callee, ()))]
+    assert not orphans, f"options that no caller sets: {orphans}"

@@ -27,13 +27,12 @@ from platelab.lscheck import (
     sample_conjugated,
 )
 from platelab.symbols import (
-    MetricField,
     RootCase,
     TangentialPoint,
     WeightJet,
     classify_stack,
 )
-from test_symbols import covering_points, stack_points, variable_metric
+from test_symbols import covering_points, stack_points
 
 X0 = np.array([0.0, 0.0])
 
@@ -239,17 +238,16 @@ class TestCatalog:
     def test_coeff_vector_stack_rows_are_points(self, tdim, rng):
         # a single xi' is the m = 1 case of the stacked path, bit for bit,
         # for real and for complex (conjugated) arguments
-        metric = variable_metric() if tdim == 2 else None
         for name in catalog_names(include_fixtures=True):
             x = rng.normal(size=tdim + 1)
             re, im = rng.normal(size=(2, 20, tdim))
-            for b in catalog_bc(name, metric=metric, tdim=tdim):
+            for b in catalog_bc(name):
                 for xs in (re, re + 1j * im):
-                    stack = b.coeff_vector(x, xs, metric)
+                    stack = b.coeff_vector(x, xs)
                     assert stack.shape == (20, 4)
                     for xi, row in zip(xs, stack):
                         assert row.tobytes() == \
-                            b.coeff_vector(x, xi, metric).tobytes(), b.name
+                            b.coeff_vector(x, xi).tobytes(), b.name
 
     def test_homogeneity_construction_guard(self):
         with pytest.raises(ValueError):
@@ -527,8 +525,7 @@ class TestStackedSampling:
         points = covering_points()
         x, cols = stack_points(points)
         roots = classify_stack(x, *cols)
-        st = lscheck._conjugated(b1, b2, x, *cols, roots.case, roots.upper,
-                                 MetricField.euclidean(1))
+        st = lscheck._conjugated(b1, b2, x, *cols, roots.case, roots.upper)
         det, margin = lscheck._determinants(b1, b2, st)
         s = lscheck._singular_values(b1, b2, st)
         for i, (p, w) in enumerate(points):
@@ -559,7 +556,7 @@ class TestStackedSampling:
 class TestPerturbation:
     def test_positive_radius_for_hinged(self):
         b1, b2 = catalog_bc("hinged")
-        eps = perturbation_margin(b1, b2, X0, [1.0], seed=7)
+        eps = perturbation_margin(b1, b2, X0, [1.0])
         assert eps > 0
 
     def test_zero_margin_pair(self):
@@ -600,12 +597,12 @@ class TestPerturbation:
 
     def test_dilation_invariance(self):
         b1, b2 = catalog_bc("clamped")
-        eps1 = perturbation_margin(b1, b2, X0, [1.0], seed=3)
-        eps2 = perturbation_margin(b1, b2, X0, [5.0], seed=3)
+        eps1 = perturbation_margin(b1, b2, X0, [1.0])
+        eps2 = perturbation_margin(b1, b2, X0, [5.0])
         assert eps1 == pytest.approx(eps2, rel=1e-12)
 
     def test_reproducible(self):
         b1, b2 = catalog_bc("ex2_dn2_dn3")
-        vals = {perturbation_margin(b1, b2, X0, [1.0], seed=11) for _ in range(3)}
+        vals = {perturbation_margin(b1, b2, X0, [1.0]) for _ in range(3)}
         assert len(vals) == 1
 

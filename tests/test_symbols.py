@@ -160,20 +160,6 @@ class TestFactorRoots:
             assert abs(rp_t.pi_1 - t * rp.pi_1) <= 1e-10 * lam
             assert abs(rp_t.pi_2 - t * rp.pi_2) <= 1e-10 * lam
 
-    def test_variable_metric_consistency(self, rng):
-        g = variable_metric()
-        x = np.array([0.3, -0.2, 0.1])
-        for _ in range(100):
-            xi = rng.normal(size=2)
-            p = TangentialPoint(x, xi, float(rng.uniform(0, 2)),
-                                float(rng.uniform(0, 2)))
-            w = WeightJet(1.0, rng.normal(size=2), 1.0)
-            j = int(rng.integers(1, 3))
-            rp = factor_roots(p, w, j, metric=g)
-            for root in (rp.pi_1, rp.pi_2):
-                val = factor_symbol_eval(p, w, j, root, metric=g)
-                assert abs(val) <= 1e-9 * max(p.lambda_T_sigma, 1.0) ** 2
-
 
 class TestQuarticRoots:
     def test_unconjugated_double_pair(self):
