@@ -430,7 +430,9 @@ def _damped(cfg):
     except semigroup.DampingError as exc:
         raise ConfigError(f"--alpha {cfg['alpha']}: {exc}")
     except plate.IndefiniteError as exc:
-        raise ConfigError(f"--bc-param-a {cfg['bc_param_a']}: {exc}")
+        given = (f"--bc-param-a {cfg['bc_param_a']}" if cfg["bc_param_a"]
+                 is not None else f"--bc {cfg['bc']} --n {cfg['n']}")
+        raise ConfigError(f"{given}: {exc}")
 
 
 def _simulate(Y0, gen, T, dt, log_every):
@@ -590,6 +592,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     ap = build_parser()
+    # join '--key -1:1:1' to '--key=-1:1:1': argparse takes such a value for a flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-[^-]", argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         ns = ap.parse_args(argv)
     except SystemExit as exc:

@@ -133,6 +133,11 @@ class DiscretePlateOperator:
     def norm(self, u) -> float:
         return math.sqrt(max(self.inner(u, u), 0.0))
 
+    @property
+    def scale(self) -> float:
+        """||M||_inf, the largest absolute row sum."""
+        return float(np.abs(self.matrix).sum(axis=1).max())
+
     def dense(self) -> np.ndarray:
         """The matrix as an array, for the dense O(N^3) paths only."""
         if self.size > MAX_DENSE_UNKNOWNS:
@@ -297,7 +302,7 @@ def assemble(grid: Grid, bc_pair, params: Optional[dict] = None
 def check_symmetry(op: DiscretePlateOperator) -> float:
     """max over 20 random u, v of |<Mu,v> - <u,Mv>| / (|u| |v| ||M||)."""
     rng = np.random.default_rng(0)
-    scale = float(np.abs(op.matrix).sum(axis=1).max())
+    scale = op.scale
     worst = 0.0
     for _ in range(20):
         u = rng.normal(size=op.size)
@@ -350,60 +355,45 @@ def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
     return mu[:count], V[:, :count] / math.sqrt(op.weight)
 
 
-def _structural_kernel(op: DiscretePlateOperator, nk: int):
-    """Exact kernel basis when the stationary space has closed form
-    (constants, affine functions): eigensolver vectors carry O(eps |M|)
-    residuals that would leak through the exact-invariance identities.
-    Candidates are accepted only after a residual check against M; None
-    unless they cover all nk kernel dimensions."""
-    scale = float(np.abs(op.matrix).sum(axis=1).max())
+# accepted |M c| / (||M|| |c|) of a closed-form kernel candidate c: true kernel
+# vectors leave 0.4 eps at most up to n = 20,000; ex3's constant 2,250 eps at 5,000
+KERNEL_RESIDUAL = 4 * np.finfo(float).eps
+
+
+class IndefiniteError(ValueError):
+    """An operator without a Cholesky factor once its closed-form stationary
+    modes are pinned: no plate energy is defined for it."""
+
+
+def kernel(op: DiscretePlateOperator) -> np.ndarray:
+    """Grid-orthonormal basis of the stationary space, one (N, nk) array.
+
+    The candidates are the closed forms, constants and in 1-D affine
+    functions, accepted when |M c| <= KERNEL_RESIDUAL ||M|| |c|.  With one
+    unknown pinned per accepted candidate (0, then N - 1: no combination of
+    1 and x vanishes on both), a banded Cholesky of the rest of M that
+    completes proves it positive definite, so by Cauchy interlacing the
+    candidates span the kernel.  IndefiniteError when it does not."""
     cands = [np.ones(op.size)]
     if op.grid.dimension == 1:
         cands.append(op.nodes[:, 0].copy())
-    good = []
-    for c in cands:
-        resid = np.abs(op.apply(c)).max()
-        if resid <= 1e-12 * scale * np.abs(c).max():
-            good.append(c)
-    if len(good) < nk:
-        return None
-    # grid-orthonormalize the first nk accepted candidates
-    B = np.column_stack(good[:nk])
-    for k in range(nk):
+    tol = KERNEL_RESIDUAL * op.scale
+    good = [c for c in cands if np.abs(op.apply(c)).max() <= tol * np.abs(c).max()]
+    rest = np.ones(op.size, dtype=bool)
+    rest[[0, -1][:len(good)]] = False
+    factor, info = scipy.linalg.lapack.dpbtrf(
+        lower_band(op.matrix[rest][:, rest]), lower=1)
+    if info:
+        raise IndefiniteError(
+            f"the operator is indefinite: with {len(good)} closed-form mode(s) "
+            f"pinned, Cholesky pivot {info} is {factor[0, info - 1]:.6g}, "
+            f"against the roundoff eps ||M|| = {np.finfo(float).eps * op.scale:.6g}")
+    B = np.column_stack(good) if good else np.zeros((op.size, 0))
+    for k in range(B.shape[1]):     # grid-orthonormalize
         for j in range(k):
             B[:, k] -= op.inner(B[:, k], B[:, j]) * B[:, j]
         B[:, k] /= op.norm(B[:, k])
     return B
-
-
-class IndefiniteError(ValueError):
-    """An operator with an eigenvalue below -1e-8 mu_ref: no plate energy,
-    and no stationary space, is defined for it."""
-
-
-def kernel(op: DiscretePlateOperator) -> np.ndarray:
-    """Grid-orthonormal basis of the numerical kernel as the columns of one
-    (N, nk) array; nk is the number of eigenvalues mu_j <= 1e-8 mu_ref,
-    mu_ref the median of the lowest 16, all read from the band or the tensor
-    factors.  The basis is the closed-form one when it covers that
-    dimension, the eigenvectors otherwise.  Shape (N, 0) when mu_0 clears
-    the threshold; IndefiniteError when mu_0 < -1e-8 mu_ref."""
-    count = min(16, op.size)
-    mu, _ = spectrum(op, count, vectors=False)
-    ref = mu[(count + 1) // 2]
-    if ref <= 0:
-        ref = abs(mu).max()
-    if mu[0] < -1e-8 * ref:
-        raise IndefiniteError(
-            f"the operator is indefinite: its lowest eigenvalue {mu[0]:.6g} "
-            f"lies below -1e-8 mu_ref = {-1e-8 * ref:.6g}")
-    nk = int(np.count_nonzero(mu <= 1e-8 * ref))
-    if not nk:
-        return np.zeros((op.size, 0))
-    basis = _structural_kernel(op, nk)
-    if basis is None:
-        basis = spectrum(op, nk)[1]
-    return np.ascontiguousarray(basis)
 
 
 def clamped_beam_beta(k: int = 1) -> float:

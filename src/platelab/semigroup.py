@@ -137,9 +137,10 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
     alpha_profile: damping values over the unknowns.  Rejects non-finite or
     negative damping, and rejects damping whose weighted Gram matrix on the
     stationary kernel is not positive definite (no projection can then
-    separate the stationary states).  An indefinite operator, whose lowest
-    eigenvalue lies below -1e-8 mu_ref, is refused by plate.kernel with
-    plate.IndefiniteError.
+    separate the stationary states), and grids where roundoff eps ||P||_inf
+    in P moves the slowest damped rate ev_min, the least eigenvalue of that
+    Gram matrix, by over MAX_KERNEL_ROUNDOFF ev_min (SizeLimitError).
+    plate.kernel refuses an indefinite operator.
     """
     alpha = np.asarray(alpha_profile, dtype=float)
     if alpha.shape != (op.size,):
@@ -157,6 +158,12 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
             "damping-weighted Gram matrix is singular on the stationary "
             f"kernel (eigenvalues {ev}); the damping does not control "
             "some stationary mode")
+    rho = np.finfo(float).eps * op.scale / ev[0] ** 2 if ev.size else 0.0
+    if rho > MAX_KERNEL_ROUNDOFF:
+        raise SizeLimitError(
+            f"generator refused on the {' x '.join(map(str, op.grid.n))}-cell "
+            f"grid: rho = eps ||P|| / ev_min^2 = {rho:.3g} exceeds its limit "
+            f"{MAX_KERNEL_ROUNDOFF:g}, with ev_min = {ev[0]:.6g}")
     # Gram-Schmidt in the alpha-weighted product via Cholesky
     L = scipy.linalg.cholesky(G, lower=True)
     Kd = scipy.linalg.solve_triangular(L, K.T, lower=True).T
@@ -339,6 +346,7 @@ def reduced_generator(gen: Generator) -> ReducedGenerator:
 # ---------------------------------------------------------------------------
 
 MAX_RESOLVENT_BYTES = 2 ** 30   # cap of _resolvent_bytes, per point
+MAX_KERNEL_ROUNDOFF = 1e-2      # cap of rho in build_generator
 ARNOLDI_VECTORS = 8             # ARPACK basis: 20 takes twice the solves
 LANCZOS_MAXITER = 1000          # Lanczos steps per point before giving up
 
@@ -534,8 +542,7 @@ def _prepare(gen: Generator):
             f"resolvent refused for {gen.size} plate unknowns: its LU factor "
             f"and Lanczos basis take an estimated {need} > "
             f"{MAX_RESOLVENT_BYTES} bytes")
-    bound = float(gen.alpha.max(initial=0.0)) + \
-        math.sqrt(float(abs(gen.op.matrix).sum(axis=1).max()))
+    bound = float(gen.alpha.max(initial=0.0)) + math.sqrt(gen.op.scale)
     return _pencil(gen), 1e-12 * max(bound, 1.0)
 
 

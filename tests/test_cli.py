@@ -166,6 +166,12 @@ class TestExitCodes:
          "--bc-param-a -1.0: the operator is indefinite"),
         (["simulate", "--bc", "ex4_id_dn2_A", "--bc-param-a", "-3", "--T",
           "0.1"], None, "--bc-param-a -3.0: the operator is indefinite"),
+        (["resolvent", "--bc", "clamped", "--n", "40000", "--sigma-grid",
+          "0:1:1"], None, "--bc clamped --n 40000: the operator is indefinite"),
+        (["resolvent", "--bc", "ex2_dn2_dn3", "--n", "600", "--sigma-grid",
+          "0:2:1"], None, "exceeds its limit 0.01"),
+        (["resolvent", "--bc", "neumann_pair", "--n", "5000", "--sigma-grid",
+          "0:2:1"], None, "exceeds its limit 0.01"),
         (["spectrum", "--bc", "ex5_dn2A_dn3", "--dim", "2", "--n", "16"], None,
          "the ex5_dn2A_dn3 boundary operators carry tangential derivatives"),
         (["spectrum", "--bc", "ex2_dn2_dn3", "--dim", "2", "--n", "16"], None,
@@ -191,6 +197,8 @@ class TestExitCodes:
           "--sigma-grid=-1.7e308:1.7e308:1e308"], None,
          "hi + step / 2 - lo overflows"),
         (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
+          "-1.7e308:1.7e308:1e308"], None, "hi + step / 2 - lo overflows"),
+        (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
           "0:1:1e-300"], None, "1e+300 grid points cannot be built"),
         (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid", "0:1"],
          None, "--sigma-grid '0:1': expected lo:hi:step"),
@@ -208,12 +216,15 @@ class TestExitCodes:
             "alpha-negative", "alpha-nan", "alpha-blind-to-kernel",
             "indefinite-resolvent", "indefinite-simulate",
             "indefinite-decay-fit", "indefinite-tilted-hinge",
-            "2d-tangential-family", "2d-free-edge-nu2", "mu0-negative",
+            "indefinite-by-roundoff", "generator-roundoff-ex2",
+            "generator-roundoff-neumann", "2d-tangential-family",
+            "2d-free-edge-nu2", "mu0-negative",
             "mu1-negative", "dphi-normal-0", "dphi-normal-negative",
             "roots-degenerate-point", "length-h4-underflow",
             "length-h4-overflow", "length-y-h4-underflow",
             "sigma-grid-overflow", "sigma-grid-point-overflow",
-            "sigma-grid-extent-overflow", "sigma-grid-count", "sigma-grid-short",
+            "sigma-grid-extent-overflow", "sigma-grid-spaced-leading-minus",
+            "sigma-grid-count", "sigma-grid-short",
             "bc-file-missing", "config-missing"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):

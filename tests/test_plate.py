@@ -508,13 +508,31 @@ class TestKernel:
 
     def test_two_disconnected_intervals(self):
         # block-diagonal fixture: two independent zero-flux plates carry a
-        # two-dimensional stationary space
+        # two-dimensional stationary space, but only the global constant has
+        # closed form; with it pinned, the second block's constant leaves the
+        # rest of M singular, and the certificate refuses what it cannot name
         op1 = assemble(GRID, "neumann_pair")
         M = sp.block_diag([op1.matrix, op1.matrix], format="csr")
         nodes = np.vstack([op1.nodes, op1.nodes + 2.0])
         op2 = DiscretePlateOperator(op1.grid, "neumann_pair", M, nodes,
                                     "cell", op1.weight)
-        assert kernel(op2).shape == (op2.size, 2)
+        with pytest.raises(IndefiniteError, match="1 closed-form"):
+            kernel(op2)
+
+    @pytest.mark.parametrize("n", [1500, 2000, 3000, 5000])
+    def test_verdicts_survive_roundoff(self, n):
+        # the band roundoff eps ||M|| ~ 16 eps n^4 is 0.018 at n = 1,500 and
+        # 2.2 at n = 5,000, above the small eigenvalues: the verdict comes
+        # from the closed forms and a factor, not from an eigenvalue count
+        grid = make_grid(n)
+        for name, nk in (("ex2_dn2_dn3", 2), ("ex5_dn2A_dn3", 1),
+                         ("neumann_pair", 1), ("ex3_dn_dn3_A", 0)):
+            assert kernel(assemble(grid, name)).shape == (n, nk), name
+        for name, a in (("ex3_dn_dn3_A", 0.5), ("ex3_dn_dn3_A", 1.0),
+                        ("ex5_dn2A_dn3", -1.0), ("ex5_dn2A_dn3", -1.3),
+                        ("ex4_id_dn2_A", -3.0)):
+            with pytest.raises(IndefiniteError, match="indefinite"):
+                kernel(assemble(grid, name, params={"a": a}))
 
     def test_indefinite_operator_refused(self):
         # a parameter outside the nonnegative range: mu_0 < 0 is no
