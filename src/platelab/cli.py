@@ -35,8 +35,7 @@ if "numpy" not in sys.modules and not any(
 
 import numpy as np  # noqa: E402
 
-from . import SizeLimitError, lscheck, weights  # noqa: E402
-from .symbols import TangentialPoint, WeightJet, classify_roots  # noqa: E402
+from . import SizeLimitError  # noqa: E402  (each command imports its layers)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -179,9 +178,10 @@ def parse_alpha_spec(spec, nodes: np.ndarray) -> np.ndarray:
 
 
 @_spec_parser("psi")
-def parse_psi_spec(spec) -> weights.ScalarField:
-    """Base weight: 'affine:c:slope', 'parabola:c' (c + x - x^2), or
-    'peak:x0:x1:center'."""
+def parse_psi_spec(spec):
+    """Base weight, a weights.ScalarField: 'affine:c:slope', 'parabola:c'
+    (c + x - x^2), or 'peak:x0:x1:center'."""
+    from . import weights
     kind, fields = _split_spec(spec, {"affine": "c:slope", "parabola": "c",
                                       "peak": "x0:x1:center"})
     vals = [float(f) for f in fields]
@@ -218,6 +218,7 @@ def _bc_pair(cfg, path=None):
     """Name, operator pair and parameters of the family, or of file `path`,
     which declares the pair and its parameter symbol in place of bc and
     bc_param_a."""
+    from . import lscheck
     if path is not None:
         for key in ("bc", "bc_param_a"):
             if cfg[key] is not None:
@@ -243,6 +244,7 @@ def _bc_pair(cfg, path=None):
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(cfg):
+    from . import lscheck
     out = []
     for name in lscheck.catalog_names(include_fixtures=True):
         try:
@@ -258,6 +260,7 @@ def cmd_catalog(cfg):
 
 
 def cmd_roots(cfg):
+    from .symbols import TangentialPoint, WeightJet, classify_roots
     tau, sigma, xi = cfg["tau"], cfg["sigma"], cfg["xi_prime"]
     dn, dt = cfg["dphi_normal"], cfg["dphi_tangential"]
     p = TangentialPoint([0.0, 0.0], [xi], tau, sigma)
@@ -277,6 +280,7 @@ def cmd_roots(cfg):
 
 
 def cmd_ls_check(cfg):
+    from . import lscheck
     name, (b1, b2), _ = _bc_pair(cfg, cfg["bc_file"])
     x0 = np.array([0.0, 0.0])
 
@@ -316,6 +320,7 @@ def _region(cfg):
 
 
 def cmd_subell(cfg):
+    from . import weights
     psi, grid = _region(cfg)
     tau0, ratio_hi = cfg["tau0"], cfg["ratio_hi"]
     wf = weights.WeightField(psi, cfg["gamma"])
@@ -339,6 +344,7 @@ def cmd_subell(cfg):
 
 
 def cmd_gamma_search(cfg):
+    from . import weights
     psi, grid = _region(cfg)
     try:
         res = weights.gamma_search(psi, cfg["tau0"], grid,
@@ -357,7 +363,9 @@ def cmd_gamma_search(cfg):
 def _operator(cfg):
     from . import plate
     n, length = cfg["n"], cfg["length"]
-    name, _, params = _bc_pair(cfg)
+    name, params = cfg["bc"], {}
+    if not name or cfg["bc_param_a"] is not None:   # each default a passes
+        name, _, params = _bc_pair(cfg)
     try:
         if cfg["dim"] == 1:
             grid = plate.make_grid(n, length)
@@ -506,6 +514,9 @@ def cmd_decay_fit(cfg):
         C = semigroup.decay_fit(log, npow, amp)
     except ValueError as exc:
         raise CheckFailure(str(exc))
+    if not (math.isfinite(amp) and math.isfinite(C)):
+        raise ConfigError(f"--n-power {npow} on the {' x '.join(map(str, op.grid.n))}-"
+                          f"cell grid: |A^n Y0|^2 = {amp:.6g} or C = {C:.6g} is not finite")
     write_json(cfg["out"], _manifest(cfg, op, C=C, amp=amp,
                                      final_energy=float(log.energies[-1]),
                                      schema="decay-fit-v2"))
@@ -578,22 +589,23 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
     ap = argparse.ArgumentParser(prog="platelab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, defaults) in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", help="key = value configuration file")
-        for key in defaults:
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=_KEYS[key], default=None)
+        if command in (None, name):     # the flags of one command, or of all
+            p.add_argument("--config", help="key = value configuration file")
+            for key in defaults:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=_KEYS[key], default=None)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    # join '--key -1:1:1' to '--key=-1:1:1': argparse takes such a value for a flag
     argv = list(sys.argv[1:] if argv is None else argv)
+    ap = build_parser(argv[0] if argv else None)
+    # join '--key -1:1:1' to '--key=-1:1:1': argparse takes such a value for a flag
     for i in range(len(argv) - 1, 0, -1):
         if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-[^-]", argv[i]):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import SizeLimitError
 from .plate import DiscretePlateOperator, kernel as plate_kernel, lower_band
@@ -183,11 +184,15 @@ def kernel_projection(Y: StateVector, gen: Generator):
     return Yn, Yd
 
 
-def energy(Y: StateVector, gen: Generator, Py=None) -> float:
+def _energy(w, y, v, Py) -> float:
+    """(<P y, y> + |v|^2)/2 in the grid product of weight w, from Py = P y."""
+    return 0.5 * (w * float(np.vdot(y, Py)) + w * float(np.vdot(v, v)))
+
+
+def energy(Y: StateVector, gen: Generator) -> float:
     """E = (<P y, y> + |v|^2)/2 in the grid product; stationary kernel
-    states are invisible to it.  Py is P y when the caller already has it."""
-    Py = gen.op.apply(Y.y) if Py is None else Py
-    return 0.5 * (gen.op.inner(Py, Y.y) + gen.op.inner(Y.v, Y.v))
+    states are invisible to it."""
+    return _energy(gen.op.weight, Y.y, Y.v, gen.op.apply(Y.y))
 
 
 def hdot_norm(gen: Generator, Y: StateVector) -> float:
@@ -199,30 +204,38 @@ class MidpointStepper:
     """Implicit midpoint for dY/dt = -AY through the midpoint velocity,
     S v_mid = v - (dt/2) P y, y' = y + dt v_mid, v' = 2 v_mid - v, with a
     cached banded Cholesky factor of S = I + (dt^2/4) P + (dt/2) diag(alpha):
-    P's bandwidth, SPD for every dt > 0 as P is nonnegative and alpha >= 0."""
+    P's bandwidth, SPD for every dt > 0 as P is nonnegative and alpha >= 0.
+    A step allocates nothing: it solves in place with the factor, reuses two
+    work vectors and calls the CSR kernel behind P @ y on P's arrays."""
 
     def __init__(self, gen: Generator, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.gen = gen
         self.dt = dt
-        self._P = gen.op.matrix
-        S = (dt ** 2 / 4.0) * lower_band(self._P)   # S in lower band storage
+        P = gen.op.matrix.tocsr()
+        S = (dt ** 2 / 4.0) * lower_band(P)   # S in lower band storage
         S[0] = 1.0 + S[0] + (dt / 2.0) * gen.alpha
         self._band = scipy.linalg.cholesky_banded(S, lower=True)
         self._pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (self._band,))
+        self._csr = (*P.shape, P.indptr, P.indices, P.data)
+        self._mid, self._work = np.empty(gen.size), np.empty(gen.size)
 
-    def advance(self, Y: StateVector, Py: np.ndarray):
-        """One step from Y, given Py = P Y.y: one banded solve and one sparse
-        product.  Returns (next state, P times its position, dissipation
-        rate <alpha v_mid, v_mid> at the midpoint)."""
-        dt, gen = self.dt, self.gen
-        v_mid, info = self._pbtrs(self._band, Y.v - (dt / 2.0) * Py, lower=1)
+    def advance(self, y, v, Py) -> float:
+        """One step in place from (y, v), given Py = P y, which all three
+        then hold for the next state: one banded solve and one sparse
+        product.  Returns the dissipation rate <alpha v_mid, v_mid>."""
+        dt, mid, work = self.dt, self._mid, self._work
+        np.subtract(v, np.multiply(Py, dt / 2.0, out=mid), out=mid)
+        mid, info = self._pbtrs(self._band, mid, lower=1, overwrite_b=1)
         if info:
             raise ValueError(f"pbtrs rejected argument {-info}")
-        y = Y.y + dt * v_mid
-        return (StateVector(y, 2.0 * v_mid - Y.v, Y.t + dt), self._P @ y,
-                gen.op.inner(gen.alpha * v_mid, v_mid))
+        y += np.multiply(mid, dt, out=work)
+        np.subtract(np.multiply(mid, 2.0, out=work), v, out=v)
+        Py.fill(0.0)                        # csr_matvec adds P y to Py
+        _sparsetools.csr_matvec(*self._csr, y, Py)
+        return self.gen.op.weight * float(
+            np.vdot(mid, np.multiply(self.gen.alpha, mid, out=work)))
 
 
 def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
@@ -233,20 +246,28 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
     every log_every steps and after the last, in three arrays of
     1 + ceil(nsteps / log_every) rows allocated up front; the energy is
     nonincreasing up to solver roundoff, and the kernel component of the
-    state is a constant of the motion.  NaN or overflow, which makes the
-    energy non-finite, aborts with the step index.
+    state is a constant of the motion.  One MidpointStepper steps a copy of
+    Y0 in place.  T must be finite and >= 0, dt finite and > 0 and log_every
+    an integer >= 1.  NaN or overflow, which makes the energy non-finite,
+    aborts with the step index.
     """
+    if not 0 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 0, got {T}")
+    if not (isinstance(log_every, (int, np.integer)) and log_every >= 1):
+        raise ValueError(f"log_every must be an integer >= 1, got {log_every!r}")
+    stepper = MidpointStepper(gen, dt)
     if not (np.all(np.isfinite(Y0.y)) and np.all(np.isfinite(Y0.v))):
         raise FloatingPointError("initial state is not finite")
-    stepper = MidpointStepper(gen, dt)
     nsteps = int(round(T / dt))
     rows = 1 + -(-nsteps // log_every)
     times, energies, diss = np.empty(rows), np.empty(rows), np.zeros(rows)
     Y, Py, rate, row = Y0.copy(), gen.op.apply(Y0.y), 0.0, 0
-    times[0], energies[0] = Y.t, energy(Y, gen, Py)
+    y, v, w = Y.y, Y.v, gen.op.weight
+    times[0], energies[0] = Y.t, _energy(w, y, v, Py)
     for i in range(nsteps):
-        Y, Py, d = stepper.advance(Y, Py)
-        e = energy(Y, gen, Py)
+        d = stepper.advance(y, v, Py)
+        Y.t += dt
+        e = _energy(w, y, v, Py)
         if not math.isfinite(e):
             raise FloatingPointError(f"state blew up at step {i + 1}")
         rate += d

@@ -202,6 +202,9 @@ class TestExitCodes:
           "0:1:1e-300"], None, "1e+300 grid points cannot be built"),
         (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid", "0:1"],
          None, "--sigma-grid '0:1': expected lo:hi:step"),
+        (["decay-fit", "--bc", "clamped", "--n", "200", "--T", "10", "--dt",
+          "0.5", "--n-power", "40"], None, "--n-power 40 on the 200-cell "
+         "grid: |A^n Y0|^2 = inf or C = 0 is not finite"),
         (["ls-check", "--bc-file", "/nonexistent/x.bc"], None, "--bc-file"),
         (["spectrum", "--bc", "clamped", "--config", "/nonexistent/run.cfg"],
          None, "--config"),
@@ -224,7 +227,7 @@ class TestExitCodes:
             "length-h4-overflow", "length-y-h4-underflow",
             "sigma-grid-overflow", "sigma-grid-point-overflow",
             "sigma-grid-extent-overflow", "sigma-grid-spaced-leading-minus",
-            "sigma-grid-count", "sigma-grid-short",
+            "sigma-grid-count", "sigma-grid-short", "n-power-overflow",
             "bc-file-missing", "config-missing"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
@@ -710,6 +713,17 @@ print(main(["spectrum", "--bc", "hinged", "--n", "16", "--out", out]),
 """
 
 
+# runs each command, then prints which of the three algebra layers are loaded
+_LAYERS_CHILD = """
+import os, sys
+from platelab.cli import main
+argv = sys.argv[2:] + ["--out", os.path.join(sys.argv[1], "a")]
+assert main(argv) == 0, argv
+print(" ".join(m for m in ("symbols", "lscheck", "weights")
+               if "platelab." + m in sys.modules))
+"""
+
+
 # prints what the imports named in argv changed in os.environ
 _ENV_CHILD = """
 import json, os, sys
@@ -756,6 +770,26 @@ class TestConsoleEntry:
         scipy_modules, spectrum_run = proc.stdout.splitlines()
         assert scipy_modules == "[]"
         assert spectrum_run == "0 True"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["catalog"], "symbols lscheck"),
+        (["roots", "--tau", "2", "--sigma", "1"], "symbols"),
+        (["ls-check", "--bc", "clamped", "--samples", "5"], "symbols lscheck"),
+        (["subell", "--gamma", "25", "--region-n", "3"], "symbols weights"),
+        (["gamma-search", "--region-n", "3"], "symbols weights"),
+        (["spectrum", "--bc", "hinged", "--n", "16"], ""),
+        (["simulate", "--bc", "clamped", "--n", "16", "--T", "0.1"], ""),
+        (["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid",
+          "0:2:1"], ""),
+        (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "5"], ""),
+    ], ids=["catalog", "roots", "ls-check", "subell", "gamma-search",
+            "spectrum", "simulate", "resolvent", "decay-fit"])
+    def test_each_command_loads_only_its_layers(self, argv, loaded, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", _LAYERS_CHILD,
+                               str(tmp_path), *argv], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == loaded
 
     def test_size_limit_error_is_shared(self):
         from platelab import plate

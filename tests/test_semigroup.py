@@ -13,6 +13,7 @@ from platelab.plate import (
     SizeLimitError,
     assemble,
     kernel,
+    lower_band,
     make_grid,
     spectrum,
 )
@@ -40,6 +41,42 @@ GRID = make_grid(N)
 def bump_alpha(op, lo=0.3, hi=0.5, height=1.0):
     x = op.nodes[:, 0]
     return np.where((x >= lo) & (x <= hi), height, 0.0)
+
+
+def reference_simulate(Y0, gen, T, dt, log_every):
+    """simulate's log and final (y, v), in the arithmetic of an allocating
+    step: P @ y, v - (dt/2) P y, 2 v_mid - v and w vdot, with pbtrs on the
+    same banded factor through cho_solve_banded."""
+    P, a, w = gen.op.matrix, gen.alpha, gen.op.weight
+    S = (dt ** 2 / 4.0) * lower_band(P)
+    S[0] = 1.0 + S[0] + (dt / 2.0) * a
+    factor = (scipy.linalg.cholesky_banded(S, lower=True), True)
+    y, v, t, rate = Y0.y.copy(), Y0.v.copy(), Y0.t, 0.0
+    Py = P @ y
+    times, diss = [t], [0.0]
+    energies = [0.5 * (w * float(np.vdot(y, Py)) + w * float(np.vdot(v, v)))]
+    nsteps = int(round(T / dt))
+    for i in range(nsteps):
+        v_mid = scipy.linalg.cho_solve_banded(factor, v - (dt / 2.0) * Py)
+        y = y + dt * v_mid
+        v = 2.0 * v_mid - v
+        Py = P @ y
+        t += dt
+        rate += w * float(np.vdot(v_mid, a * v_mid))
+        if (i + 1) % log_every == 0 or i == nsteps - 1:
+            times.append(t)
+            energies.append(0.5 * (w * float(np.vdot(y, Py))
+                                   + w * float(np.vdot(v, v))))
+            diss.append(rate / (i % log_every + 1))
+            rate = 0.0
+    return np.array(times), np.array(energies), np.array(diss), y, v
+
+
+def step(stepper, Y):
+    """The state one step after Y, which stays as it is."""
+    Z = Y.copy()
+    stepper.advance(Z.y, Z.v, stepper.gen.op.apply(Z.y))
+    return Z
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +195,7 @@ class TestStepper:
         stepper = MidpointStepper(gen, dt)
         Py = op.apply(Y.y)
         for k in range(1, int(2.5 * 2 * math.pi / omega / dt)):
-            Y, Py, _ = stepper.advance(Y, Py)
+            stepper.advance(Y.y, Y.v, Py)
             cur = Y.y[probe]
             if prev > 0 >= cur or prev < 0 <= cur:
                 frac = prev / (prev - cur)
@@ -173,7 +210,7 @@ class TestStepper:
         phi0 = gen.kernel_damped[:, 0]
         Y = StateVector(phi0, np.zeros_like(phi0))
         dt = 0.7
-        Y1 = MidpointStepper(gen, dt).advance(Y, gen.op.apply(Y.y))[0]
+        Y1 = step(MidpointStepper(gen, dt), Y)
         # P phi0 cancels to eps * |P| * |phi0| in the matvec; the step can
         # move the state by no more than the propagated solve noise
         floor = 50 * np.finfo(float).eps * np.abs(gen.op.matrix.data).max() \
@@ -201,7 +238,7 @@ class TestStepper:
             Z = Y.copy()
             for _ in range(50):
                 e_before = energy_ld(Z)
-                Z, _, diss = stepper.advance(Z, gen.op.apply(Z.y))
+                diss = stepper.advance(Z.y, Z.v, gen.op.apply(Z.y))
                 e_after = energy_ld(Z)
                 lhs = float((e_after - e_before) / dt)
                 assert lhs == pytest.approx(-diss, rel=1e-7,
@@ -212,12 +249,30 @@ class TestStepper:
         gen = build_generator(op, np.zeros(op.size))
         Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
         n0 = hdot_norm(gen, Y)
-        Y1 = MidpointStepper(gen, 0.05).advance(Y, op.apply(Y.y))[0]
+        Y1 = step(MidpointStepper(gen, 0.05), Y)
         assert hdot_norm(gen, Y1) == pytest.approx(n0, rel=1e-10)
 
     def test_dt_validation(self, clamped_gen):
         with pytest.raises(ValueError):
             MidpointStepper(clamped_gen, 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_is_named(self, clamped_gen, dt):
+        with pytest.raises(ValueError, match=f"^dt must be finite and > 0, "
+                                             f"got {dt}$"):
+            MidpointStepper(clamped_gen, dt)
+
+    @pytest.mark.parametrize("name,grid", [("clamped", make_grid(200)),
+                                           ("hinged", make_grid((16, 12)))])
+    def test_bound_kernel_is_the_sparse_product(self, name, grid, rng):
+        # the private scipy kernel that advance calls must stay the one
+        # behind P @ y, bit for bit, over an output that held the old P y
+        op = assemble(grid, name)
+        gen = build_generator(op, bump_alpha(op))
+        Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
+        Py = op.matrix @ Y.y
+        MidpointStepper(gen, 0.5).advance(Y.y, Y.v, Py)
+        assert np.array_equal(Py, op.matrix @ Y.y)
 
     @pytest.mark.parametrize("name,grid", [("clamped", GRID),
                                            ("neumann_pair", GRID),
@@ -227,7 +282,7 @@ class TestStepper:
         gen = build_generator(op, bump_alpha(op))
         dt = 0.01
         Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
-        Z = MidpointStepper(gen, dt).advance(Y, op.apply(Y.y))[0]
+        Z = step(MidpointStepper(gen, dt), Y)
         P, a = op.dense(), gen.alpha
         S = np.eye(op.size) + (dt ** 2 / 4) * P + (dt / 2) * np.diag(a)
         rhs = Y.v - (dt ** 2 / 4) * (P @ Y.v) - (dt / 2) * a * Y.v - dt * (P @ Y.y)
@@ -251,7 +306,7 @@ class TestStepper:
         ref = np.concatenate([Y.y, Y.v])
         stepper, Py = MidpointStepper(gen, dt), op.apply(Y.y)
         for _ in range(20):
-            Y, Py, _ = stepper.advance(Y, Py)
+            stepper.advance(Y.y, Y.v, Py)
             ref = scipy.linalg.lu_solve(lhs, rhs @ ref)
         assert np.concatenate([Y.y, Y.v]) == pytest.approx(
             ref, rel=1e-10, abs=1e-10 * np.abs(ref).max())
@@ -273,7 +328,7 @@ class TestStepper:
         assert gen1.kernel_dim == 0
         for gen in (gen1, gen2):
             Y = StateVector(np.ones(gen.size), np.zeros(gen.size))
-            Z = MidpointStepper(gen, 0.5).advance(Y, gen.op.apply(Y.y))[0]
+            Z = step(MidpointStepper(gen, 0.5), Y)
             assert np.all(np.isfinite(Z.y))
         # the resolvent is sparse too, and never reduces the generator
         monkeypatch.setattr("platelab.semigroup.reduced_generator", refuse)
@@ -282,6 +337,39 @@ class TestStepper:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("name,grid,T,dt,log_every", [
+        ("clamped", make_grid(200), 250.0, 0.5, 1),
+        ("hinged", make_grid((16, 12)), 1.0, 0.01, 1),
+        ("ex2_dn2_dn3", make_grid(60), 50.0, 0.5, 7),
+    ], ids=["clamped-500-steps", "hinged-2d", "ex2-log-every-7"])
+    def test_matches_allocating_reference_bitwise(self, name, grid, T, dt,
+                                                  log_every, rng):
+        op = assemble(grid, name)
+        gen = build_generator(op, bump_alpha(op))
+        Y0 = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
+        log, Y = simulate(Y0, gen, T, dt, log_every=log_every)
+        times, energies, diss, y, v = reference_simulate(Y0, gen, T, dt,
+                                                         log_every)
+        assert np.array_equal(log.times, times)
+        assert np.array_equal(log.energies, energies)
+        assert np.array_equal(log.dissipations, diss)
+        assert np.array_equal(Y.y, y) and np.array_equal(Y.v, v)
+        assert Y.t == times[-1]
+
+    @pytest.mark.parametrize("args, message", [
+        ({"T": -1.0}, "T must be finite and >= 0, got -1.0"),
+        ({"T": math.inf}, "T must be finite and >= 0, got inf"),
+        ({"log_every": 0}, "log_every must be an integer >= 1, got 0"),
+        ({"log_every": 2.0}, "log_every must be an integer >= 1, got 2.0"),
+        ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
+        ({"dt": math.inf}, "dt must be finite and > 0, got inf"),
+    ], ids=["T-negative", "T-inf", "log-every-0", "log-every-float",
+            "dt-nan", "dt-inf"])
+    def test_bad_argument_is_named(self, clamped_gen, args, message):
+        Y0 = StateVector(np.ones(clamped_gen.size), np.zeros(clamped_gen.size))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate(Y0, clamped_gen, **{"T": 1.0, "dt": 0.1, **args})
+
     def test_undamped_conservation_1000_steps(self):
         op = assemble(GRID, "hinged")
         gen = build_generator(op, np.zeros(op.size))
