@@ -22,6 +22,7 @@ constructor.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -236,17 +237,10 @@ def _pair(name: str, b1: tuple, b2: tuple,
 
 
 def _admissibility_check(name: str, ap: ParameterSymbol, c: float, d: float):
-    """Sampled check of |c a' + d| > 1e-12 at 64 points of the unit sphere
-    |omega'| = 1 in one tangential dimension."""
-    rng = np.random.default_rng(12345)
-    for _ in range(64):
-        x = rng.normal(size=2)
-        omega = rng.normal(size=1)
-        nrm = MetricField.euclidean(1).tangential_norm(x, omega)
-        if nrm == 0:
-            continue
-        omega = omega / nrm
-        if not abs(c * complex(ap(x, omega)) + d) > 1e-12:
+    """Check of |c a' + d| > 1e-12 on the unit sphere |omega'| = 1 in one
+    tangential dimension: both of its points, omega' = -1 and 1."""
+    for omega in (np.array([-1.0]), np.array([1.0])):
+        if not abs(c * complex(ap([0.0, 0.0], omega)) + d) > 1e-12:
             raise ValueError(f"{name}: parameter symbol violates the admissibility "
                              f"constraint on the unit sphere (at omega'={omega})")
 
@@ -257,7 +251,7 @@ def catalog_bc(name: str, params: Optional[dict] = None):
     Families requiring a parameter symbol accept params={"a": scalar}, the
     scale of the parameter symbol.  Construction rejects parameters that
     violate the family's strict admissibility inequality on the unit
-    sphere (sampled check).
+    sphere.
     """
     if name not in _CATALOG:
         raise KeyError(f"unknown boundary pair '{name}'; catalog: {catalog_names(True)}")
@@ -492,8 +486,8 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                       mu0: float = 0.25, mu1: float = 0.25) -> dict:
     """Seeded three-route agreement test of the conjugated condition at
     x = (0, 0): xi' standard normal, tau log-uniform in [0.1, 10], sigma
-    uniform below min(1/kappa0, mu1) tau, dphi = (dphi_t, 1) with
-    |dphi_t| <= mu0.
+    uniform below min(1/kappa0, mu1) tau, dphi = (dphi_t, 1) with dphi_t
+    uniform in [-mu0, mu0], drawn from random.Random(seed).
 
     A sample agrees when the determinant verdict, rank == 4 and a positive
     margin all hold.  Marginal samples are skipped.  The samples are drawn
@@ -505,7 +499,9 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     positivity_margin, so the public API reproduces it.  Returns the keys
     samples, passed, marginal_skipped and counterexample.
     """
-    rng = np.random.default_rng(seed)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    rng = random.Random(seed)
     x0 = np.array([0.0, 0.0])
     dn = 1.0
     agree = 0
@@ -515,13 +511,9 @@ def sample_conjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
         # columns xi', tau, sigma, dphi_t, one row per sample in draw order
         draws = np.empty((min(SAMPLE_BLOCK, samples - start), 4))
         for row in draws:
-            xi = rng.normal(size=1)
-            tau = float(10.0 ** rng.uniform(-1, 1))
-            sigma = float(rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau))
-            dtang = rng.normal(size=1)
-            if np.linalg.norm(dtang):
-                dtang = mu0 * rng.uniform(0, 1) * dn * dtang / np.linalg.norm(dtang)
-            row[:] = xi[0], tau, sigma, dtang[0]
+            xi, tau = rng.gauss(0.0, 1.0), 10.0 ** rng.uniform(-1.0, 1.0)
+            row[:] = (xi, tau, rng.uniform(0.0, min(1.0 / kappa0, mu1) * tau),
+                      rng.uniform(-mu0, mu0) * dn)
         pts = (draws[:, :1], draws[:, 1], draws[:, 2], draws[:, 3:],
                np.full(len(draws), dn))
         roots = classify_stack(x0, *pts)
@@ -558,10 +550,10 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     margin, over sampled complex perturbations with
     |zeta'| + |delta| + |delta~| = eps |xi'|_x.
 
-    Sample directions are drawn once from seed 0 and rescaled, so the scan
-    is reproducible.  Returns PERTURBATION_CAP when no radius fails,
-    and 0 when the smallest one fails or the unperturbed margin is already
-    below tolerance.
+    Sample directions are drawn once from random.Random(0) and rescaled,
+    so the scan is reproducible.  Returns PERTURBATION_CAP when no radius
+    fails, and 0 when the smallest one fails or the unperturbed margin is
+    already below tolerance.
     """
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
     base = ls_unconjugated(b1, b2, x, xi_prime)
@@ -572,8 +564,9 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     # row k holds direction k's draws in the order of one draw per
     # direction: Re zeta', Im zeta', then delta and delta~ (Re, Im each)
     tdim = xi_prime.size
-    g = np.random.default_rng(0).normal(
-        size=(PERTURBATION_DIRECTIONS, 2 * tdim + 4))
+    rng = random.Random(0)
+    g = np.array([[rng.gauss(0.0, 1.0) for _ in range(2 * tdim + 4)]
+                  for _ in range(PERTURBATION_DIRECTIONS)])
     zeta = g[:, :tdim] + 1j * g[:, tdim:2 * tdim]
     delta, delta2 = g[:, -4] + 1j * g[:, -3], g[:, -2] + 1j * g[:, -1]
     total = np.linalg.norm(zeta, axis=1) + np.abs(delta) + np.abs(delta2)

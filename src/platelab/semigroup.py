@@ -247,8 +247,9 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
     1 + ceil(nsteps / log_every) rows allocated up front; the energy is
     nonincreasing up to solver roundoff, and the kernel component of the
     state is a constant of the motion.  One MidpointStepper steps a copy of
-    Y0 in place.  T must be finite and >= 0, dt finite and > 0 and log_every
-    an integer >= 1.  NaN or overflow, which makes the energy non-finite,
+    Y0 in place.  T must be finite and >= 0, dt finite and > 0, T / dt
+    finite and log_every an integer >= 1; a log above MAX_LOG_BYTES raises
+    SizeLimitError.  NaN or overflow, which makes the energy non-finite,
     aborts with the step index.
     """
     if not 0 <= T < math.inf:
@@ -258,8 +259,15 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
     stepper = MidpointStepper(gen, dt)
     if not (np.all(np.isfinite(Y0.y)) and np.all(np.isfinite(Y0.v))):
         raise FloatingPointError("initial state is not finite")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T / dt = {T} / {dt} is not a finite step count")
     nsteps = int(round(T / dt))
     rows = 1 + -(-nsteps // log_every)
+    if 24 * rows > MAX_LOG_BYTES:
+        raise SizeLimitError(
+            f"energy log refused for T = {T}, dt = {dt}, log_every = "
+            f"{log_every}: its three arrays of {rows} rows take "
+            f"{24 * rows} > {MAX_LOG_BYTES} bytes")
     times, energies, diss = np.empty(rows), np.empty(rows), np.zeros(rows)
     Y, Py, rate, row = Y0.copy(), gen.op.apply(Y0.y), 0.0, 0
     y, v, w = Y.y, Y.v, gen.op.weight
@@ -367,6 +375,7 @@ def reduced_generator(gen: Generator) -> ReducedGenerator:
 # ---------------------------------------------------------------------------
 
 MAX_RESOLVENT_BYTES = 2 ** 30   # cap of _resolvent_bytes, per point
+MAX_LOG_BYTES = 2 ** 30         # cap of simulate's three float64 log arrays
 MAX_KERNEL_ROUNDOFF = 1e-2      # cap of rho in build_generator
 ARNOLDI_VECTORS = 8             # ARPACK basis: 20 takes twice the solves
 LANCZOS_MAXITER = 1000          # Lanczos steps per point before giving up

@@ -205,6 +205,13 @@ class TestExitCodes:
         (["decay-fit", "--bc", "clamped", "--n", "200", "--T", "10", "--dt",
           "0.5", "--n-power", "40"], None, "--n-power 40 on the 200-cell "
          "grid: |A^n Y0|^2 = inf or C = 0 is not finite"),
+        (["simulate", "--bc", "clamped", "--n", "16", "--T", "1e9", "--dt",
+          "1e-3"], None, "energy log refused for T = 1000000000.0, dt = "
+         "0.001, log_every = 1: its three arrays of 1000000000001 rows take "
+         "24000000000024 > 1073741824 bytes"),
+        (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "1e9", "--dt",
+          "1e-3"], None, "energy log refused for T = 1000000000.0, dt = "
+         "0.001, log_every = 10"),
         (["ls-check", "--bc-file", "/nonexistent/x.bc"], None, "--bc-file"),
         (["spectrum", "--bc", "clamped", "--config", "/nonexistent/run.cfg"],
          None, "--config"),
@@ -228,6 +235,7 @@ class TestExitCodes:
             "sigma-grid-overflow", "sigma-grid-point-overflow",
             "sigma-grid-extent-overflow", "sigma-grid-spaced-leading-minus",
             "sigma-grid-count", "sigma-grid-short", "n-power-overflow",
+            "simulate-log-too-large", "decay-fit-log-too-large",
             "bc-file-missing", "config-missing"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
@@ -703,11 +711,14 @@ from platelab.cli import main
 out = os.path.join(sys.argv[1], "a")
 runs = [["catalog"], ["roots", "--tau", "2", "--sigma", "1"],
         ["ls-check", "--bc", "clamped", "--samples", "5"],
+        ["ls-check", "--bc", "ex4_id_dn2_A", "--bc-param-a", "-1.3",
+         "--samples", "5"],
         ["subell", "--gamma", "25", "--region-n", "3"],
         ["gamma-search", "--region-n", "3"]]
 for argv in runs:
     assert main(argv + ["--out", out]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("numpy.random" in sys.modules)
 print(main(["spectrum", "--bc", "hinged", "--n", "16", "--out", out]),
       "scipy.linalg" in sys.modules)
 """
@@ -767,8 +778,9 @@ class TestConsoleEntry:
                                str(tmp_path)], capture_output=True, text=True,
                               env=_child_env())
         assert proc.returncode == 0, proc.stderr
-        scipy_modules, spectrum_run = proc.stdout.splitlines()
+        scipy_modules, numpy_random, spectrum_run = proc.stdout.splitlines()
         assert scipy_modules == "[]"
+        assert numpy_random == "False"
         assert spectrum_run == "0 True"
 
     @pytest.mark.parametrize("argv, loaded", [

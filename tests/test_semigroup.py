@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from platelab.plate import (
     spectrum,
 )
 from platelab.semigroup import (
+    MAX_LOG_BYTES,
     DampingError,
     EnergyLog,
     MidpointStepper,
@@ -363,12 +365,19 @@ class TestSimulate:
         ({"log_every": 2.0}, "log_every must be an integer >= 1, got 2.0"),
         ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
         ({"dt": math.inf}, "dt must be finite and > 0, got inf"),
+        ({"T": 1e300, "dt": 1e-10},
+         "T / dt = 1e+300 / 1e-10 is not a finite step count"),
+        ({"T": 1e9, "dt": 1e-3},
+         "energy log refused for T = 1000000000.0, dt = 0.001, log_every = "
+         "1: its three arrays of 1000000000001 rows take 24000000000024 > "
+         f"{MAX_LOG_BYTES} bytes"),
     ], ids=["T-negative", "T-inf", "log-every-0", "log-every-float",
-            "dt-nan", "dt-inf"])
+            "dt-nan", "dt-inf", "steps-overflow", "log-too-large"])
     def test_bad_argument_is_named(self, clamped_gen, args, message):
         Y0 = StateVector(np.ones(clamped_gen.size), np.zeros(clamped_gen.size))
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
             simulate(Y0, clamped_gen, **{"T": 1.0, "dt": 0.1, **args})
+        assert (exc.type is SizeLimitError) == message.startswith("energy log")
 
     def test_undamped_conservation_1000_steps(self):
         op = assemble(GRID, "hinged")
