@@ -481,6 +481,8 @@ def cmd_resolvent(cfg):
                                           parse_grid_spec(cfg["sigma_grid"]))
     except OverflowError as exc:
         raise ConfigError(f"--sigma-grid {cfg['sigma_grid']}: {exc}") from None
+    except semigroup.NegativeEnergyError as exc:
+        raise CheckFailure(str(exc)) from None
     unconverged = int((~sweep.converged).sum())
     write_csv(cfg["out"], _manifest(cfg, op, C=sweep.C, vacuous=sweep.vacuous,
                                     skipped=len(sweep.skipped),

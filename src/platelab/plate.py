@@ -21,17 +21,17 @@ so the operator stays nonnegative.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
-from . import SizeLimitError
+from . import SizeLimitError, _lapack
+from ._lapack import sparsetools
 
 __all__ = [
     "Grid",
@@ -39,6 +39,7 @@ __all__ = [
     "GridScaleError",
     "SizeLimitError",
     "IndefiniteError",
+    "CSR",
     "DiscretePlateOperator",
     "assemble",
     "check_symmetry",
@@ -110,22 +111,46 @@ def make_grid(n, lengths=None) -> Grid:
     return Grid(dimension, n, tuple(float(l) for l in lengths))
 
 
+class CSR(NamedTuple):
+    """A square matrix as the three arrays of scipy.sparse's CSR format,
+    with the same index dtype, column order and values as the scipy.sparse
+    operations that build it would give."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.indptr.size - 1,) * 2
+
+
 @dataclass
 class DiscretePlateOperator:
     grid: Grid
     bc_name: str
-    matrix: sp.csr_matrix
+    csr: CSR
     nodes: np.ndarray           # (N, d) unknown coordinates
     layout: str
     weight: float               # quadrature weight h^d of the grid product
-    tensor_factors: Optional[tuple] = None
+    tensor_factors: Optional[tuple] = None    # the two axes' Laplacians (CSR)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
+
+    @functools.cached_property
+    def matrix(self):
+        """The matrix as a scipy.sparse.csr_matrix on the same arrays, for
+        callers that need scipy's sparse objects (the resolvent)."""
+        import scipy.sparse
+        indptr, indices, data = self.csr
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=self.csr.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
+        Pu = np.zeros(self.size, np.result_type(self.csr.data, u))
+        sparsetools.csr_matvec(*self.csr.shape, *self.csr, u, Pu)
+        return Pu
 
     def inner(self, u, v) -> float:
         return self.weight * float(np.vdot(v, u).real)
@@ -135,8 +160,12 @@ class DiscretePlateOperator:
 
     @property
     def scale(self) -> float:
-        """||M||_inf, the largest absolute row sum."""
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        """||M||_inf, the largest absolute row sum.  The first call sorts
+        each row's columns in place, as scipy.sparse's abs() does to its
+        operand: every later product then sums a row in column order."""
+        indptr, _, data = _sorted(self.csr)
+        rows = np.flatnonzero(np.diff(indptr))
+        return float(np.add.reduceat(np.abs(data), indptr[rows]).max(initial=0.0))
 
     def dense(self) -> np.ndarray:
         """The matrix as an array, for the dense O(N^3) paths only."""
@@ -147,26 +176,83 @@ class DiscretePlateOperator:
                 f"and the generator reduction are dense O(N^3); spectrum "
                 f"eigenvalues, tensor-factor eigenvectors, time stepping and "
                 f"the resolvent are banded or sparse")
-        return self.matrix.toarray()
+        return _dense(self.csr)
+
+
+# ---------------------------------------------------------------------------
+# CSR arrays from the scipy.sparse kernels that scipy's own operations call,
+# so the index dtype, column order and summation order are scipy's
+# ---------------------------------------------------------------------------
+
+def _dense(A: CSR) -> np.ndarray:
+    out = np.zeros(A.shape)
+    sparsetools.csr_todense(*A.shape, *A, out)
+    return out
+
+
+def _rows(A: CSR) -> np.ndarray:
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+
+
+def _sorted(A: CSR) -> CSR:
+    """A with each row's columns ascending, sorted in place."""
+    sparsetools.csr_sort_indices(A.shape[0], *A)
+    return A
+
+
+def _csr_out(kernel, n: int, nnz: int, *args) -> CSR:
+    """The n x n CSR matrix of at most nnz entries that kernel(n, n, *args,
+    indptr, indices, data) writes."""
+    out = (np.empty(n + 1, np.int32), np.empty(nnz, np.int32), np.empty(nnz))
+    kernel(n, n, *args, *out)
+    return CSR(out[0], out[1][:out[0][-1]], out[2][:out[0][-1]])
+
+
+def _diags(diagonals: dict, n: int) -> CSR:
+    """sp.diags(values, offsets, shape=(n, n), format="csr") for diagonals
+    {offset: a scalar, or an array of its n - |offset| entries}."""
+    offsets = sorted(diagonals)
+    table = np.zeros((n, len(offsets)))
+    for c, k in enumerate(offsets):
+        table[max(0, -k):n - max(0, k), c] = diagonals[k]
+    keep = table != 0                   # dia_tocsr drops explicit zeros
+    cols = np.arange(n)[:, None] + np.array(offsets)
+    return CSR(np.append(0, np.cumsum(keep.sum(axis=1))).astype(np.int32),
+               cols[keep].astype(np.int32), table[keep])
+
+
+def _kron(A: CSR, B: CSR) -> CSR:
+    """sp.kron(A, B, format="csr"): the products in A's then B's entry
+    order, through coo_tocsr, then sorted."""
+    m, nnz = B.shape[0], A.data.size * B.data.size
+    return _sorted(_csr_out(sparsetools.coo_tocsr, A.shape[0] * m, nnz, nnz,
+                            (_rows(A)[:, None] * m + _rows(B)).ravel(),
+                            (A.indices[:, None] * m + B.indices).ravel(),
+                            (A.data[:, None] * B.data).ravel()))
+
+
+def _add(A: CSR, B: CSR) -> CSR:
+    return _csr_out(sparsetools.csr_plus_csr, A.shape[0],
+                    A.data.size + B.data.size, *A, *B)
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional building blocks
 # ---------------------------------------------------------------------------
 
-def _dirichlet_laplacian(n: int, h: float) -> sp.csr_matrix:
+def _dirichlet_laplacian(n: int, h: float) -> CSR:
     """-u'' on the n - 1 interior nodes with u = 0 at both ends."""
     main = np.full(n - 1, 2.0 / h ** 2)
     off = np.full(n - 2, -1.0 / h ** 2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return _diags({-1: off, 0: main, 1: off}, n - 1)
 
 
-def _neumann_laplacian(n: int, h: float) -> sp.csr_matrix:
+def _neumann_laplacian(n: int, h: float) -> CSR:
     """-u'' on n cell centers with zero-flux ends (graph Laplacian form)."""
     main = np.full(n, 2.0 / h ** 2)
     main[[0, -1]] = 1.0 / h ** 2
     off = np.full(n - 1, -1.0 / h ** 2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return _diags({-1: off, 0: main, 1: off}, n)
 
 
 _LAPLACIANS = {"node": _dirichlet_laplacian, "cell": _neumann_laplacian}
@@ -240,16 +326,19 @@ def _axis_matrices(family: _Family, n: int, h: float, a: float):
     """(B, L) on one axis of n cells of width h: the 1-D family matrix and
     the Laplacian of the family's layout."""
     L = _LAPLACIANS[family.layout](n, h)
-    if family.square:
-        B = L @ L
+    m = L.shape[0]
+    if family.square:                     # L @ L, columns left unsorted
+        B = _csr_out(sparsetools.csr_matmat, m, sparsetools.csr_matmat_maxnnz(
+            m, m, *L[:2], *L[:2]), *L, *L)
     else:
         stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h ** 4
-        B = sp.diags(stencil, range(-2, 3), shape=L.shape, format="csr")
+        B = _diags(dict(zip(range(-2, 3), stencil)), m)
     if family.corner is not None:
-        B.sort_indices()                  # L @ L leaves columns unsorted
+        B = _sorted(B)
         for (i, j), v in np.ndenumerate(family.corner(a, h)):
-            B[i, j] += v
-            B[-1 - i, -1 - j] += v
+            for r, c in ((i, j), (m - 1 - i, m - 1 - j)):
+                B.data[B.indptr[r] + np.flatnonzero(
+                    B.indices[B.indptr[r]:B.indptr[r + 1]] == c)[0]] += v
     return B, L
 
 
@@ -284,9 +373,10 @@ def assemble(grid: Grid, bc_pair, params: Optional[dict] = None
         M, factors = axes[0][0], None
     else:
         (B0, L0), (B1, L1) = axes
-        I0, I1 = (sp.identity(L.shape[0], format="csr") for L in (L0, L1))
-        M = (sp.kron(B0, I1, format="csr") + 2.0 * sp.kron(L0, L1, format="csr")
-             + sp.kron(I0, B1, format="csr"))
+        I0, I1 = (_diags({0: 1.0}, L.shape[0]) for L in (L0, L1))
+        L01 = _kron(L0, L1)
+        M = _add(_add(_kron(B0, I1), L01._replace(data=2.0 * L01.data)),
+                 _kron(I0, B1))
         factors = (L0, L1) if family.laplacian_square else None
     coords = np.meshgrid(*(grid.axis_nodes(ax, family.layout)
                            for ax in range(grid.dimension)), indexing="ij")
@@ -315,18 +405,20 @@ def check_symmetry(op: DiscretePlateOperator) -> float:
 
 
 def lower_band(matrix) -> np.ndarray:
-    """LAPACK lower band storage ab[k, j] = M[j + k, j] of a symmetric matrix."""
-    low = sp.tril(matrix, format="coo")
-    ab = np.zeros((int((low.row - low.col).max()) + 1, matrix.shape[0]))
-    np.add.at(ab, (low.row - low.col, low.col), low.data)
+    """LAPACK lower band storage ab[k, j] = M[j + k, j] of a symmetric CSR
+    matrix (a CSR or a scipy.sparse.csr_matrix)."""
+    row, col = _rows(matrix), matrix.indices
+    low = col <= row
+    row, col = row[low], col[low]
+    ab = np.zeros((int((row - col).max()) + 1, matrix.shape[0]))
+    np.add.at(ab, (row - col, col), matrix.data[low])
     return ab
 
 
 def _tensor_pairs(op: DiscretePlateOperator, count: int):
     """Lowest `count` eigenpairs of (L0 x I + I x L1)^2 from those of the two
     factors, forming only the selected Kronecker columns."""
-    (lam0, V0), (lam1, V1) = (scipy.linalg.eigh(L.toarray())
-                              for L in op.tensor_factors)
+    (lam0, V0), (lam1, V1) = (_lapack.eigh(_dense(L)) for L in op.tensor_factors)
     sums = (lam0[:, None] + lam1[None, :]) ** 2
     # a stable sort breaks ties by factor index (i, j)
     i, j = np.unravel_index(np.argsort(sums, axis=None, kind="stable")[:count],
@@ -347,11 +439,9 @@ def spectrum(op: DiscretePlateOperator, count: int, vectors: bool = True):
         mu, V = _tensor_pairs(op, count)
         return mu, V if vectors else None
     if not vectors:
-        mu = scipy.linalg.eig_banded(lower_band(op.matrix), lower=True,
-                                     eigvals_only=True, select="i",
-                                     select_range=(0, max(count, 1) - 1))
+        mu = _lapack.eigvals_banded(lower_band(op.csr), max(count, 1))
         return mu[:count], None
-    mu, V = scipy.linalg.eigh(op.dense())
+    mu, V = _lapack.eigh(op.dense())
     return mu[:count], V[:, :count] / math.sqrt(op.weight)
 
 
@@ -379,10 +469,10 @@ def kernel(op: DiscretePlateOperator) -> np.ndarray:
         cands.append(op.nodes[:, 0].copy())
     tol = KERNEL_RESIDUAL * op.scale
     good = [c for c in cands if np.abs(op.apply(c)).max() <= tol * np.abs(c).max()]
-    rest = np.ones(op.size, dtype=bool)
-    rest[[0, -1][:len(good)]] = False
-    factor, info = scipy.linalg.lapack.dpbtrf(
-        lower_band(op.matrix[rest][:, rest]), lower=1)
+    # dropping the first and last columns of the band drops those unknowns:
+    # LAPACK reads no entry past the last row
+    rest = lower_band(op.csr)[:, min(len(good), 1):op.size - (len(good) > 1)]
+    factor, info = _lapack.flapack.dpbtrf(rest, lower=1)
     if info:
         raise IndefiniteError(
             f"the operator is indefinite: with {len(good)} closed-form mode(s) "
@@ -431,10 +521,10 @@ def export_columnar(op: DiscretePlateOperator, directory, eig_count: int = 0):
     np.savetxt(out / "nodes.txt", np.column_stack([np.arange(op.size), op.nodes]),
                fmt=["%d"] + ["%.17g"] * op.nodes.shape[1],
                header="index coordinates")
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    row, col, data = _rows(op.csr), op.csr.indices, op.csr.data
+    order = np.lexsort((col, row))
     np.savetxt(out / "matrix.txt", np.column_stack(
-        [coo.row[order], coo.col[order], coo.data[order]]),
+        [row[order], col[order], data[order]]),
         fmt=["%d", "%d", "%.17g"], header="row col value")
     if eig_count:
         mu, _ = spectrum(op, eig_count, vectors=False)
@@ -447,8 +537,8 @@ def load_damping_profile(path, nodes: np.ndarray) -> np.ndarray:
     """Damping values on the operator's unknowns from a sampled-values file
     (columns: coordinates then value; '#' comments).  1-D profiles are
     linearly interpolated and their rows must span every node; higher
-    dimensions require one row per node, each within a quarter cell of its
-    node in every coordinate."""
+    dimensions require one row per node, each within a quarter of the
+    smallest cell side of its node (Euclidean distance)."""
     raw = np.loadtxt(path, ndmin=2)
     d = nodes.shape[1]
     if raw.shape[1] != d + 1:
@@ -464,14 +554,21 @@ def load_damping_profile(path, nodes: np.ndarray) -> np.ndarray:
     if raw.shape[0] != nodes.shape[0]:
         raise ValueError("2-D profiles must supply one row per grid unknown")
     # a quarter of the smallest cell side: the nodes' balls are disjoint, so
-    # each row is matched at most once, and exactly once when every node is
-    from scipy.spatial import cKDTree
-    tol = min(np.diff(np.unique(nodes[:, ax])).min() for ax in range(d)) / 4
-    dist, k = cKDTree(raw[:, :d]).query(nodes, k=2)
-    bad = (dist[:, 0] > tol) | (dist[:, 1] <= tol)
-    if bad.any():
-        i = int(np.argmax(bad))
+    # each row is matched at most once, and exactly once when every node is.
+    # The nodes are the lattice of their axes' coordinates, in 'ij' order:
+    # the one node a row can match rounds each of its coordinates
+    axes = [np.unique(nodes[:, ax]) for ax in range(d)]
+    tol = min(np.diff(x).min() for x in axes) / 4
+    node = np.ravel_multi_index([np.clip(np.rint((raw[:, ax] - x[0]) / (x[1] - x[0])),
+                                         0, x.size - 1).astype(int)
+                                 for ax, x in enumerate(axes)], [x.size for x in axes])
+    hit = np.linalg.norm(raw[:, :d] - nodes[node], axis=1) <= tol
+    count = np.bincount(node[hit], minlength=nodes.shape[0])
+    if np.any(count != 1):
+        i = int(np.argmax(count != 1))
         raise ValueError(f"node {tuple(nodes[i].tolist())} has "
-                         f"{int(np.sum(dist[i] <= tol))} profile rows within "
+                         f"{count[i]} profile rows within "
                          f"a quarter cell ({tol:.6g}); each node needs one")
-    return raw[k[:, 0], d]
+    alpha = np.empty(nodes.shape[0])
+    alpha[node[hit]] = raw[hit, d]
+    return alpha

@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from . import SizeLimitError
+from . import SizeLimitError, _lapack
 from .plate import DiscretePlateOperator, kernel as plate_kernel, lower_band
 
 __all__ = [
@@ -153,7 +150,7 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
 
     K, w = plate_kernel(op), op.weight
     G = w * (K.T @ (alpha[:, None] * K))
-    ev = scipy.linalg.eigvalsh(G)
+    ev = _lapack.eigh(G, vectors=False)
     if ev.size and ev[0] <= 1e-12 * max(ev[-1], 1e-300):
         raise DampingError(
             "damping-weighted Gram matrix is singular on the stationary "
@@ -166,8 +163,7 @@ def build_generator(op: DiscretePlateOperator, alpha_profile) -> Generator:
             f"grid: rho = eps ||P|| / ev_min^2 = {rho:.3g} exceeds its limit "
             f"{MAX_KERNEL_ROUNDOFF:g}, with ev_min = {ev[0]:.6g}")
     # Gram-Schmidt in the alpha-weighted product via Cholesky
-    L = scipy.linalg.cholesky(G, lower=True)
-    Kd = scipy.linalg.solve_triangular(L, K.T, lower=True).T
+    Kd = _lapack.cholesky_solve(G, K.T).T
     Gd = w * (Kd.T @ (alpha[:, None] * Kd))
     if np.abs(Gd - np.eye(ev.size)).max(initial=0.0) > 1e-10:
         raise AssertionError("damped kernel basis failed orthonormality")
@@ -213,12 +209,11 @@ class MidpointStepper:
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.gen = gen
         self.dt = dt
-        P = gen.op.matrix.tocsr()
+        P = gen.op.csr
         S = (dt ** 2 / 4.0) * lower_band(P)   # S in lower band storage
         S[0] = 1.0 + S[0] + (dt / 2.0) * gen.alpha
-        self._band = scipy.linalg.cholesky_banded(S, lower=True)
-        self._pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (self._band,))
-        self._csr = (*P.shape, P.indptr, P.indices, P.data)
+        self._band = _lapack.cholesky_banded(S)
+        self._csr = (*P.shape, *P)
         self._mid, self._work = np.empty(gen.size), np.empty(gen.size)
 
     def advance(self, y, v, Py) -> float:
@@ -227,13 +222,14 @@ class MidpointStepper:
         product.  Returns the dissipation rate <alpha v_mid, v_mid>."""
         dt, mid, work = self.dt, self._mid, self._work
         np.subtract(v, np.multiply(Py, dt / 2.0, out=mid), out=mid)
-        mid, info = self._pbtrs(self._band, mid, lower=1, overwrite_b=1)
+        mid, info = _lapack.flapack.dpbtrs(self._band, mid, lower=1,
+                                           overwrite_b=1)
         if info:
-            raise ValueError(f"pbtrs rejected argument {-info}")
+            raise ValueError(f"dpbtrs rejected argument {-info}")
         y += np.multiply(mid, dt, out=work)
         np.subtract(np.multiply(mid, 2.0, out=work), v, out=v)
         Py.fill(0.0)                        # csr_matvec adds P y to Py
-        _sparsetools.csr_matvec(*self._csr, y, Py)
+        _lapack.sparsetools.csr_matvec(*self._csr, y, Py)
         return self.gen.op.weight * float(
             np.vdot(mid, np.multiply(self.gen.alpha, mid, out=work)))
 
@@ -248,9 +244,9 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
     nonincreasing up to solver roundoff, and the kernel component of the
     state is a constant of the motion.  One MidpointStepper steps a copy of
     Y0 in place.  T must be finite and >= 0, dt finite and > 0, T / dt
-    finite and log_every an integer >= 1; a log above MAX_LOG_BYTES raises
-    SizeLimitError.  NaN or overflow, which makes the energy non-finite,
-    aborts with the step index.
+    finite and log_every an integer >= 1; a log above MAX_LOG_BYTES or more
+    than MAX_STEPS steps raises SizeLimitError.  NaN or overflow, which
+    makes the energy non-finite, aborts with the step index.
     """
     if not 0 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 0, got {T}")
@@ -268,6 +264,10 @@ def simulate(Y0: StateVector, gen: Generator, T: float, dt: float,
             f"energy log refused for T = {T}, dt = {dt}, log_every = "
             f"{log_every}: its three arrays of {rows} rows take "
             f"{24 * rows} > {MAX_LOG_BYTES} bytes")
+    if nsteps > MAX_STEPS:
+        raise SizeLimitError(
+            f"time stepping refused for T = {T}, dt = {dt}: its {nsteps} "
+            f"steps exceed {MAX_STEPS}")
     times, energies, diss = np.empty(rows), np.empty(rows), np.zeros(rows)
     Y, Py, rate, row = Y0.copy(), gen.op.apply(Y0.y), 0.0, 0
     y, v, w = Y.y, Y.v, gen.op.weight
@@ -332,6 +332,7 @@ class ReducedGenerator:
 def reduced_generator(gen: Generator) -> ReducedGenerator:
     if gen._reduced is not None:
         return gen._reduced
+    import scipy.linalg
     n = gen.size
     w = gen.op.weight
     P = gen.op.dense()      # raises SizeLimitError above MAX_DENSE_UNKNOWNS
@@ -376,6 +377,7 @@ def reduced_generator(gen: Generator) -> ReducedGenerator:
 
 MAX_RESOLVENT_BYTES = 2 ** 30   # cap of _resolvent_bytes, per point
 MAX_LOG_BYTES = 2 ** 30         # cap of simulate's three float64 log arrays
+MAX_STEPS = 10 ** 9             # cap of simulate's steps: 3 h at n = 200
 MAX_KERNEL_ROUNDOFF = 1e-2      # cap of rho in build_generator
 ARNOLDI_VECTORS = 8             # ARPACK basis: 20 takes twice the solves
 LANCZOS_MAXITER = 1000          # Lanczos steps per point before giving up
@@ -401,15 +403,18 @@ class _Pencil:
     coeffs: np.ndarray      # (3, nnz): B0, B1, B2 on the pattern
 
     def at(self, z: complex):
+        import scipy.sparse
         m = self.indptr.size - 1
         with np.errstate(over="ignore", invalid="ignore"):
             data = self.coeffs[0] + z * self.coeffs[1] + z * z * self.coeffs[2]
         if not np.isfinite(data).all():
             raise OverflowError(f"B(z) has a non-finite entry at z = {z}")
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
+        return scipy.sparse.csc_matrix((data, self.indices, self.indptr),
+                                       shape=(m, m))
 
 
 def _pencil(gen: Generator) -> _Pencil:
+    import scipy.sparse
     n, k, w = gen.size, gen.kernel_dim, gen.op.weight
     a, Phi = gen.alpha, gen.kernel_damped
     P = gen.op.matrix.tocoo()
@@ -428,7 +433,7 @@ def _pencil(gen: Generator) -> _Pencil:
                         for j in (1, 2, 3))
     # one triplet list for all three, so they share a pattern (the
     # conversion sums duplicates and keeps explicit zeros)
-    B = [sp.csc_matrix((np.where(power == p, vals, 0.0), (rows, cols)),
+    B = [scipy.sparse.csc_matrix((np.where(power == p, vals, 0.0), (rows, cols)),
                        shape=(n + k,) * 2) for p in range(3)]
     return _Pencil(B[0].indices, B[0].indptr, np.array([Bp.data for Bp in B]))
 
@@ -442,11 +447,14 @@ def _resolvent_bytes(gen: Generator) -> int:
     64 x 48 hinged plate L + U hold 294,087 entries against the bound's
     837,963."""
     n, k = gen.size, gen.kernel_dim
-    P = gen.op.matrix.tocoo()
-    b = int(np.abs(P.row - P.col).max()) if P.nnz else 0
+    b = lower_band(gen.op.csr).shape[0] - 1
     factor = (n + k) * (3 * b + 1) + 2 * k * (n + k)
     vectors = (min(LANCZOS_MAXITER, 2 * n) + ARNOLDI_VECTORS) * 2 * n
     return 16 * (factor + vectors)
+
+
+class NegativeEnergyError(ValueError):
+    """A negative energy <X, X> in the resolvent's Lanczos iteration."""
 
 
 class _Resolvent:
@@ -505,6 +513,15 @@ class _Resolvent:
                   return_eigenvectors=False)[0]
         return 1.0 / abs(mu)
 
+    def _root(self, what: str, value: float) -> float:
+        if not value >= 0:
+            raise NegativeEnergyError(
+                f"{what} is {value:.6g} at sigma = {self.z.imag:g} (z = "
+                f"{self.z}): the energy product is not positive on the "
+                f"complement, so the operator is indefinite or has a "
+                f"stationary mode outside the kernel basis")
+        return math.sqrt(value)
+
     def norm(self, start):
         """|R| in the energy norm, the square root of the largest eigenvalue
         of R* R: Lanczos in the energy product with full reorthogonalization
@@ -513,10 +530,12 @@ class _Resolvent:
         LANCZOS_MAXITER runs out, converged is False and norm is only a
         lower bound.
         """
+        from scipy.linalg import eigvalsh_tridiagonal
         m = min(LANCZOS_MAXITER, start.size)
         Q = np.empty((m, start.size), dtype=complex)
         diag, off = np.zeros(m), np.zeros(m)
-        q = start / math.sqrt(np.vdot(start, self.gram(start)).real)
+        q = start / self._root("the start vector's energy",
+                               np.vdot(start, self.gram(start)).real)
         sigma_old = 0.0
         for j in range(m):
             Q[j] = q
@@ -527,10 +546,11 @@ class _Resolvent:
                 c = np.einsum("ij,j->i", Q[:j + 1], self.gram(r).conj()).conj()
                 r -= np.einsum("i,ij->j", c, Q[:j + 1])
                 diag[j] += c[j].real
-            theta = scipy.linalg.eigvalsh_tridiagonal(
+            theta = eigvalsh_tridiagonal(
                 diag[:j + 1], off[:j], select="i", select_range=(j, j))[0]
-            sigma = math.sqrt(theta)
-            off[j] = math.sqrt(np.vdot(r, self.gram(r)).real)
+            sigma = self._root(f"Ritz value {j}", theta)
+            off[j] = self._root(f"residual {j}'s energy",
+                                np.vdot(r, self.gram(r)).real)
             # a vanishing residual means an invariant Krylov space, on which
             # the Ritz value is exact
             if abs(sigma - sigma_old) <= 1e-9 * sigma or off[j] <= 1e-14 * theta:
@@ -581,8 +601,9 @@ def resolvent_norm(gen: Generator, z: complex) -> float:
 
     Lanczos on R* R through one sparse factor of B(z).  Raises ValueError
     when z sits on (or numerically at) an eigenvalue of the reduced
-    generator, OverflowError when B(z) has a non-finite entry, and
-    RuntimeError when Lanczos or the nearest-eigenvalue search does not
+    generator, OverflowError when B(z) has a non-finite entry,
+    NegativeEnergyError when an energy in the Lanczos iteration is negative,
+    and RuntimeError when Lanczos or the nearest-eigenvalue search does not
     converge.
     """
     pencil, skip = _prepare(gen)
@@ -626,7 +647,8 @@ def resolvent_sweep(gen: Generator, sigma_grid) -> SweepResult:
     to the nearest reduced eigenvalue gives the universal lower bound
     |R| >= 1/dist for cross-checking.  Each point costs one sparse LU of
     B(i s), then two solves per Lanczos step and one per ARPACK product.
-    A sigma at which B(i sigma) has a non-finite entry raises OverflowError.
+    A sigma at which B(i sigma) has a non-finite entry raises OverflowError,
+    one with a negative Lanczos energy NegativeEnergyError.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     pencil, skip = _prepare(gen)

@@ -212,6 +212,13 @@ class TestExitCodes:
         (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "1e9", "--dt",
           "1e-3"], None, "energy log refused for T = 1000000000.0, dt = "
          "0.001, log_every = 10"),
+        (["simulate", "--bc", "clamped", "--n", "16", "--T", "1e9", "--dt",
+          "1e-3", "--log-every", "100000"], None, "time stepping refused for "
+         "T = 1000000000.0, dt = 0.001: its 1000000000000 steps exceed "
+         "1000000000"),
+        (["decay-fit", "--bc", "clamped", "--n", "16", "--T", "2e6", "--dt",
+          "1e-3", "--log-every", "1000"], None, "time stepping refused for "
+         "T = 2000000.0, dt = 0.001: its 2000000000 steps exceed 1000000000"),
         (["ls-check", "--bc-file", "/nonexistent/x.bc"], None, "--bc-file"),
         (["spectrum", "--bc", "clamped", "--config", "/nonexistent/run.cfg"],
          None, "--config"),
@@ -236,6 +243,7 @@ class TestExitCodes:
             "sigma-grid-extent-overflow", "sigma-grid-spaced-leading-minus",
             "sigma-grid-count", "sigma-grid-short", "n-power-overflow",
             "simulate-log-too-large", "decay-fit-log-too-large",
+            "simulate-too-many-steps", "decay-fit-too-many-steps",
             "bc-file-missing", "config-missing"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
@@ -420,6 +428,17 @@ class TestArtifacts:
         assert "# unconverged = 6" in text
         assert "# max_iterations = 1" in text
         assert "did not converge" in capsys.readouterr().err
+
+    def test_resolvent_negative_energy_fails(self, tmp_path, capsys):
+        # ex4 at a = -2/L has the stationary mode x (L - x), which the kernel
+        # basis lacks: the Lanczos energy of a residual goes negative
+        out = tmp_path / "r.csv"
+        assert run_cli("resolvent", "--bc", "ex4_id_dn2_A", "--bc-param-a",
+                       "-1", "--length", "2", "--n", "100", "--sigma-grid",
+                       "0:2:1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: residual ")
+        assert "'s energy is -" in err and "at sigma = 1 " in err
 
     def test_resolvent_kernel_family_through_origin(self, tmp_path):
         # free ends: a two-dimensional kernel, and a reduced eigenvalue
@@ -735,6 +754,45 @@ print(" ".join(m for m in ("symbols", "lscheck", "weights")
 """
 
 
+# runs the plate-side commands, then prints the scipy modules loaded
+_PLATE_CHILD = """
+import os, sys
+from platelab.cli import main
+out, profile = sys.argv[1:]
+runs = [["assemble", "--bc", "clamped", "--n", "16", "--count", "5"],
+        ["spectrum", "--bc", "clamped", "--n", "40"],
+        ["spectrum", "--bc", "hinged", "--dim", "2", "--n", "9", "--n-y", "12"],
+        ["simulate", "--bc", "neumann_pair", "--n", "40", "--T", "0.5"],
+        ["simulate", "--bc", "hinged", "--dim", "2", "--n", "9", "--n-y", "12",
+         "--alpha", "file:" + profile, "--T", "0.5"],
+        ["decay-fit", "--bc", "clamped", "--n", "40", "--T", "5"]]
+for i, argv in enumerate(runs):
+    assert main(argv + ["--out", os.path.join(out, str(i))]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+# the plate-side commands and the resolvent in one process, each writing
+# argv[1]/<i>.csv; with argv[2] == "fallback", scipy's files are not found,
+# so the compiled modules come through the packages' imports
+_ONE_PROCESS_RUNS = [
+    ["spectrum", "--bc", "clamped", "--n", "40"],
+    ["resolvent", "--bc", "clamped", "--n", "16", "--sigma-grid", "0:2:1"],
+    ["simulate", "--bc", "neumann_pair", "--n", "40", "--T", "0.5"]]
+_ONE_PROCESS_CHILD = f"""
+import importlib.util, os, sys
+if sys.argv[2] == "fallback":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *args: (
+        None if name == "scipy" else find_spec(name, *args))
+from platelab.cli import main
+for i, argv in enumerate({_ONE_PROCESS_RUNS!r}):
+    assert main(argv + ["--out", os.path.join(sys.argv[1], f"{{i}}.csv")]) == 0
+    if i == 0:
+        print("scipy.linalg" in sys.modules)
+import scipy.linalg.lapack
+print(sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack)
+"""
+
 # prints what the imports named in argv changed in os.environ
 _ENV_CHILD = """
 import json, os, sys
@@ -781,7 +839,48 @@ class TestConsoleEntry:
         scipy_modules, numpy_random, spectrum_run = proc.stdout.splitlines()
         assert scipy_modules == "[]"
         assert numpy_random == "False"
-        assert spectrum_run == "0 True"
+        assert spectrum_run == "0 False"
+
+    def test_plate_commands_load_no_scipy_package(self, tmp_path):
+        # the plate side calls LAPACK and the CSR kernels through the two
+        # compiled modules alone: no scipy package code runs
+        from platelab import plate
+        op = plate.assemble(plate.make_grid((9, 12)), "hinged")
+        profile = tmp_path / "alpha.txt"
+        np.savetxt(profile, np.column_stack([op.nodes, np.ones(op.size)]))
+        proc = subprocess.run([sys.executable, "-c", _PLATE_CHILD,
+                               str(tmp_path), str(profile)],
+                              capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(
+            ["scipy.linalg._flapack", "scipy.sparse._sparsetools"])
+
+    @pytest.mark.parametrize("mode, package_first", [
+        ("file", "False"), ("fallback", "True")],
+        ids=["one-process", "fallback-loader"])
+    def test_compiled_modules_give_fresh_process_bytes(self, mode,
+                                                       package_first,
+                                                       tmp_path):
+        # one interpreter that loads the compiled modules by file (or, in
+        # the fallback, through the packages), then imports scipy.linalg
+        # and scipy.sparse for the resolvent, writes the bytes that
+        # separate processes write
+        fresh, same = tmp_path / "fresh", tmp_path / "same"
+        fresh.mkdir()
+        same.mkdir()
+        for i, argv in enumerate(_ONE_PROCESS_RUNS):
+            subprocess.run([sys.executable, "-m", "platelab.cli", *argv,
+                            "--out", str(fresh / f"{i}.csv")],
+                           check=True, env=_child_env())
+        proc = subprocess.run([sys.executable, "-c", _ONE_PROCESS_CHILD,
+                               str(same), mode], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [package_first, "True"]
+        for i in range(len(_ONE_PROCESS_RUNS)):
+            assert (same / f"{i}.csv").read_bytes() == \
+                (fresh / f"{i}.csv").read_bytes(), _ONE_PROCESS_RUNS[i]
 
     @pytest.mark.parametrize("argv, loaded", [
         (["catalog"], "symbols lscheck"),

@@ -8,8 +8,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from platelab import _lapack
 from platelab.plate import (
     CELL_WIDTHS,
+    CSR,
     DiscretePlateOperator,
     GridScaleError,
     IndefiniteError,
@@ -21,6 +23,7 @@ from platelab.plate import (
     export_columnar,
     kernel,
     load_damping_profile,
+    lower_band,
     make_grid,
     spectrum,
 )
@@ -269,7 +272,9 @@ class TestAssembly:
         op = assemble(GRID, "hinged")
         M = op.dense()
         M[0, 3] += 17.0 / GRID.h[0] ** 4
-        bad = DiscretePlateOperator(op.grid, "broken", sp.csr_matrix(M),
+        M = sp.csr_matrix(M)
+        bad = DiscretePlateOperator(op.grid, "broken",
+                                    CSR(M.indptr, M.indices, M.data),
                                     op.nodes, op.layout, op.weight)
         assert check_symmetry(bad) > 1e-6
 
@@ -514,7 +519,8 @@ class TestKernel:
         op1 = assemble(GRID, "neumann_pair")
         M = sp.block_diag([op1.matrix, op1.matrix], format="csr")
         nodes = np.vstack([op1.nodes, op1.nodes + 2.0])
-        op2 = DiscretePlateOperator(op1.grid, "neumann_pair", M, nodes,
+        op2 = DiscretePlateOperator(op1.grid, "neumann_pair",
+                                    CSR(M.indptr, M.indices, M.data), nodes,
                                     "cell", op1.weight)
         with pytest.raises(IndefiniteError, match="1 closed-form"):
             kernel(op2)
@@ -543,6 +549,42 @@ class TestKernel:
             assert spectrum(op, 1, vectors=False)[0][0] < 0, name
             with pytest.raises(IndefiniteError, match="indefinite"):
                 kernel(op)
+
+
+class TestCompiledKernels:
+    def test_checks_of_the_lapack_calls(self):
+        # scipy.linalg's checks stay: a non-finite input is a ValueError, a
+        # failed factorization names its routine
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _lapack.eigh(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _lapack.eigvals_banded(np.array([[1.0, math.inf]]), 1)
+        with pytest.raises(np.linalg.LinAlgError, match="^dpotrf: leading "
+                                                        "minor 2 is not"):
+            _lapack.cholesky_solve(indefinite, np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError, match="^dpbtrf: leading "
+                                                        "minor 2 is not"):
+            _lapack.cholesky_banded(np.array([[1.0, 1.0], [2.0, 0.0]]))
+
+    def test_calls_match_scipy_linalg(self, rng):
+        A = rng.normal(size=(7, 7))
+        A = A + A.T
+        G = A @ A.T + np.eye(7)
+        ab = lower_band(assemble(make_grid(40), "clamped").csr)
+        for mine, ref in [
+                (_lapack.eigh(A), scipy.linalg.eigh(A)),
+                (_lapack.eigh(A, vectors=False), scipy.linalg.eigvalsh(A)),
+                (_lapack.cholesky_solve(G, A), scipy.linalg.solve_triangular(
+                    scipy.linalg.cholesky(G, lower=True), A, lower=True)),
+                (_lapack.cholesky_banded(ab),
+                 scipy.linalg.cholesky_banded(ab, lower=True)),
+                (_lapack.eigvals_banded(ab, 5), scipy.linalg.eig_banded(
+                    ab, lower=True, eigvals_only=True, select="i",
+                    select_range=(0, 4)))]:
+            for x, y in zip(*((mine, ref) if isinstance(mine, tuple)
+                              else ((mine,), (ref,)))):
+                assert np.array_equal(x, y)
 
 
 class TestExternalInterfaces:
@@ -576,6 +618,26 @@ class TestExternalInterfaces:
         path = tmp_path / "alpha.txt"
         path.write_text("0.0 1.0 2.0\n")
         with pytest.raises(ValueError):
+            load_damping_profile(path, op.nodes)
+
+    def test_damping_profile_2d_rows_match_their_nodes(self, tmp_path, rng):
+        # rows in any order, each off its node by under a quarter cell, land
+        # on their own nodes; a row moved onto another node leaves its own
+        # node bare and gives the other two rows
+        op = assemble(make_grid((9, 12), (1.0, 0.75)), "hinged")
+        order = rng.permutation(op.size)
+        h = np.array(op.grid.h)
+        rows = op.nodes[order] + rng.uniform(-0.1, 0.1, op.nodes.shape) * h
+        path = tmp_path / "alpha.txt"
+        np.savetxt(path, np.column_stack([rows, order]))
+        assert np.array_equal(load_damping_profile(path, op.nodes),
+                              np.arange(op.size))
+        rows[0] = op.nodes[order[1]]
+        np.savetxt(path, np.column_stack([rows, order]))
+        count = 0 if order[0] < order[1] else 2     # the first bad node's
+        with pytest.raises(ValueError, match=(
+                rf"^node \(.*\) has {count} profile rows within a quarter "
+                rf"cell \(0.015625\); each node needs one$")):
             load_damping_profile(path, op.nodes)
 
     def test_damping_profile_rows_off_the_grid(self, tmp_path, capsys):

@@ -9,7 +9,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from platelab import semigroup
 from platelab.plate import (
+    CSR,
     DiscretePlateOperator,
     SizeLimitError,
     assemble,
@@ -20,9 +22,11 @@ from platelab.plate import (
 )
 from platelab.semigroup import (
     MAX_LOG_BYTES,
+    MAX_STEPS,
     DampingError,
     EnergyLog,
     MidpointStepper,
+    NegativeEnergyError,
     StateVector,
     build_generator,
     decay_fit,
@@ -371,13 +375,18 @@ class TestSimulate:
          "energy log refused for T = 1000000000.0, dt = 0.001, log_every = "
          "1: its three arrays of 1000000000001 rows take 24000000000024 > "
          f"{MAX_LOG_BYTES} bytes"),
+        ({"T": 1e9, "dt": 1e-3, "log_every": 100000},
+         "time stepping refused for T = 1000000000.0, dt = 0.001: its "
+         f"1000000000000 steps exceed {MAX_STEPS}"),
     ], ids=["T-negative", "T-inf", "log-every-0", "log-every-float",
-            "dt-nan", "dt-inf", "steps-overflow", "log-too-large"])
+            "dt-nan", "dt-inf", "steps-overflow", "log-too-large",
+            "too-many-steps"])
     def test_bad_argument_is_named(self, clamped_gen, args, message):
         Y0 = StateVector(np.ones(clamped_gen.size), np.zeros(clamped_gen.size))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
             simulate(Y0, clamped_gen, **{"T": 1.0, "dt": 0.1, **args})
-        assert (exc.type is SizeLimitError) == message.startswith("energy log")
+        assert (exc.type is SizeLimitError) == message.startswith(
+            ("energy log", "time stepping"))
 
     def test_undamped_conservation_1000_steps(self):
         op = assemble(GRID, "hinged")
@@ -604,14 +613,33 @@ class TestResolvent:
     def test_exactly_singular_point_is_skipped(self):
         # undamped P = diag(1, 4, ..., 225): B(2i) = P - 4 has an exact zero
         # pivot, so sigma = 2 sits on the eigenvalue 2i and is skipped
+        P = sp.diags(np.arange(1.0, 16.0) ** 2, format="csr")
         op = dataclasses.replace(assemble(make_grid(16), "clamped"),
-                                 matrix=sp.diags(np.arange(1.0, 16.0) ** 2,
-                                                 format="csr"))
+                                 csr=CSR(P.indptr, P.indices, P.data))
         gen = build_generator(op, np.zeros(op.size))
         sweep = resolvent_sweep(gen, [0.5, 2.0])
         assert sweep.skipped == [2.0]
         assert math.isfinite(sweep.norms[0]) and math.isnan(sweep.norms[1])
         assert sweep.nearest_dist[1] == 0.0 and sweep.iterations[1] == 0
+
+    @pytest.mark.parametrize("flip, named", [
+        (0, "the start vector's energy is -"), (1, "Ritz value 0 is -"),
+        (3, "residual 0's energy is -"),
+    ], ids=["start", "ritz-value", "residual"])
+    def test_negative_energy_is_named(self, clamped_gen, monkeypatch, flip,
+                                      named):
+        # the energy product turns negative from its flip-th use on: the
+        # start normalization uses it once, then each Lanczos step twice for
+        # the Ritz value and once for the residual
+        gram, calls = semigroup._Resolvent.gram, []
+
+        def flipped(res, x):
+            calls.append(x)
+            return (-1.0 if len(calls) > flip else 1.0) * gram(res, x)
+        monkeypatch.setattr(semigroup._Resolvent, "gram", flipped)
+        with pytest.raises(NegativeEnergyError,
+                           match=f"^{re.escape(named)}.* at sigma = 3 "):
+            resolvent_norm(clamped_gen, 3j)
 
     @pytest.mark.parametrize("z", [1e307j, 1e160j, complex(1e200, 1e200)])
     def test_overflowing_point_is_refused(self, clamped_gen, z):
