@@ -21,7 +21,6 @@ so the operator stays nonnegative.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -138,14 +137,6 @@ class DiscretePlateOperator:
     @property
     def size(self) -> int:
         return self.csr.shape[0]
-
-    @functools.cached_property
-    def matrix(self):
-        """The matrix as a scipy.sparse.csr_matrix on the same arrays, for
-        callers that need scipy's sparse objects (the resolvent)."""
-        import scipy.sparse
-        indptr, indices, data = self.csr
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=self.csr.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         Pu = np.zeros(self.size, np.result_type(self.csr.data, u))

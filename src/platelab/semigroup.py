@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import SizeLimitError, _lapack
-from .plate import DiscretePlateOperator, kernel as plate_kernel, lower_band
+from .plate import (DiscretePlateOperator, _csr_out, _rows, _sorted,
+                    kernel as plate_kernel, lower_band)
 
 __all__ = [
     "StateVector",
@@ -403,39 +404,44 @@ class _Pencil:
     coeffs: np.ndarray      # (3, nnz): B0, B1, B2 on the pattern
 
     def at(self, z: complex):
-        import scipy.sparse
-        m = self.indptr.size - 1
+        """B(z) as its CSC arrays (data, indices, indptr)."""
         with np.errstate(over="ignore", invalid="ignore"):
             data = self.coeffs[0] + z * self.coeffs[1] + z * z * self.coeffs[2]
         if not np.isfinite(data).all():
             raise OverflowError(f"B(z) has a non-finite entry at z = {z}")
-        return scipy.sparse.csc_matrix((data, self.indices, self.indptr),
-                                       shape=(m, m))
+        return data, self.indices, self.indptr
 
 
 def _pencil(gen: Generator) -> _Pencil:
-    import scipy.sparse
     n, k, w = gen.size, gen.kernel_dim, gen.op.weight
     a, Phi = gen.alpha, gen.kernel_damped
-    P = gen.op.matrix.tocoo()
+    P = gen.op.csr
     i = np.arange(n)
     # the border column block, row by row of Phi, and the corner
     r, c = np.repeat(i, k), n + np.tile(np.arange(k), n)
     rb, cb = n + np.repeat(np.arange(k), k), n + np.tile(np.arange(k), k)
     aPhi, Phi1 = (a[:, None] * Phi).ravel(), Phi.ravel()
     # (power of z, rows, columns, values) of each term
-    parts = [(0, P.row, P.col, P.data), (1, i, i, -a), (2, i, i, np.ones(n)),
-             (0, r, c, aPhi), (1, r, c, -Phi1),
+    parts = [(0, _rows(P), P.indices, P.data), (1, i, i, -a),
+             (2, i, i, np.ones(n)), (0, r, c, aPhi), (1, r, c, -Phi1),
              (0, c, r, w * aPhi), (1, c, r, -w * Phi1),
              (0, rb, cb, w * (Phi.T @ Phi).ravel())]
     power = np.concatenate([np.full(len(rr), p) for p, rr, _, _ in parts])
-    rows, cols, vals = (np.concatenate([part[j] for part in parts])
-                        for j in (1, 2, 3))
-    # one triplet list for all three, so they share a pattern (the
-    # conversion sums duplicates and keeps explicit zeros)
-    B = [scipy.sparse.csc_matrix((np.where(power == p, vals, 0.0), (rows, cols)),
-                       shape=(n + k,) * 2) for p in range(3)]
-    return _Pencil(B[0].indices, B[0].indptr, np.array([Bp.data for Bp in B]))
+    rows, cols = (np.concatenate([part[j] for part in parts]).astype(np.int32)
+                  for j in (1, 2))
+    vals = np.concatenate([part[3] for part in parts])
+    # one triplet list for all three, so they share a pattern; CSC is the
+    # CSR of the transpose, converted as scipy.sparse's csc_matrix((values,
+    # (rows, cols))) converts it: sorted, duplicates summed, explicit zeros
+    # kept
+    coeffs = []
+    for p in range(3):
+        B = _sorted(_csr_out(_lapack.sparsetools.coo_tocsr, n + k, rows.size,
+                             rows.size, cols, rows,
+                             np.where(power == p, vals, 0.0)))
+        _lapack.sparsetools.csr_sum_duplicates(n + k, n + k, *B)
+        coeffs.append(B.data[:B.indptr[-1]])
+    return _Pencil(B.indices[:B.indptr[-1]], B.indptr, np.array(coeffs))
 
 
 def _resolvent_bytes(gen: Generator) -> int:
@@ -465,19 +471,12 @@ class _Resolvent:
     the adjoint R* reuses the factor through B(z)^H."""
 
     def __init__(self, gen: Generator, pencil: _Pencil, z: complex):
-        from scipy.sparse.linalg import splu
         self.gen, self.z = gen, complex(z)
-        self.lu = splu(pencil.at(self.z), permc_spec="MMD_AT_PLUS_A")
+        self.lu = _lapack.splu(*pencil.at(self.z))
 
     def gram(self, x):
         n, w = self.gen.size, self.gen.op.weight
-        return w * np.concatenate([self.gen.op.matrix @ x[:n], x[n:]])
-
-    def stationary_free(self, x):
-        """x minus its stationary part (Phi F(x), 0)."""
-        gen, n = self.gen, self.gen.size
-        x[:n] -= gen.kernel_damped @ gen._F(x[:n], x[n:])
-        return x
+        return w * np.concatenate([self.gen.op.apply(x[:n]), x[n:]])
 
     def apply(self, x):
         """R x: B(z) [u; rho] = [(z - alpha) f - g; -w Phi^T f], then
@@ -499,18 +498,16 @@ class _Resolvent:
                                           np.zeros(gen.kernel_dim)]),
                           trans="H")
         u = s[:n]
-        return self.stationary_free(np.concatenate(
+        return _stationary_free(gen, np.concatenate(
             [u, zc * u - f - gen.op.weight * (Phi @ s[n:])]))
 
     def nearest_dist(self, v0) -> float:
         """|z - lambda| for the eigenvalue lambda of the reduced generator
-        nearest z, from ARPACK's largest eigenvalue mu = 1/(z - lambda) of R;
-        raises ArpackNoConvergence when ARPACK stops short."""
-        from scipy.sparse.linalg import LinearOperator, eigs
-        m = v0.size
-        R = LinearOperator((m, m), matvec=self.apply, dtype=complex)
-        mu = eigs(R, k=1, which="LM", tol=1e-12, v0=v0, ncv=ARNOLDI_VECTORS,
-                  return_eigenvectors=False)[0]
+        nearest z, from ARPACK's largest eigenvalue mu = 1/(z - lambda) of R
+        with scipy's default limit of 10 restarts per unknown; nan when
+        ARPACK stops short."""
+        mu = _lapack.eig_largest(self.apply, v0, ARNOLDI_VECTORS, 1e-12,
+                                 10 * v0.size)
         return 1.0 / abs(mu)
 
     def _root(self, what: str, value: float) -> float:
@@ -530,7 +527,6 @@ class _Resolvent:
         LANCZOS_MAXITER runs out, converged is False and norm is only a
         lower bound.
         """
-        from scipy.linalg import eigvalsh_tridiagonal
         m = min(LANCZOS_MAXITER, start.size)
         Q = np.empty((m, start.size), dtype=complex)
         diag, off = np.zeros(m), np.zeros(m)
@@ -546,8 +542,7 @@ class _Resolvent:
                 c = np.einsum("ij,j->i", Q[:j + 1], self.gram(r).conj()).conj()
                 r -= np.einsum("i,ij->j", c, Q[:j + 1])
                 diag[j] += c[j].real
-            theta = eigvalsh_tridiagonal(
-                diag[:j + 1], off[:j], select="i", select_range=(j, j))[0]
+            theta = _lapack.eigvalsh_tridiagonal(diag[:j + 1], off[:j], j)
             sigma = self._root(f"Ritz value {j}", theta)
             off[j] = self._root(f"residual {j}'s energy",
                                 np.vdot(r, self.gram(r)).real)
@@ -560,32 +555,35 @@ class _Resolvent:
         return sigma, m, m < LANCZOS_MAXITER
 
 
-def _point(gen: Generator, pencil: _Pencil, z: complex, skip: float):
-    """(nearest_dist, norm, steps, converged) at z.  The norm is nan and
-    steps 0 when z lies within `skip` of the reduced spectrum; nearest_dist
-    is nan, and converged False, when ARPACK does not converge."""
-    from scipy.sparse.linalg import ArpackNoConvergence
+def _stationary_free(gen: Generator, x):
+    """x minus its stationary part (Phi F(x), 0), in place."""
+    n = gen.size
+    x[:n] -= gen.kernel_damped @ gen._F(x[:n], x[n:])
+    return x
+
+
+def _point(gen: Generator, pencil: _Pencil, z: complex, skip: float, start):
+    """(nearest_dist, norm, steps, converged) at z, from the start vector
+    of both iterations.  The norm is nan and steps 0 when z lies within
+    `skip` of the reduced spectrum; nearest_dist is nan, and converged
+    False, when ARPACK does not converge."""
     try:
         res = _Resolvent(gen, pencil, z)
     except RuntimeError:        # B(z) exactly singular: z is an eigenvalue
         return 0.0, math.nan, 0, True
-    x = np.random.default_rng(0).normal(size=(2, 2 * gen.size))
-    start = res.stationary_free(x[0] + 1j * x[1])
-    try:
-        dist, found = res.nearest_dist(start), True
-    except ArpackNoConvergence:
-        dist, found = math.nan, False
+    dist = res.nearest_dist(start)
     if dist < skip:
         return dist, math.nan, 0, True
     nrm, steps, converged = res.norm(start)
-    return dist, nrm, steps, converged and found
+    return dist, nrm, steps, converged and not math.isnan(dist)
 
 
 def _prepare(gen: Generator):
-    """The pencil and the skip distance 1e-12 scale, with scale =
+    """The pencil, the skip distance 1e-12 scale, with scale =
     max(max alpha + sqrt(|P|_inf), 1) bounding every eigenvalue modulus of
-    the generator; raises SizeLimitError when _resolvent_bytes exceeds
-    MAX_RESOLVENT_BYTES."""
+    the generator, and every point's start vector, a seeded normal draw
+    without its stationary part; raises SizeLimitError when
+    _resolvent_bytes exceeds MAX_RESOLVENT_BYTES."""
     need = _resolvent_bytes(gen)
     if need > MAX_RESOLVENT_BYTES:
         raise SizeLimitError(
@@ -593,7 +591,9 @@ def _prepare(gen: Generator):
             f"and Lanczos basis take an estimated {need} > "
             f"{MAX_RESOLVENT_BYTES} bytes")
     bound = float(gen.alpha.max(initial=0.0)) + math.sqrt(gen.op.scale)
-    return _pencil(gen), 1e-12 * max(bound, 1.0)
+    x = np.random.default_rng(0).normal(size=(2, 2 * gen.size))
+    return (_pencil(gen), 1e-12 * max(bound, 1.0),
+            _stationary_free(gen, x[0] + 1j * x[1]))
 
 
 def resolvent_norm(gen: Generator, z: complex) -> float:
@@ -606,8 +606,8 @@ def resolvent_norm(gen: Generator, z: complex) -> float:
     and RuntimeError when Lanczos or the nearest-eigenvalue search does not
     converge.
     """
-    pencil, skip = _prepare(gen)
-    dist, nrm, steps, converged = _point(gen, pencil, complex(z), skip)
+    pencil, skip, start = _prepare(gen)
+    dist, nrm, steps, converged = _point(gen, pencil, complex(z), skip, start)
     if math.isnan(nrm):
         raise ValueError(f"z = {z} is within {dist:.2e} of the reduced "
                          f"spectrum; resolvent norm undefined")
@@ -651,7 +651,7 @@ def resolvent_sweep(gen: Generator, sigma_grid) -> SweepResult:
     one with a negative Lanczos energy NegativeEnergyError.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
-    pencil, skip = _prepare(gen)
+    pencil, skip, start = _prepare(gen)
     norms = np.full(sigmas.size, np.nan)
     dists = np.empty(sigmas.size)
     iterations = np.zeros(sigmas.size, dtype=int)
@@ -659,7 +659,7 @@ def resolvent_sweep(gen: Generator, sigma_grid) -> SweepResult:
     skipped = []
     for i, s in enumerate(sigmas):
         dists[i], norms[i], iterations[i], converged[i] = _point(
-            gen, pencil, 1j * s, skip)
+            gen, pencil, 1j * s, skip, start)
         if np.isnan(norms[i]):
             skipped.append(float(s))
 

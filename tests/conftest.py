@@ -130,6 +130,14 @@ def beam_characteristic_root(which, k=1, tol=1e-13):
     return roots[k - 1]
 
 
+def scipy_csr(op):
+    """A plate operator's matrix as a scipy.sparse.csr_matrix on its own CSR
+    arrays, for references written with scipy's sparse objects."""
+    import scipy.sparse
+    indptr, indices, data = op.csr
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=op.csr.shape)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import platelab
-from platelab import semigroup
+from platelab import _lapack, semigroup
 from platelab.cli import COMMANDS, build_parser, main, read_config, \
     parse_alpha_spec, parse_grid_spec
 
@@ -450,13 +450,10 @@ class TestArtifacts:
 
     def test_resolvent_arpack_failure_fails(self, tmp_path, monkeypatch,
                                             capsys):
-        import scipy.sparse.linalg as sla
-
-        def stall(*args, **kwargs):
-            raise sla.ArpackNoConvergence("no convergence", np.zeros(0),
-                                          np.zeros((0, 0)))
-
-        monkeypatch.setattr(sla, "eigs", stall)
+        # ARPACK stopped after one restart, short of convergence at each point
+        eig_largest = _lapack.eig_largest
+        monkeypatch.setattr(_lapack, "eig_largest",
+                            lambda *args: eig_largest(*args[:-1], 1))
         out = tmp_path / "res.csv"
         assert run_cli("resolvent", "--bc", "clamped", "--n", "48",
                        "--sigma-grid", "0:2:1", "--out", str(out)) == 1
@@ -771,6 +768,22 @@ for i, argv in enumerate(runs):
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+# runs the resolvent on a plate without a kernel, on the bordered pencil of
+# a two-dimensional kernel and on a rectangle, then prints the scipy
+# modules loaded
+_RESOLVENT_CHILD = """
+import os, sys
+from platelab.cli import main
+runs = [["resolvent", "--bc", "clamped", "--n", "16"],
+        ["resolvent", "--bc", "ex2_dn2_dn3", "--n", "16"],
+        ["resolvent", "--bc", "hinged", "--dim", "2", "--n", "9", "--n-y",
+         "12"]]
+for i, argv in enumerate(runs):
+    assert main(argv + ["--sigma-grid", "0:2:1", "--out",
+                        os.path.join(sys.argv[1], f"{i}.csv")]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
 # the plate-side commands and the resolvent in one process, each writing
 # argv[1]/<i>.csv; with argv[2] == "fallback", scipy's files are not found,
 # so the compiled modules come through the packages' imports
@@ -789,8 +802,13 @@ for i, argv in enumerate({_ONE_PROCESS_RUNS!r}):
     assert main(argv + ["--out", os.path.join(sys.argv[1], f"{{i}}.csv")]) == 0
     if i == 0:
         print("scipy.linalg" in sys.modules)
-import scipy.linalg.lapack
-print(sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack)
+import scipy.linalg.lapack, scipy.sparse.linalg
+from scipy.sparse.linalg._dsolve import linsolve
+from scipy.sparse.linalg._eigen.arpack import arpack
+print(sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack,
+      sys.modules["scipy.sparse.linalg._dsolve._superlu"] is linsolve._superlu,
+      sys.modules["scipy.sparse.linalg._eigen.arpack._arpacklib"]
+      is arpack._arpacklib)
 """
 
 # prints what the imports named in argv changed in os.environ
@@ -856,6 +874,17 @@ class TestConsoleEntry:
         assert proc.stdout.splitlines()[-1] == str(
             ["scipy.linalg._flapack", "scipy.sparse._sparsetools"])
 
+    def test_resolvent_loads_no_scipy_package(self, tmp_path):
+        # SuperLU and ARPACK come through their compiled modules too
+        proc = subprocess.run([sys.executable, "-c", _RESOLVENT_CHILD,
+                               str(tmp_path)], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(
+            ["scipy.linalg._flapack", "scipy.sparse._sparsetools",
+             "scipy.sparse.linalg._dsolve._superlu",
+             "scipy.sparse.linalg._eigen.arpack._arpacklib"])
+
     @pytest.mark.parametrize("mode, package_first", [
         ("file", "False"), ("fallback", "True")],
         ids=["one-process", "fallback-loader"])
@@ -863,9 +892,9 @@ class TestConsoleEntry:
                                                        package_first,
                                                        tmp_path):
         # one interpreter that loads the compiled modules by file (or, in
-        # the fallback, through the packages), then imports scipy.linalg
-        # and scipy.sparse for the resolvent, writes the bytes that
-        # separate processes write
+        # the fallback, through the packages) writes the bytes that
+        # separate processes write, and a later import of the packages
+        # takes the modules already loaded
         fresh, same = tmp_path / "fresh", tmp_path / "same"
         fresh.mkdir()
         same.mkdir()
@@ -877,7 +906,7 @@ class TestConsoleEntry:
                                str(same), mode], capture_output=True,
                               text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [package_first, "True"]
+        assert proc.stdout.split() == [package_first, "True", "True", "True"]
         for i in range(len(_ONE_PROCESS_RUNS)):
             assert (same / f"{i}.csv").read_bytes() == \
                 (fresh / f"{i}.csv").read_bytes(), _ONE_PROCESS_RUNS[i]

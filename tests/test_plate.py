@@ -28,7 +28,7 @@ from platelab.plate import (
     spectrum,
 )
 
-from conftest import beam_characteristic_root
+from conftest import beam_characteristic_root, scipy_csr
 
 GRID = make_grid(96)
 RECTANGLE_FAMILIES = ("hinged", "clamped", "ex4_id_dn2_A", "neumann_pair")
@@ -215,13 +215,13 @@ class TestAssembly:
         for name in catalog_families():
             op = assemble(make_grid(n), name)
             assert np.array_equal(op.dense(), dense_reference(name, n)), name
-            assert np.all(op.matrix.data != 0.0), name
+            assert np.all(scipy_csr(op).data != 0.0), name
 
     @pytest.mark.parametrize("name, n, a", list(ASSEMBLY_DIGESTS), ids=[
         f"{name}-{'x'.join(map(str, n))}-a{a}" for name, n, a in ASSEMBLY_DIGESTS])
     def test_matrix_bytes_match_pinned_digest(self, name, n, a):
-        M = assemble(make_grid(n), name,
-                     params=None if a is None else {"a": a}).matrix
+        M = scipy_csr(assemble(make_grid(n), name,
+                               params=None if a is None else {"a": a}))
         digest = hashlib.sha256(repr(M.shape).encode())
         for arr in (M.indptr, M.indices, M.data):
             digest.update(arr.tobytes())
@@ -230,7 +230,8 @@ class TestAssembly:
     def test_neumann_kernel_contains_constants(self):
         op = assemble(GRID, "neumann_pair")
         c = np.ones(op.size)
-        assert np.abs(op.apply(c)).max() <= 1e-10 * np.abs(op.matrix.data).max()
+        assert np.abs(op.apply(c)).max() <= \
+            1e-10 * np.abs(scipy_csr(op).data).max()
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -252,7 +253,7 @@ class TestAssembly:
         for h in (1.01 * lo, 0.99 * hi):
             for name in ("hinged", "clamped"):
                 op = assemble(make_grid((8, 8), (8 * h, 8 * h)), name)
-                assert np.all(np.isfinite(op.matrix.data)), (h, name)
+                assert np.all(np.isfinite(scipy_csr(op).data)), (h, name)
                 assert np.all(np.isfinite(spectrum(op, 3, vectors=False)[0]))
 
     def test_unknown_family(self):
@@ -281,7 +282,7 @@ class TestAssembly:
     def test_rayleigh_nonnegativity(self, rng):
         for name in catalog_families():
             op = assemble(GRID, name)
-            scale = np.abs(op.matrix.data).max()
+            scale = np.abs(scipy_csr(op).data).max()
             mu, _ = spectrum(op, 4)
             assert mu[0] >= -1e-8 * scale, name
             for _ in range(20):
@@ -444,7 +445,7 @@ class TestRectangle:
             Lap = (sp.kron(L0, sp.identity(L1.shape[0]))
                    + sp.kron(sp.identity(L0.shape[0]), L1)).tocsr()
             ref = (Lap @ Lap).toarray()
-            M = assemble(grid, name).matrix.toarray()
+            M = scipy_csr(assemble(grid, name)).toarray()
             if exact:
                 assert np.array_equal(M, ref), name
             else:
@@ -504,8 +505,8 @@ class TestKernel:
         ops.append(assemble(make_grid((16, 12)), "neumann_pair"))
         for op in ops:
             K = kernel(op)
-            scale = float(np.abs(op.matrix).sum(axis=1).max())
-            assert np.abs(op.matrix @ K).max() <= \
+            scale = float(np.abs(scipy_csr(op)).sum(axis=1).max())
+            assert np.abs(scipy_csr(op) @ K).max() <= \
                 1e-12 * scale * np.abs(K).max(), op.bc_name
             assert np.abs(op.weight * K.T @ K - np.eye(K.shape[1])).max() \
                 <= 1e-12, op.bc_name
@@ -517,7 +518,7 @@ class TestKernel:
         # closed form; with it pinned, the second block's constant leaves the
         # rest of M singular, and the certificate refuses what it cannot name
         op1 = assemble(GRID, "neumann_pair")
-        M = sp.block_diag([op1.matrix, op1.matrix], format="csr")
+        M = sp.block_diag([scipy_csr(op1), scipy_csr(op1)], format="csr")
         nodes = np.vstack([op1.nodes, op1.nodes + 2.0])
         op2 = DiscretePlateOperator(op1.grid, "neumann_pair",
                                     CSR(M.indptr, M.indices, M.data), nodes,
@@ -586,6 +587,37 @@ class TestCompiledKernels:
                               else ((mine,), (ref,)))):
                 assert np.array_equal(x, y)
 
+    def test_resolvent_calls_match_scipy_sparse_linalg(self, rng):
+        # SuperLU, ARPACK and dstebz as the resolvent calls them
+        import scipy.sparse.linalg as sla
+        op = assemble(make_grid(40), "clamped")
+        A = (scipy_csr(op) + 3j * sp.identity(op.size)).tocsc()
+        lu = _lapack.splu(A.data, A.indices, A.indptr)
+        ref = sla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        b = rng.normal(size=op.size) + 1j * rng.normal(size=op.size)
+        for trans in ("N", "H"):
+            assert np.array_equal(lu.solve(b, trans=trans),
+                                  ref.solve(b, trans=trans))
+        R = sla.LinearOperator(A.shape, matvec=lu.solve, dtype=complex)
+        assert _lapack.eig_largest(lu.solve, b, 8, 1e-12, 10 * b.size) == \
+            sla.eigs(R, k=1, which="LM", tol=1e-12, ncv=8, v0=b,
+                     return_eigenvectors=False)[0]
+        # a shift that crowds the inverse's eigenvalues: one restart is
+        # short of convergence, nan where eigs raises
+        A = (scipy_csr(op) + 1e8j * sp.identity(op.size)).tocsc()
+        lu = _lapack.splu(A.data, A.indices, A.indptr)
+        R = sla.LinearOperator(A.shape, matvec=lu.solve, dtype=complex)
+        assert np.isnan(_lapack.eig_largest(lu.solve, b, 8, 1e-12, 1))
+        with pytest.raises(sla.ArpackNoConvergence):
+            sla.eigs(R, k=1, which="LM", tol=1e-12, ncv=8, v0=b, maxiter=1)
+        d, e = rng.normal(size=9), rng.normal(size=8)
+        for j in range(9):      # j = 0 is the 1 x 1 shortcut
+            assert _lapack.eigvalsh_tridiagonal(d[:j + 1], e[:j], j) == \
+                scipy.linalg.eigvalsh_tridiagonal(
+                    d[:j + 1], e[:j], select="i", select_range=(j, j))[0]
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _lapack.eigvalsh_tridiagonal(np.array([math.nan]), e[:0], 0)
+
 
 class TestExternalInterfaces:
     def test_columnar_export(self, tmp_path):
@@ -597,8 +629,8 @@ class TestExternalInterfaces:
         M = sp.coo_matrix((triplets[:, 2],
                            (triplets[:, 0].astype(int),
                             triplets[:, 1].astype(int))),
-                          shape=op.matrix.shape).tocsr()
-        assert np.abs((M - op.matrix).toarray()).max() == 0.0
+                          shape=scipy_csr(op).shape).tocsr()
+        assert np.abs((M - scipy_csr(op)).toarray()).max() == 0.0
         eigs = np.loadtxt(tmp_path / "eigenvalues.txt")
         assert eigs.shape == (3, 2)
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from platelab import semigroup
+from platelab import _lapack, semigroup
 from platelab.plate import (
     CSR,
     DiscretePlateOperator,
@@ -40,6 +40,8 @@ from platelab.semigroup import (
     simulate,
 )
 
+from conftest import scipy_csr
+
 N = 80
 GRID = make_grid(N)
 
@@ -53,7 +55,7 @@ def reference_simulate(Y0, gen, T, dt, log_every):
     """simulate's log and final (y, v), in the arithmetic of an allocating
     step: P @ y, v - (dt/2) P y, 2 v_mid - v and w vdot, with pbtrs on the
     same banded factor through cho_solve_banded."""
-    P, a, w = gen.op.matrix, gen.alpha, gen.op.weight
+    P, a, w = scipy_csr(gen.op), gen.alpha, gen.op.weight
     S = (dt ** 2 / 4.0) * lower_band(P)
     S[0] = 1.0 + S[0] + (dt / 2.0) * a
     factor = (scipy.linalg.cholesky_banded(S, lower=True), True)
@@ -174,7 +176,7 @@ class TestEnergy:
         gen = neumann_gen
         phi0 = gen.kernel_damped[:, 0]
         Y = StateVector(phi0, np.zeros_like(phi0))
-        scale = np.abs(gen.op.matrix.data).max() * float(phi0 @ phi0)
+        scale = np.abs(scipy_csr(gen.op).data).max() * float(phi0 @ phi0)
         assert abs(energy(Y, gen)) <= 1e-12 * scale
 
     def test_two_route_identity(self, neumann_gen, rng):
@@ -219,7 +221,8 @@ class TestStepper:
         Y1 = step(MidpointStepper(gen, dt), Y)
         # P phi0 cancels to eps * |P| * |phi0| in the matvec; the step can
         # move the state by no more than the propagated solve noise
-        floor = 50 * np.finfo(float).eps * np.abs(gen.op.matrix.data).max() \
+        floor = 50 * np.finfo(float).eps \
+            * np.abs(scipy_csr(gen.op).data).max() \
             * np.abs(phi0).max() * dt ** 2
         assert np.abs(Y1.y - Y.y).max() <= floor
         assert np.abs(Y1.v).max() <= floor
@@ -228,7 +231,7 @@ class TestStepper:
         # the energies of the float64 states in long double: in float64 the
         # rounding of <P y, y> alone takes 0.8 of the tolerance
         gen = clamped_gen
-        P = gen.op.matrix.tocoo()
+        P = scipy_csr(gen.op).tocoo()
         entries = P.data.astype(np.longdouble)
 
         def energy_ld(Z):
@@ -276,9 +279,9 @@ class TestStepper:
         op = assemble(grid, name)
         gen = build_generator(op, bump_alpha(op))
         Y = StateVector(rng.normal(size=op.size), rng.normal(size=op.size))
-        Py = op.matrix @ Y.y
+        Py = scipy_csr(op) @ Y.y
         MidpointStepper(gen, 0.5).advance(Y.y, Y.v, Py)
-        assert np.array_equal(Py, op.matrix @ Y.y)
+        assert np.array_equal(Py, scipy_csr(op) @ Y.y)
 
     @pytest.mark.parametrize("name,grid", [("clamped", GRID),
                                            ("neumann_pair", GRID),
@@ -415,7 +418,7 @@ class TestSimulate:
         log, Yend = simulate(Y0, gen, T=5.0, dt=0.01)
         fT = gen.functionals(Yend)
         # drift is limited by eps |P| cancellation per step
-        scale = np.abs(gen.op.matrix.data).max() * np.finfo(float).eps
+        scale = np.abs(scipy_csr(gen.op).data).max() * np.finfo(float).eps
         nsteps = log.meta["nsteps"]
         assert np.abs(fT - f0).max() <= 10 * scale * nsteps * log.dt + 1e-10
 
@@ -590,6 +593,19 @@ class TestResolvent:
         assert sweep.converged.all()
         assert np.all(sweep.iterations >= 2)
 
+    def test_arpack_unconverged_is_reported(self, clamped_gen, monkeypatch):
+        # ARPACK stopped after one restart: the distance is nan and the
+        # point unconverged, while its norm is still computed
+        eig_largest = _lapack.eig_largest
+        monkeypatch.setattr(_lapack, "eig_largest",
+                            lambda *args: eig_largest(*args[:-1], 1))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            resolvent_norm(clamped_gen, 3j)
+        sweep = resolvent_sweep(clamped_gen, [0.0, 3.0])
+        assert np.isnan(sweep.nearest_dist).all()
+        assert not sweep.converged.any()
+        assert np.isfinite(sweep.norms).all() and not sweep.skipped
+
     def test_eigenvalue_proximity_raises(self, clamped_gen):
         lam = reduced_generator(clamped_gen).eigenvalues[0]
         with pytest.raises(ValueError):
@@ -681,6 +697,29 @@ class TestSparseResolvent:
             ref, ref_dist = dense_reference(gen, 1j * s)
             assert nrm == pytest.approx(ref, rel=1e-8)
             assert dist == pytest.approx(ref_dist, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["clamped", "ex2_dn2_dn3"])
+    def test_pencil_coefficients(self, name):
+        # B0, B1 and B2 in canonical CSC on one pattern, entry for entry the
+        # blocks of B(z) = B0 + z B1 + z^2 B2
+        op = assemble(make_grid(24), name)
+        gen = build_generator(op, bump_alpha(op, 0.2, 0.7, 4.0))
+        pencil = semigroup._pencil(gen)
+        P, a, Phi, w = op.dense(), gen.alpha, gen.kernel_damped, op.weight
+        n, k = op.size, gen.kernel_dim
+        blocks = [[[P, a[:, None] * Phi],
+                   [w * (a[:, None] * Phi).T, w * (Phi.T @ Phi)]],
+                  [[-np.diag(a), -Phi], [-w * Phi.T, np.zeros((k, k))]],
+                  [[np.eye(n), np.zeros((n, k))], [np.zeros((k, n + k))]]]
+        for Bp, block in zip(pencil.coeffs, blocks):
+            B = sp.csc_matrix((Bp, pencil.indices, pencil.indptr),
+                              shape=(n + k,) * 2)
+            assert B.has_canonical_format
+            assert np.array_equal(B.toarray(), np.block(block))
+        data, indices, indptr = pencil.at(2j)
+        assert np.array_equal(data, pencil.coeffs[0] + 2j * pencil.coeffs[1]
+                              - 4 * pencil.coeffs[2])
+        assert indices is pencil.indices and indptr is pencil.indptr
 
     def test_2d_sweep_converges(self):
         # power iteration on R*R ran out of 1000 steps at each of these
