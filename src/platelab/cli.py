@@ -264,12 +264,17 @@ def cmd_roots(cfg):
     tau, sigma, xi = cfg["tau"], cfg["sigma"], cfg["xi_prime"]
     dn, dt = cfg["dphi_normal"], cfg["dphi_tangential"]
     p = TangentialPoint([0.0, 0.0], [xi], tau, sigma)
-    try:
-        p.require_nondegenerate()
-    except ValueError as exc:
-        raise ConfigError(f"--xi-prime, --tau and --sigma: {exc}") from None
     w = WeightJet(1.0, [dt], dn)
-    conf = classify_roots(p, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused
+        try:
+            p.require_nondegenerate()
+        except ValueError as exc:
+            raise ConfigError(f"--xi-prime, --tau and --sigma: {exc}") from None
+        try:
+            conf = classify_roots(p, w)
+        except ValueError as exc:
+            raise ConfigError(f"--xi-prime, --tau, --sigma, --dphi-normal and "
+                              f"--dphi-tangential: {exc}") from None
     write_json(cfg["out"], _manifest(
         cfg, case=conf.case.value, marginal=conf.marginal,
         factors=[{"j": rp.factor_index, "alpha": rp.alpha,
@@ -329,6 +334,9 @@ def cmd_subell(cfg):
     for j in (1, 2):
         try:
             rep = weights.subellipticity_check(wf, j, grid, (tau0, ratio_hi), tau0=tau0)
+        except OverflowError as exc:
+            raise ConfigError(f"--gamma {cfg['gamma']} and --psi {cfg['psi']}: "
+                              f"{exc}") from None
         except ValueError as exc:   # dphi = 0 at a region point
             write_json(cfg["out"], _manifest(cfg, failure=str(exc),
                                              schema="subell-v2"))
@@ -349,6 +357,8 @@ def cmd_gamma_search(cfg):
     try:
         res = weights.gamma_search(psi, cfg["tau0"], grid,
                                    ratio_hi=cfg["ratio_hi"])
+    except OverflowError as exc:    # at the first gamma, 1
+        raise ConfigError(f"--psi {cfg['psi']}: {exc}") from None
     except (ValueError, RuntimeError) as exc:
         write_json(cfg["out"], _manifest(cfg, failure=str(exc),
                                          schema="gamma-search-v2"))

@@ -2,15 +2,16 @@
 
 Boundary operators are polynomials of degree <= 3 in the normal frequency
 xi_d whose coefficients are tangential symbols built from the Euclidean
-form r(x, xi') = |xi'|^2 (at a frozen boundary point a constant metric is
-only a linear change of xi') and an optional parameter symbol a'(x, xi').
-After conjugation by an exponential weight the test dispatches on the root
-configuration of the conjugated quartic; the unconjugated condition, a 2x2
-determinant at xi_d = i|xi'|_x, is its tau = 0 double-root row.  An independent rank
-oracle and a positivity margin provide two more routes to the same verdict.
-All three routes run on stacks of points; the per-point functions
-ls_conjugated, ls_rank_oracle and positivity_margin are their m = 1 case,
-and sample_conjugated evaluates a block of samples in one pass.
+form r(xi') = |xi'|^2 of symbols (at a frozen boundary point a constant
+metric is only a linear change of xi') and an optional parameter symbol
+a'(x, xi').  After conjugation by an exponential weight the test dispatches
+on the root configuration of the conjugated quartic; the unconjugated
+condition, a 2x2 determinant at xi_d = i|xi'|, is its tau = 0 double-root
+row.  An independent rank oracle and a positivity margin provide two more
+routes to the same verdict.  All three routes run on stacks of points; the
+per-point functions ls_conjugated, ls_rank_oracle and positivity_margin are
+their m = 1 case, and sample_conjugated evaluates a block of samples in one
+pass.
 
 A boundary pair is data: two operators, each an order and a table of
 tangential terms per normal power, and an optional parameter symbol.  The
@@ -29,10 +30,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .symbols import (
-    MetricField,
     RootCase,
     TangentialPoint,
     WeightJet,
+    _form,
     classify_roots,
     classify_stack,
     point_stack,
@@ -77,8 +78,8 @@ class TangentialTerm:
 class ParameterSymbol:
     """Homogeneous tangential symbol a'(x, xi') of a declared degree.
 
-    The scalar form is c * xi'_1 * r(x,xi')^((deg-1)/2) for odd degrees
-    and c * r(x,xi')^(deg/2) for even ones: polynomial in xi', hence well
+    The scalar form is c * xi'_1 * r(xi')^((deg-1)/2) for odd degrees
+    and c * r(xi')^(deg/2) for even ones: polynomial in xi', hence well
     defined for the complex arguments produced by conjugation.  An (m, tdim)
     stack of xi' gives m values.
     """
@@ -91,8 +92,7 @@ class ParameterSymbol:
         xi = np.asarray(xi)
         if self.degree == 0:
             return self.scale
-        r = np.asarray(MetricField.euclidean(xi.shape[-1]).r(x, xi),
-                       dtype=complex)
+        r = np.asarray(_form(xi, xi), dtype=complex)
         if self.degree % 2 == 0:
             return self.scale * r ** (self.degree // 2)
         return self.scale * xi[..., 0] * r ** ((self.degree - 1) // 2)
@@ -135,14 +135,14 @@ class BoundaryOperatorSymbol:
         (m, 4) array; a tdim-vector is the m = 1 case and gives a 4-vector."""
         xi = np.asarray(xi)
         rows = xi.reshape(-1, xi.shape[-1])
-        r = MetricField.euclidean(xi.shape[-1]).r
         out = np.zeros((len(rows), 4), dtype=complex)
         for m, entries in self.terms.items():
             acc = 0.0 + 0.0j
             for t in entries:
                 val = complex(t.coef)
                 if t.r_power:
-                    val = val * np.asarray(r(x, rows), dtype=complex) ** t.r_power
+                    val = val * np.asarray(_form(rows, rows),
+                                           dtype=complex) ** t.r_power
                 if t.a_power:
                     val = val * self.aprime(x, rows) ** t.a_power
                 acc = acc + val
@@ -323,17 +323,16 @@ class LSReport:
 
 def ls_unconjugated(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
                     x, omega_prime) -> LSReport:
-    """2x2 determinant test at xi_d = i|omega'|_x: the tau = 0 row of
-    _determinants, a double upper root (case code 3) i|omega'|_x at scale
-    lambda = |omega'|_x.
+    """2x2 determinant test at xi_d = i|omega'|: the tau = 0 row of
+    _determinants, a double upper root (case code 3) i|omega'| at scale
+    lambda = |omega'|.
 
     The verdict compares |det| against DEFAULT_MARGIN_TOL times the
     homogeneity power
     |omega'|^(k1+k2-1); posed only for omega' != 0.
     """
     omega_prime = np.asarray(omega_prime, dtype=float).reshape(1, -1)
-    nrm = MetricField.euclidean(omega_prime.size).tangential_norm(
-        x, omega_prime[0])
+    nrm = math.sqrt(float(_form(omega_prime[0], omega_prime[0])))
     if nrm == 0.0:
         raise ValueError("undefined: the unconjugated condition is posed only "
                          "for omega' != 0")
@@ -365,8 +364,7 @@ def _conjugated(b1, b2, x, xi, tau, sigma, dphi_t, dphi_n, case,
                 upper) -> _Conjugated:
     """The _Conjugated stack of m points at one x, from their root cases
     and upper roots."""
-    r = MetricField.euclidean(xi.shape[-1]).r(x, xi)
-    lam = np.sqrt(tau ** 2 + np.real(r) + sigma ** 2)
+    lam = np.sqrt(tau ** 2 + _form(xi, xi) + sigma ** 2)
     arg = xi + 1j * tau[:, None] * dphi_t
     shift = 1j * tau * dphi_n
     return _Conjugated(case, upper, lam,
@@ -548,7 +546,7 @@ def perturbation_margin(b1: BoundaryOperatorSymbol, b2: BoundaryOperatorSymbol,
     to PERTURBATION_CAP, the largest one below the first at which a
     perturbed determinant lower bound fails, with C1 = half the unperturbed
     margin, over sampled complex perturbations with
-    |zeta'| + |delta| + |delta~| = eps |xi'|_x.
+    |zeta'| + |delta| + |delta~| = eps |xi'|.
 
     Sample directions are drawn once from random.Random(0) and rescaled,
     so the scan is reproducible.  Returns PERTURBATION_CAP when no radius

@@ -3,15 +3,15 @@
 The fourth-order symbol with spectral parameter sigma factors into two
 quadratic polynomials in the normal frequency xi_d,
 
-    q_j(xi_d) = (xi_d + i tau dphi_n)^2 + r(x, xi' + i tau dphi_t) + (-1)^j sigma^2,
+    q_j(xi_d) = (xi_d + i tau dphi_n)^2 + r(xi' + i tau dphi_t) + (-1)^j sigma^2,
 
-j = 1, 2, where r is the tangential metric form and (dphi_t, dphi_n) is the
-gradient of the exponential weight.  Roots and their classification are
-computed on stacks of m points (classify_stack); the per-point functions
-classify_roots, factor_roots and quartic_roots are its m = 1 case.
-Roots are taken with the Euclidean r: at one frozen point a constant
-metric is only a linear change of xi'.  MetricField serves the bracket
-layer (weights), where the metric's derivatives enter.
+j = 1, 2, where (dphi_t, dphi_n) is the gradient of the exponential weight
+and r(xi') = |xi'|^2 is the Euclidean tangential form, extended bilinearly
+to complex arguments: at one frozen point a constant metric is only a
+linear change of xi'.  lscheck and weights share the form.  Roots and
+their classification are computed on stacks of m points (classify_stack);
+the per-point functions classify_roots, factor_roots and quartic_roots are
+its m = 1 case.
 Everything in this module is a pure function of its arguments; there is no
 shared state.
 """
@@ -19,15 +19,12 @@ shared state.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "MetricField",
     "TangentialPoint",
     "WeightJet",
     "RootPair",
@@ -54,105 +51,11 @@ DEFAULT_CLASSIFY_TOL = 1e-9
 DEFAULT_SEPARATION_BAND = 1e-5
 
 
-class MetricField:
-    """Tangential quadratic form r(x, xi') = sum_ij g^ij(x) xi'_i xi'_j.
-
-    ``g^ij`` must be symmetric positive definite at every point of interest.
-    Complex tangential arguments are admitted: the form is evaluated
-    bilinearly, which is exactly the expansion
-    r(a) - r(b) + 2i r~(a, b) for xi' = a + i b.
-
-    x is one point (d,) or an (m, d) stack; ``ginv`` and ``dginv`` take the
-    stack and return (m, tdim, tdim) and (m, d, tdim, tdim).
-    """
-
-    def __init__(self, tdim: int,
-                 ginv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 dginv: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self.tdim = int(tdim)
-        self._ginv = ginv
-        self._dginv = dginv
-        self._eye = np.eye(self.tdim)
-        self._eye.flags.writeable = False
-
-    @classmethod
-    @functools.cache
-    def euclidean(cls, tdim: int) -> "MetricField":
-        """The identity metric, one shared instance per dimension."""
-        return cls(tdim)
-
-    @classmethod
-    def diagonal(cls, tdim: int,
-                 coeffs: Sequence[Callable[[np.ndarray], np.ndarray]],
-                 dcoeffs: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
-                 ) -> "MetricField":
-        """Diagonal metric with coefficient functions g^ii(x) > 0.
-
-        ``coeffs[i]`` maps an (m, d) stack of points to the (m,) values of
-        g^ii; ``dcoeffs[i]`` maps it to their (m, d) spatial gradients and
-        is required only for Poisson-bracket evaluation.  Each function is
-        called once per stack.
-        """
-        if len(coeffs) != tdim:
-            raise ValueError("need one coefficient function per tangential axis")
-
-        def diagonal_of(fs):   # (..., tdim) values times the identity
-            return lambda x: (np.stack([f(x) for f in fs], axis=-1)[..., None]
-                              * np.eye(tdim))
-
-        return cls(tdim, diagonal_of(coeffs),
-                   None if dcoeffs is None else diagonal_of(dcoeffs))
-
-    def _stacked(self, f, x, shape):
-        """f on x as an (m, d) stack, checked against (m, *shape); one
-        point (d,) gives the single (shape) row."""
-        x = np.asarray(x, dtype=float)
-        xs = np.atleast_2d(x)
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape != (len(xs), *shape):
-            raise ValueError(f"metric returned shape {out.shape}, "
-                             f"expected {(len(xs), *shape)}")
-        return out if x.ndim == 2 else out[0]
-
-    def gmatrix(self, x) -> np.ndarray:
-        """g^ij at one point (d,) or an (m, d) stack: (tdim, tdim) or
-        (m, tdim, tdim).  The identity metric returns its one read-only
-        matrix, broadcast over a stack."""
-        if self._ginv is None:
-            x = np.asarray(x)
-            return self._eye if x.ndim < 2 else np.broadcast_to(
-                self._eye, (len(x), self.tdim, self.tdim))
-        return self._stacked(self._ginv, x, (self.tdim, self.tdim))
-
-    def dgmatrix(self, x) -> np.ndarray:
-        """d/dx_k of g^ij at one point (d,) or an (m, d) stack: (d, tdim,
-        tdim) or (m, d, tdim, tdim).  Zero for constant metrics."""
-        x = np.asarray(x, dtype=float)
-        d = np.atleast_1d(x).shape[-1]
-        if self._dginv is None:
-            return np.broadcast_to(0.0, (*x.shape[:-1], d, self.tdim, self.tdim))
-        return self._stacked(self._dginv, x, (d, self.tdim, self.tdim))
-
-    def bilinear(self, x, a, b):
-        """Symmetric bilinear form r~(x, a, b); complex arguments allowed.
-        Row-wise on (m, tdim) stacks of a and b, giving m values."""
-        if self.tdim == 0:
-            return 0.0
-        a = np.asarray(a)
-        b = np.asarray(b)
-        g = self.gmatrix(x)
-        return np.matmul((a @ g)[..., None, :], b[..., :, None])[..., 0, 0]
-
-    def r(self, x, xi):
-        """Quadratic form r(x, xi); bilinear extension for complex xi."""
-        return self.bilinear(x, xi, xi)
-
-    def tangential_norm(self, x, xi) -> float:
-        """|xi'|_x for a real tangential covector."""
-        if self.tdim == 0:
-            return 0.0
-        val = self.bilinear(x, xi, xi)
-        return math.sqrt(float(np.real(val)))
+def _form(a, b):
+    """The Euclidean form sum_i a_i b_i over the last axis, extended
+    bilinearly (no conjugation) to complex arguments, so that
+    _form(a + i b, a + i b) = |a|^2 - |b|^2 + 2i a.b.  Row-wise on stacks."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 @dataclass(frozen=True)
@@ -182,9 +85,11 @@ class TangentialPoint:
 
     @property
     def lambda_T_sigma(self) -> float:
-        """Scale augmented by the spectral parameter."""
-        return math.sqrt(self.tau ** 2 + float(self.xi_prime @ self.xi_prime)
-                         + self.sigma ** 2)
+        """Scale augmented by the spectral parameter; inf when a square
+        overflows."""
+        return math.sqrt(self.tau * self.tau
+                         + float(self.xi_prime @ self.xi_prime)
+                         + self.sigma * self.sigma)
 
     def require_nondegenerate(self):
         if self.lambda_T_sigma == 0.0:
@@ -279,7 +184,7 @@ def classify_stack(x, xi, tau, sigma, dphi_t, dphi_n) -> RootStack:
     """Factor roots and root classification of m points at one x: (m, tdim)
     stacks xi' and dphi_t, (m,) arrays tau, sigma and dphi_n.
 
-    r(x, xi' + i tau dphi_t) is evaluated once per point and serves both
+    r(xi' + i tau dphi_t) is evaluated once per point and serves both
     factors.  With tol = DEFAULT_CLASSIFY_TOL and lambda the joint scale,
     roots pi_{j,2} with Im >= -tol*lambda count as upper.  A point is
     marginal when a pi_{j,2} lies within tol*lambda of the real axis, when
@@ -290,7 +195,8 @@ def classify_stack(x, xi, tau, sigma, dphi_t, dphi_n) -> RootStack:
     the point it wraps.
     """
     tol = DEFAULT_CLASSIFY_TOL
-    r = MetricField.euclidean(xi.shape[-1]).r(x, xi + 1j * tau[:, None] * dphi_t)
+    arg = xi + 1j * tau[:, None] * dphi_t
+    r = _form(arg, arg)
     s2 = sigma ** 2
     radicand = np.empty((len(r), 2), dtype=complex)
     radicand[:, 0], radicand[:, 1] = r - s2, r + s2
@@ -329,10 +235,9 @@ def _pairs(roots: RootStack) -> tuple:
 def factor_symbol_eval(p: TangentialPoint, w: WeightJet, j: int,
                        xi_d: complex) -> complex:
     """Value of the quadratic factor q_j at a (possibly complex) xi_d, with
-    its radicand r(x, xi' + i tau dphi_t) + (-1)^j sigma^2 from the
-    Euclidean r."""
-    radicand = complex(MetricField.euclidean(p.xi_prime.size).r(
-        p.x, p.xi_prime + 1j * p.tau * w.d_tangential))
+    its radicand r(xi' + i tau dphi_t) + (-1)^j sigma^2."""
+    arg = p.xi_prime + 1j * p.tau * w.d_tangential
+    radicand = complex(_form(arg, arg))
     return (complex(xi_d) + 1j * p.tau * w.d_normal) ** 2 \
         + radicand + (-1) ** j * p.sigma ** 2
 
@@ -356,10 +261,16 @@ def quartic_roots(p: TangentialPoint, w: WeightJet) -> tuple:
 def classify_roots(p: TangentialPoint, w: WeightJet) -> RootConfiguration:
     """Count the factor roots pi_{j,2} lying in the closed upper half-plane:
     the m = 1 case of classify_stack, after checking that the weight is
-    inward and the point nondegenerate."""
+    inward and the point nondegenerate.  A point whose scale lambda or any
+    factor root is not finite is a ValueError: it overflows a float."""
     w.require_inward()
     p.require_nondegenerate()
     roots = classify_stack(p.x, *point_stack(p, w))
+    lam = p.lambda_T_sigma
+    if not (math.isfinite(lam) and np.isfinite(roots.pi_1).all()
+            and np.isfinite(roots.pi_2).all()):
+        raise ValueError(f"lambda = {lam:.6g} or a factor root is not finite: "
+                         f"the point overflows a float")
     case = tuple(RootCase)[roots.case[0]]
     count = 1 if case is RootCase.DOUBLE_UPPER else int(roots.case[0])
     return RootConfiguration(
@@ -372,18 +283,16 @@ def classify_roots(p: TangentialPoint, w: WeightJet) -> RootConfiguration:
 def im_sign_criterion(p: TangentialPoint, w: WeightJet, j: int) -> bool:
     """Algebraic test for Im pi_{j,2} < 0, without computing roots:
 
-        (dphi_n)^2 r(x,xi') + r~(x,xi',dphi_t)^2
-            < tau^2 (dphi_n)^2 |dphi|_x^2 + (-1)^(j+1) sigma^2 (dphi_n)^2,
+        (dphi_n)^2 |xi'|^2 + (xi' . dphi_t)^2
+            < tau^2 (dphi_n)^2 |dphi|^2 + (-1)^(j+1) sigma^2 (dphi_n)^2.
 
-    where |dphi|_x^2 = r(x, dphi_t) + dphi_n^2.  Equivalent to the direct
-    sign test whenever tau > 0.
+    Equivalent to the direct sign test whenever tau > 0.
     """
     w.require_inward()
-    metric = MetricField.euclidean(p.xi_prime.size)
     dn = w.d_normal
-    r_xi = float(np.real(metric.r(p.x, p.xi_prime)))
-    r_mix = float(np.real(metric.bilinear(p.x, p.xi_prime, w.d_tangential)))
-    grad_sq = float(np.real(metric.r(p.x, w.d_tangential))) + dn ** 2
+    r_xi = float(_form(p.xi_prime, p.xi_prime))
+    r_mix = float(_form(p.xi_prime, w.d_tangential))
+    grad_sq = float(_form(w.d_tangential, w.d_tangential)) + dn ** 2
     lhs = dn ** 2 * r_xi + r_mix ** 2
     rhs = p.tau ** 2 * dn ** 2 * grad_sq + (-1) ** (j + 1) * p.sigma ** 2 * dn ** 2
     return lhs < rhs

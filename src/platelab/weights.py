@@ -5,8 +5,9 @@ analytic gradient and Hessian; jets of phi follow by the chain rule.  The
 verification evaluates the Poisson bracket of the real and imaginary parts
 of the conjugated second-order factor on (a sampled version of) its real
 characteristic set and reports the normalized margin {q_s, q_a}/lambda^3.
-All bracket derivatives are analytic; finite differences appear only in
-test oracles.
+The tangential form is the Euclidean one of symbols, so only the weight's
+derivatives enter the brackets.  All bracket derivatives are analytic;
+finite differences appear only in test oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .symbols import MetricField
+from .symbols import _form
 
 __all__ = [
     "ScalarField",
@@ -39,6 +40,12 @@ __all__ = [
     "mu_search",
     "build_global_weight",
 ]
+
+# mu_search: the largest power-of-two mu tried
+MU_MAX = 2.0 ** 24
+
+# build_global_weight: cells per axis of the grid its weight is verified on
+GLOBAL_WEIGHT_GRID = 200
 
 
 class ScalarField:
@@ -162,11 +169,19 @@ class WeightField:
         return self.psi.dim
 
     def phi_jet(self, x):
+        """phi, dphi and Hess phi at the points x; OverflowError when one
+        of them is not finite."""
         pv, pg, ph = self.psi.jet(x)
         g = self.gamma
         phi = np.exp(g * pv)
         dphi = (g * phi)[:, None] * pg
         hess = (g * phi)[:, None, None] * (g * np.einsum("mi,mj->mij", pg, pg) + ph)
+        bad = ~(np.isfinite(phi) & np.isfinite(dphi).all(axis=1)
+                & np.isfinite(hess).all(axis=(1, 2)))
+        if bad.any():
+            raise OverflowError(
+                f"phi = exp(gamma psi) or a derivative overflows at gamma = "
+                f"{g}, x = {_points(x, self.dim)[np.argmax(bad)]}")
         return phi, dphi, hess
 
 
@@ -187,22 +202,20 @@ def poisson_bracket(f: BracketJet, g: BracketJet):
     return np.sum(f.dxi * g.dx, axis=-1) - np.sum(f.dx * g.dxi, axis=-1)
 
 
-def symbol_jets(wf: WeightField, x, xi, tau, sigma, j: int,
-                metric: Optional[MetricField] = None):
+def symbol_jets(wf: WeightField, x, xi, tau, sigma, j: int):
     """Jets of q_s^j and q_a at m real phase-space points.
 
     Coordinates: x and xi are (m, d) arrays (a d-vector is one point),
     tangential components first, the normal component last; tau and sigma
     are scalars or (m,) arrays.
-    q_s^j = |xi|_x^2 - tau^2 |dphi|_x^2 + (-1)^j sigma^2
-    and q_a = 2 tau (xi_d dphi_n + r~(x, xi', dphi_t)).
+    q_s^j = |xi|^2 - tau^2 |dphi|^2 + (-1)^j sigma^2
+    and q_a = 2 tau (xi_d dphi_n + xi' . dphi_t).
     """
     x = _points(x, wf.dim)
     xi = _points(xi, wf.dim)
     tau = np.asarray(tau, dtype=float)
     tcol = tau[..., None]
-    m, d = x.shape
-    tdim = d - 1
+    tdim = x.shape[1] - 1
 
     phi, dphi, hess = wf.phi_jet(x)
     dpt, dpn = dphi[:, :tdim], dphi[:, tdim]
@@ -210,50 +223,37 @@ def symbol_jets(wf: WeightField, x, xi, tau, sigma, j: int,
     # hess[:, i, k] = d/dx_k of gradient component i
     dpt_x, dpn_x = hess[:, :tdim], hess[:, tdim]
 
-    # metric terms and their spatial gradients; all vanish in 1-D
-    r_xi = r_dp = r_mix = dr_xi = dr_dp = dr_mix = g_dp = g_mix = 0.0
-    g_xit = g_dpt = np.zeros((m, 0))
-    if tdim:
-        metric = metric or MetricField.euclidean(tdim)
-        g = metric.gmatrix(x)
-        dg = metric.dgmatrix(x)
-        r_xi = np.einsum("mi,mij,mj->m", xit, g, xit)
-        r_dp = np.einsum("mi,mij,mj->m", dpt, g, dpt)
-        r_mix = np.einsum("mi,mij,mj->m", xit, g, dpt)
-        g_xit = np.einsum("mij,mj->mi", g, xit)
-        g_dpt = np.einsum("mij,mj->mi", g, dpt)
-        dr_xi = np.einsum("mi,mkij,mj->mk", xit, dg, xit)
-        dr_dp = np.einsum("mi,mkij,mj->mk", dpt, dg, dpt)
-        dr_mix = np.einsum("mi,mkij,mj->mk", xit, dg, dpt)
-        g_dp = 2.0 * np.einsum("mi,mij,mjk->mk", dpt, g, dpt_x)
-        g_mix = np.einsum("mi,mij,mjk->mk", xit, g, dpt_x)
+    # the tangential terms vanish in 1-D (tdim = 0)
+    qs = xid ** 2 + _form(xit, xit) - tau ** 2 * (dpn ** 2 + _form(dpt, dpt)) \
+        + (-1) ** j * sigma ** 2
+    qa = 2.0 * tau * (xid * dpn + _form(xit, dpt))
 
-    qs = xid ** 2 + r_xi - tau ** 2 * (dpn ** 2 + r_dp) + (-1) ** j * sigma ** 2
-    qa = 2.0 * tau * (xid * dpn + r_mix)
+    dqs_dxi = np.column_stack([2.0 * xit, 2.0 * xid])
+    dqa_dxi = np.column_stack([2.0 * tcol * dpt, 2.0 * tau * dpn])
 
-    dqs_dxi = np.column_stack([2.0 * g_xit, 2.0 * xid])
-    dqa_dxi = np.column_stack([2.0 * tcol * g_dpt, 2.0 * tau * dpn])
-
-    grad_sq_x = 2.0 * dpn[:, None] * dpn_x + dr_dp + g_dp
-    dqs_dx = dr_xi - tcol ** 2 * grad_sq_x
-    dqa_dx = 2.0 * tcol * (xid[:, None] * dpn_x + (dr_mix + g_mix))
+    grad_sq_x = 2.0 * dpn[:, None] * dpn_x \
+        + 2.0 * np.einsum("mi,mik->mk", dpt, dpt_x)
+    dqs_dx = -tcol ** 2 * grad_sq_x
+    dqa_dx = 2.0 * tcol * (xid[:, None] * dpn_x
+                           + np.einsum("mi,mik->mk", xit, dpt_x))
 
     return BracketJet(qs, dqs_dx, dqs_dxi), BracketJet(qa, dqa_dx, dqa_dxi)
 
 
 def characteristic_points(wf: WeightField, x, j: int,
                           ratios: Sequence[float],
-                          taus: Sequence[float] = (1.0,),
-                          directions: Optional[Sequence] = None,
-                          metric: Optional[MetricField] = None):
-    """Real solutions (x, xi, tau, sigma) of q^j = 0 above the rows of the
-    (m, d) array x, as arrays over the kept samples, followed by the symbol
-    jets (qs, qa) of symbol_jets at them.
+                          directions: Optional[Sequence] = None):
+    """Real solutions (x, xi, tau = 1, sigma) of q^j = 0 above the rows of
+    the (m, d) array x, as arrays over the kept samples, followed by the
+    symbol jets (qs, qa) of symbol_jets at them.  tau = 1 loses nothing:
+    the set is a cone and the margin {q_s, q_a}/lambda^3 is invariant
+    under dilation.
 
-    The imaginary part fixes xi_d = -r~(x, xi', dphi_t)/dphi_n on each
+    The imaginary part fixes xi_d = -(xi' . dphi_t)/dphi_n on each
     tangential ray; the real part then determines the ray magnitude (d >= 2)
     or the admissible sigma (d = 1).  ratios are sigma/tau values.  Samples
-    failing the residual filter |q| <= 1e-8 lambda^2 are dropped.
+    failing the residual filter |q| <= 1e-8 lambda^2 are dropped; a sample
+    whose q is not finite is an OverflowError.
     """
     x = _points(x, wf.dim)
     tdim = x.shape[1] - 1
@@ -266,41 +266,40 @@ def characteristic_points(wf: WeightField, x, j: int,
     x, dphi = x[dphi[:, tdim] != 0], dphi[dphi[:, tdim] != 0]
     dpt, dpn = dphi[:, :tdim], dphi[:, tdim]
     ratios = np.asarray(ratios, dtype=float)
-    taus = np.asarray(taus, dtype=float)
 
     if tdim == 0:
         # q_a = 0 forces xi = 0; q_s^j then vanishes only for j = 2 at
         # sigma = tau |phi'|, which must fall inside the sampled ratio band
         rho_star = np.abs(dpn)
         hit = (j == 2) & (rho_star <= max(ratios, default=0.0) + 1e-15)
-        ix, it = np.nonzero(hit[:, None] & (taus > 0))
-        tau = taus[it]
+        ix, = np.nonzero(hit)
         xi = np.zeros((len(ix), 1))
-        sigma = rho_star[ix] * tau
+        sigma = rho_star[ix]
     else:
-        metric = metric or MetricField.euclidean(tdim)
-        g = metric.gmatrix(x)
         if directions is None:
             directions = _default_directions(tdim)
         e = np.array(directions, dtype=float).reshape(-1, tdim)
         e = e / np.linalg.norm(e, axis=1, keepdims=True)
-        grad_sq = dpn ** 2 + np.einsum("mi,mij,mj->m", dpt, g, dpt)
-        c_e = np.einsum("ei,mij,mj->me", e, g, dpt) / dpn[:, None]
-        denom = c_e ** 2 + np.einsum("ei,mij,ej->me", e, g, e)
+        grad_sq = dpn ** 2 + _form(dpt, dpt)
+        c_e = np.einsum("ei,mi->me", e, dpt) / dpn[:, None]
+        denom = c_e ** 2 + _form(e, e)
         num = grad_sq[:, None] + (-1) ** (j + 1) * ratios ** 2
-        # one sample per (point, direction, tau, ratio) with num, denom > 0
-        ok = ((denom > 0)[:, :, None, None] & (taus > 0)[:, None]
-              & (num > 0)[:, None, None, :])
-        ix, ie, it, ir = np.nonzero(ok)
-        tau = taus[it]
-        s = tau * np.sqrt(num[ix, ir] / denom[ix, ie])
+        # one sample per (point, direction, ratio) with num, denom > 0
+        ix, ie, ir = np.nonzero((denom > 0)[:, :, None] & (num > 0)[:, None, :])
+        s = np.sqrt(num[ix, ir] / denom[ix, ie])
         xi = np.column_stack([s[:, None] * e[ie], -s * c_e[ix, ie]])
-        sigma = ratios[ir] * tau
+        sigma = ratios[ir]
 
     x = x[ix]
-    qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
+    tau = np.ones(len(ix))
+    qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
+    q = np.hypot(qs.value, qa.value)
+    bad = ~np.isfinite(q)
+    if bad.any():
+        raise OverflowError(f"q^{j} overflows on the characteristic set at "
+                            f"gamma = {wf.gamma}, x = {x[np.argmax(bad)]}")
     lam2 = np.sum(xi * xi, axis=1) + tau ** 2
-    keep = np.hypot(qs.value, qa.value) <= 1e-8 * lam2
+    keep = q <= 1e-8 * lam2
     return x[keep], xi[keep], tau[keep], sigma[keep], qs[keep], qa[keep]
 
 
@@ -324,18 +323,19 @@ class SubellipticityReport:
 
 
 def subellipticity_check(wf: WeightField, j: int, region_grid: Sequence,
-                         ratio_band, metric: Optional[MetricField] = None,
-                         tau0: float = 1.0, taus: Sequence[float] = (1.0,),
+                         ratio_band, tau0: float = 1.0,
                          refine: bool = True) -> SubellipticityReport:
     """Minimum of {q_s, q_a}/lambda^3 over the sampled characteristic set of
     q^j, with samples restricted to tau >= tau0 * sigma.
 
     ratio_band = (lo, hi) bounds tau/sigma; sigma = 0 rays are always
     included.  An empty characteristic sample is reported as a vacuous pass
-    with margin +inf.  The first pass samples 8 directions and 9 ratios;
-    refine=True doubles both until the margin moves by less than 10%, for
-    at most three levels.  A 1-D sample has no directions and depends on
-    the ratios only through their maximum 1/lo: its first pass is final.
+    with margin +inf; a weight, symbol or bracket that overflows is an
+    OverflowError, not an empty sample.  The first pass samples 8 directions
+    and 9 ratios; refine=True doubles both until the margin moves by less
+    than 10%, for at most three levels.  A 1-D sample has no directions and
+    depends on the ratios only through their maximum 1/lo: its first pass
+    is final.
     """
     lo, hi = ratio_band
     if lo <= 0 or hi < lo:
@@ -346,10 +346,15 @@ def subellipticity_check(wf: WeightField, j: int, region_grid: Sequence,
     def run(ndir, nrat):
         rhos = np.concatenate([[0.0], 1.0 / np.geomspace(lo, hi, nrat)])
         dirs = _default_directions(tdim, ndir) if tdim else None
-        xs, xi, tau, sigma, qs, qa = characteristic_points(
-            wf, region_grid, j, rhos, taus, dirs, metric)
-        lam = np.sqrt(np.sum(xi * xi, axis=1) + tau ** 2)
-        margin = np.min(poisson_bracket(qs, qa) / lam ** 3, initial=math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            xs, xi, tau, sigma, qs, qa = characteristic_points(
+                wf, region_grid, j, rhos, dirs)
+            lam = np.sqrt(np.sum(xi * xi, axis=1) + tau ** 2)
+            ratio = poisson_bracket(qs, qa) / lam ** 3
+        if not np.isfinite(ratio).all():
+            raise OverflowError(f"{{q_s, q_a}} overflows on the characteristic "
+                                f"set at gamma = {wf.gamma}")
+        margin = np.min(ratio, initial=math.inf)
         return float(margin), np.column_stack([xs, xi, tau, sigma])
 
     ndir, nrat = 8, 9
@@ -379,15 +384,16 @@ class GammaSearchResult:
 
 
 def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
-                 ratio_hi: float = 64.0, metric: Optional[MetricField] = None,
-                 refine: bool = True) -> GammaSearchResult:
+                 ratio_hi: float = 64.0, refine: bool = True) -> GammaSearchResult:
     """Least gamma (within a factor-of-two bracket up to 2^20, then four
     bisection rounds) making the sub-ellipticity margin positive for both
     factors on the region, sampled over the ratio band (tau0, ratio_hi).
 
     Fails with diagnostics when the recipe hypotheses are violated on the
     region (psi must stay nonnegative and |dpsi| >= 1e-8): no gamma can
-    repair either.
+    repair either.  A weight or bracket that overflows at the first gamma,
+    1, is an OverflowError; one that overflows at a doubled gamma ends the
+    search with a RuntimeError naming that gamma.
     """
     x = _points(region_grid, psi.dim)
     pv, pg, _ = psi.jet(x)
@@ -405,8 +411,7 @@ def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
     def margins_at(gamma):
         wf = WeightField(psi, gamma)
         return {jj: subellipticity_check(wf, jj, x, (tau0, ratio_hi),
-                                         metric=metric, tau0=tau0,
-                                         refine=refine).margin
+                                         tau0=tau0, refine=refine).margin
                 for jj in (1, 2)}
 
     history = []
@@ -417,7 +422,11 @@ def gamma_search(psi: ScalarField, tau0: float, region_grid: Sequence,
         gamma *= 2.0
         if gamma > 2.0 ** 20:
             raise RuntimeError(f"no admissible gamma up to {2.0 ** 20}")
-        m = margins_at(gamma)
+        try:
+            m = margins_at(gamma)
+        except OverflowError as exc:
+            raise RuntimeError(f"no admissible gamma below {gamma}: "
+                               f"{exc}") from None
         history.append((gamma, m))
 
     if gamma > 1.0:
@@ -468,10 +477,8 @@ def _sphere_samples(dim: int, n: int, tau0: float, seed: int):
 
 
 def mu_search(wf: WeightField, j: int, region_grid: Sequence,
-              metric: Optional[MetricField] = None, tau0: float = 1.0,
-              target: Optional[float] = None, target_fraction: float = 0.5,
-              mu_max: float = 2.0 ** 24, nsphere: int = 200,
-              seed: int = 0) -> MuSearchResult:
+              tau0: float = 1.0, target: Optional[float] = None,
+              nsphere: int = 200, seed: int = 0) -> MuSearchResult:
     """Smallest power-of-two mu with
     t = mu((q_s^j)^2 + q_a^2) + tau {q_s^j, q_a} >= C lambda^4
     over real (xi, tau, sigma) samples with tau >= tau0 sigma above every
@@ -480,19 +487,15 @@ def mu_search(wf: WeightField, j: int, region_grid: Sequence,
     The sample is the full unit sphere plus the characteristic set (where
     only the bracket term survives, so omitting it would let mu*f mask
     a sub-ellipticity failure) and jittered copies around it.  When no
-    target C is supplied it is taken as target_fraction times the limiting
-    near-characteristic margin.  Aborts at mu_max when unreachable; mu_max
-    below the first candidate 1 is a ValueError."""
-    if not mu_max >= 1.0:
-        raise ValueError(f"mu_max must be >= 1, the first mu tried; got {mu_max}")
+    target C is supplied it is taken as half the limiting near-characteristic
+    margin.  Aborts past MU_MAX when unreachable."""
     d = wf.dim
     x = _points(region_grid, d)
     # rows (xi, tau, sigma): the unit sphere, then the characteristic set
     sphere = np.array([np.r_[xi, tau, sigma] for xi, tau, sigma in
                        _sphere_samples(d, nsphere, tau0, seed)]).reshape(-1, d + 2)
     rhos = [0.0] + list(np.geomspace(1e-3, 1.0 / tau0, 7))
-    c_x, c_xi, c_tau, c_sig, _, _ = characteristic_points(
-        wf, x, j, rhos, (1.0,), None, metric)
+    c_x, c_xi, c_tau, c_sig, _, _ = characteristic_points(wf, x, j, rhos)
     base = np.column_stack([c_xi, c_tau, c_sig])
     base = base / np.sqrt(np.sum(base * base, axis=1))[:, None]
     # four jittered copies of each characteristic sample, drawn in order
@@ -507,7 +510,7 @@ def mu_search(wf: WeightField, j: int, region_grid: Sequence,
                         np.repeat(c_x, 4, axis=0)[ok.ravel()]])
     V = np.concatenate([np.tile(sphere, (len(x), 1)), base, jittered[ok]])
     XI, T, S = V[:, :d], V[:, d], V[:, d + 1]
-    qs, qa = symbol_jets(wf, X, XI, T, S, j, metric)
+    qs, qa = symbol_jets(wf, X, XI, T, S, j)
     f = qs.value ** 2 + qa.value ** 2
     g = T * poisson_bracket(qs, qa)
     lam4 = (np.sum(XI * XI, axis=1) + T ** 2) ** 2
@@ -519,27 +522,27 @@ def mu_search(wf: WeightField, j: int, region_grid: Sequence,
         lim = float(np.min(g[near] / lam4[near], initial=math.inf))
         if not math.isfinite(lim) or lim <= 0:
             lim = 0.2
-        target = target_fraction * min(lim, 1.0)
+        target = 0.5 * min(lim, 1.0)
 
     mu = 1.0
-    while mu <= mu_max:
+    while mu <= MU_MAX:
         val = (mu * f + g) / lam4
         i = int(np.argmin(val))
         if val[i] >= target:
             return MuSearchResult(mu=mu, target=target, min_ratio=float(val[i]))
         mu *= 2.0
-    raise MuSearchError(mu_max, float(val[i]),
+    raise MuSearchError(MU_MAX, float(val[i]),
                         (tuple(X[i].tolist()), tuple(XI[i].tolist()),
                          float(T[i]), float(S[i])))
 
 
-def build_global_weight(domain, exclusion, gamma: float = 1.0,
-                        grid_n: int = 200) -> WeightField:
-    """Base weight for an interval or rectangle: psi = 0 on the boundary
-    with strictly negative outward normal derivative, psi > 0 inside, and
-    dpsi != 0 outside the exclusion set, whose center hosts the single
-    critical point.  The three properties are verified on a fine grid
-    before returning.
+def build_global_weight(domain, exclusion) -> WeightField:
+    """Weight phi = exp(psi) (gamma = 1) from a base weight psi for an
+    interval or rectangle: psi = 0 on the boundary with strictly negative
+    outward normal derivative, psi > 0 inside, and dpsi != 0 outside the
+    exclusion set, whose center hosts the single critical point.  The three
+    properties are verified on the GLOBAL_WEIGHT_GRID-cell grid of each
+    axis before returning.
 
     domain: ("interval", (x0, x1)) or ("rectangle", ((x0,x1), (y0,y1))).
     exclusion: (a, b) sub-interval, or ((cx, cy), radius) disc.
@@ -551,8 +554,9 @@ def build_global_weight(domain, exclusion, gamma: float = 1.0,
         if not (x0 < a < b < x1):
             raise ValueError("exclusion set must be nonempty and strictly interior")
         psi = PeakField1D(x0, x1, 0.5 * (a + b))
-        _verify_global_weight(psi, [(x0, x1)], lambda p: a < p[0] < b, grid_n)
-        return WeightField(psi, gamma)
+        _verify_global_weight(psi, [(x0, x1)], lambda p: a < p[0] < b,
+                              GLOBAL_WEIGHT_GRID)
+        return WeightField(psi, 1.0)
 
     if kind == "rectangle":
         (x0, x1), (y0, y1) = geom
@@ -564,8 +568,9 @@ def build_global_weight(domain, exclusion, gamma: float = 1.0,
         psi = TensorProductField([PeakField1D(x0, x1, cx), PeakField1D(y0, y1, cy)])
         _verify_global_weight(
             psi, [(x0, x1), (y0, y1)],
-            lambda p: (p[0] - cx) ** 2 + (p[1] - cy) ** 2 <= rad ** 2, grid_n)
-        return WeightField(psi, gamma)
+            lambda p: (p[0] - cx) ** 2 + (p[1] - cy) ** 2 <= rad ** 2,
+            GLOBAL_WEIGHT_GRID)
+        return WeightField(psi, 1.0)
 
     raise ValueError(f"unsupported domain kind {kind!r}")
 

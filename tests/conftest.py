@@ -64,21 +64,18 @@ def match_roots(a, b):
     return worst
 
 
-def conjugated_quartic_coeffs(p, w, metric=None):
+def conjugated_quartic_coeffs(p, w):
     """xi_d-coefficients (ascending, ORACLE_DPS-digit mpmath numbers) of the
     conjugated fourth-order symbol: each factor's radicand
-    r(x, xi' + i tau dphi_t) -/+ sigma^2 from the matrix metric.gmatrix(x)
-    (the identity without a metric), then the product of the two quadratic
-    factors, all expanded from the float64 inputs in extended precision."""
-    tdim = p.xi_prime.size
-    g = np.eye(tdim) if metric is None else metric.gmatrix(p.x)
+    r(xi' + i tau dphi_t) -/+ sigma^2 from the Euclidean form, then the
+    product of the two quadratic factors, all expanded from the float64
+    inputs in extended precision."""
     with mpmath.workdps(ORACLE_DPS):
         mpf = mpmath.mpf
         tau = mpf(p.tau)
         a = [mpmath.mpc(mpf(xi), tau * mpf(dt))
              for xi, dt in zip(p.xi_prime.tolist(), w.d_tangential.tolist())]
-        r = sum(mpf(g[i, k]) * a[i] * a[k]
-                for i in range(tdim) for k in range(tdim))
+        r = sum(ai * ai for ai in a)
         s = mpmath.mpc(0, tau * mpf(w.d_normal))
         s2 = mpf(p.sigma) ** 2
         # (z + s)^2 + rad = z^2 + 2 s z + (s^2 + rad)

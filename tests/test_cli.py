@@ -222,6 +222,22 @@ class TestExitCodes:
         (["ls-check", "--bc-file", "/nonexistent/x.bc"], None, "--bc-file"),
         (["spectrum", "--bc", "clamped", "--config", "/nonexistent/run.cfg"],
          None, "--config"),
+        (["subell", "--gamma", "1e308"], None, "--gamma 1e+308 and --psi "
+         "parabola:0.1: phi = exp(gamma psi) or a derivative overflows"),
+        (["subell", "--psi", "affine:1e308:1e308"], None,
+         "--psi affine:1e308:1e308: phi = exp(gamma psi)"),
+        (["gamma-search", "--psi", "parabola:1e308"], None,
+         "--psi parabola:1e308: phi = exp(gamma psi) or a derivative "
+         "overflows at gamma = 1.0"),
+        (["subell", "--tau0", "1e-300", "--ratio-hi", "1e4", "--psi",
+          "affine:300:0.001"], None,
+         "--psi affine:300:0.001: {q_s, q_a} overflows"),
+        (["roots", "--xi-prime", "1e200"], None, "--xi-prime, --tau, "
+         "--sigma, --dphi-normal and --dphi-tangential: lambda = inf"),
+        (["roots", "--dphi-tangential", "1e300", "--tau", "1e10"], None,
+         "--dphi-tangential: lambda = 1e+10 or a factor root is not finite"),
+        (["roots", "--tau", "1e200"], None, "--tau, --sigma, --dphi-normal "
+         "and --dphi-tangential: lambda = inf"),
     ], ids=["simulate-tau", "dim-3", "n-y-4", "length-negative",
             "log-every-0", "samples-negative", "gamma-negative",
             "sigma-negative", "kappa0-prime-removed", "region-n-0",
@@ -244,7 +260,10 @@ class TestExitCodes:
             "sigma-grid-count", "sigma-grid-short", "n-power-overflow",
             "simulate-log-too-large", "decay-fit-log-too-large",
             "simulate-too-many-steps", "decay-fit-too-many-steps",
-            "bc-file-missing", "config-missing"])
+            "bc-file-missing", "config-missing", "subell-gamma-overflow",
+            "subell-psi-overflow", "gamma-search-psi-overflow",
+            "subell-bracket-overflow", "roots-xi-prime-overflow",
+            "roots-root-overflow", "roots-tau-overflow"])
     def test_bad_input_names_its_key(self, args, config, named, tmp_path,
                                      capsys):
         bc = tmp_path / "my.bc"
@@ -275,6 +294,16 @@ class TestExitCodes:
             rep = json.loads(out.read_text())
             assert point in rep["failure"], cmd
             assert rep["schema"] == f"{cmd}-v2" and rep["psi"] == args[1], cmd
+
+    def test_gamma_search_overflow_names_its_gamma(self, tmp_path, capsys):
+        # the bracket overflows at the doubled gamma 64 before any margin is
+        # positive: a failed search, like "no admissible gamma"
+        out = tmp_path / "g.json"
+        assert run_cli("gamma-search", "--tau0", "1e-300", "--ratio-hi", "1e4",
+                       "--psi", "parabola:5", "--out", str(out)) == 1
+        named = "no admissible gamma below 64.0: {q_s, q_a} overflows"
+        assert named in capsys.readouterr().err
+        assert named in json.loads(out.read_text())["failure"]
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--bc", "clamped", "--n", "16", "--alpha", "bump:0.3"],

@@ -8,9 +8,9 @@ Names kept without a caller are listed in EXEMPT with the reason, methods
 as Class.method.
 
 Option guard: every defaulted parameter of a public function, public
-method or __init__ in symbols, lscheck, plate, semigroup and cli must be
-passed a value other than its default by some call in src/platelab, in an
-acceptance criterion or in perfbench/layers.py.  Calls are matched by the
+method or __init__ in any module of src/platelab must be passed a value
+other than its default by some call in src/platelab, in an acceptance
+criterion or in perfbench/layers.py.  Calls are matched by the
 function's name (for __init__, its class's), the value by keyword or by
 position.  Any expression but a constant equal to the default counts, so
 forwarding the caller's own parameter of the same name does.  Options kept
@@ -36,20 +36,12 @@ EXEMPT = {
                            "CLI caller needs an --exclusion option for "
                            "subell and gamma-search (ROADMAP)",
     "factor_symbol_eval": "reference evaluation that tests compare against",
-    "MetricField.diagonal": "the paper's variable metric; only tests build "
-                            "one until a CLI option exists",
     "TangentialPoint.scaled": "homogeneity tests dilate points",
-    "MetricField.__init__:ginv": "the paper's variable metric; only tests "
-                                 "build one until a CLI option exists",
-    "MetricField.__init__:dginv": "the variable metric's gradient, as ginv",
-    "MetricField.diagonal:dcoeffs": "the variable metric's gradient, as ginv",
+    "mu_search:target": "tests re-verify a found C on a fresh sample and "
+                        "force the refusal of an unreachable one",
     "clamped_beam_beta:k": "the k-th clamped beam root; criterion 6 asks "
                            "for k = 1",
 }
-
-# the modules whose options the option guard checks; weights keeps its
-# metric for the bracket layer, where the metric's derivatives enter
-OPTION_MODULES = ("symbols", "lscheck", "plate", "semigroup", "cli")
 
 
 def _parse(path):
@@ -276,7 +268,7 @@ def _sets(call, positional, param, default):
 
 def test_every_option_has_a_caller():
     calls = _calls()
-    options = [opt for m in OPTION_MODULES for opt in _options(SRC / f"{m}.py")]
+    options = [opt for path in sorted(SRC.glob("*.py")) for opt in _options(path)]
     assert {k for k in EXEMPT if ":" in k} <= {key for key, *_ in options}
     orphans = [key for key, callee, default, positional in options
                if key not in EXEMPT and not any(

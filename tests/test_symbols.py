@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from platelab.symbols import (
-    MetricField,
     RootCase,
     TangentialPoint,
     WeightJet,
@@ -59,16 +58,6 @@ def stack_points(points):
     """x and the classify_stack columns of points that share one x."""
     cols = zip(*(point_stack(p, w) for p, w in points))
     return points[0][0].x, [np.concatenate(c) for c in cols]
-
-
-def variable_metric():
-    return MetricField.diagonal(
-        2,
-        coeffs=[lambda x: 1.0 + 0.3 * np.sin(x[..., 0]),
-                lambda x: 2.0 + 0.5 * x[..., 1] ** 2],
-        dcoeffs=[lambda x: 0.3 * np.cos(x[..., :1]) * [1.0, 0.0, 0.0],
-                 lambda x: x[..., 1:2] * [0.0, 1.0, 0.0]],
-    )
 
 
 class TestFactorEval:
@@ -356,55 +345,3 @@ class TestImSignCriterion:
         C = 1.05 * fit
         for xi, tau, g in gen(2, 4000):
             assert xi <= C * tau * math.sqrt(g ** 2 + 1 / kappa0 ** 2)
-
-
-class TestMetricField:
-    def test_euclidean_identity_built_once(self):
-        metric = MetricField.euclidean(2)
-        assert MetricField.euclidean(2) is metric
-        assert MetricField.euclidean(1) is not metric
-        g = metric.gmatrix([0.0, 0.0])
-        assert metric.gmatrix([1.0, 2.0]) is g
-        assert np.array_equal(g, np.eye(2)) and not g.flags.writeable
-        with pytest.raises(ValueError):
-            g[0, 0] = 2.0
-        xi = np.array([[1.0, 2.0], [3.0, 1j]])
-        assert np.array_equal(metric.r([0.0, 0.0], xi), [5.0, 8.0])
-        stack = metric.gmatrix(np.zeros((5, 3)))    # a view, not 5 copies
-        assert np.shares_memory(stack, g) and stack.strides[0] == 0
-        assert not metric.dgmatrix(np.zeros((5, 3))).any()
-
-    @pytest.mark.parametrize("metric", [MetricField.euclidean(2), variable_metric()],
-                             ids=["euclidean", "variable-diagonal"])
-    def test_point_and_stack_shapes(self, metric):
-        xs = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, 0.2], [1.0, 1.0, 1.0]])
-        g, dg = metric.gmatrix(xs), metric.dgmatrix(xs)
-        assert g.shape == (3, 2, 2) and dg.shape == (3, 3, 2, 2)
-        for i, x in enumerate(xs):
-            assert metric.gmatrix(x).shape == (2, 2)
-            assert metric.dgmatrix(x).shape == (3, 2, 2)
-            assert np.array_equal(metric.gmatrix(x), g[i])
-            assert np.array_equal(metric.dgmatrix(x), dg[i])
-
-    def test_diagonal_calls_each_function_once_per_stack(self):
-        calls = []
-
-        def coeff(x):
-            calls.append(x.shape)
-            return 1.0 + x[..., 0] ** 2
-
-        def dcoeff(x):
-            calls.append(x.shape)
-            return 2.0 * x[..., :1] * [1.0, 0.0]
-
-        metric = MetricField.diagonal(1, [coeff], [dcoeff])
-        xs = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros(7)])
-        g, dg = metric.gmatrix(xs), metric.dgmatrix(xs)
-        assert calls == [(7, 2), (7, 2)]
-        assert np.array_equal(g[:, 0, 0], 1.0 + xs[:, 0] ** 2)
-        assert np.array_equal(dg[:, :, 0, 0], 2.0 * xs[:, :1] * [1.0, 0.0])
-
-    def test_wrong_shape_is_refused(self):
-        metric = MetricField(2, ginv=lambda x: np.eye(2))
-        with pytest.raises(ValueError, match="expected"):
-            metric.gmatrix([0.0, 0.0, 0.0])

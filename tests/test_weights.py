@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from platelab.symbols import MetricField
 from platelab.weights import (
     AffineField,
     BracketJet,
@@ -76,11 +75,6 @@ def close_rows(batch, one, rtol=1e-13):
     return np.allclose(batch, one, rtol=rtol, atol=rtol * scale)
 
 
-VARIABLE_METRIC = MetricField.diagonal(
-    1, coeffs=[lambda x: 1.0 + 0.4 * np.sin(x[..., 0])],
-    dcoeffs=[lambda x: 0.4 * np.cos(x[..., :1]) * [1.0, 0.0]])
-
-
 class TestBatchedKernels:
     """Row i of a batched call equals the m = 1 call at point i: bit for bit
     in 1-D, to 1e-13 relative in 2-D."""
@@ -121,32 +115,27 @@ class TestBatchedKernels:
                 assert same_jet(qs[i:i + 1], qs1) and same_jet(qa[i:i + 1], qa1)
                 assert np.array_equal(br[i:i + 1], poisson_bracket(qs1, qa1))
 
-    @pytest.mark.parametrize("metric", [None, VARIABLE_METRIC],
-                             ids=["euclidean", "variable-diagonal"])
-    def test_2d_symbol_jets(self, rng, metric):
+    def test_2d_symbol_jets(self, rng):
         wf = make_wf2d()
         x = rng.uniform(0.1, 0.9, size=(10, 2))
         xi = rng.normal(size=(10, 2))
         tau, sigma = rng.uniform(0.2, 2.0, 10), rng.uniform(0.0, 1.0, 10)
         for j in (1, 2):
-            qs, qa = symbol_jets(wf, x, xi, tau, sigma, j, metric)
+            qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
             br = poisson_bracket(qs, qa)
             for i in range(10):
-                qs1, qa1 = symbol_jets(wf, x[i], xi[i], tau[i], sigma[i], j,
-                                       metric)
+                qs1, qa1 = symbol_jets(wf, x[i], xi[i], tau[i], sigma[i], j)
                 for f, f1 in ((qs, qs1), (qa, qa1)):
                     assert close_rows(f.value[i:i + 1], f1.value)
                     assert close_rows(f.dx[i:i + 1], f1.dx)
                     assert close_rows(f.dxi[i:i + 1], f1.dxi)
                 assert close_rows(br[i:i + 1], poisson_bracket(qs1, qa1))
 
-    @pytest.mark.parametrize("metric", [None, VARIABLE_METRIC],
-                             ids=["euclidean", "variable-diagonal"])
-    def test_2d_characteristic_points(self, rng, metric):
+    def test_2d_characteristic_points(self, rng):
         wf = make_wf2d()
         x = rng.uniform(0.1, 0.9, size=(6, 2))
         for j in (1, 2):
-            args = (j, [0.0, 0.4, 1.5], (1.0, 2.5), None, metric)
+            args = (j, [0.0, 0.4, 1.5])
             batch = characteristic_points(wf, x, *args)
             rows = [characteristic_points(wf, x[i], *args) for i in range(6)]
             assert len(batch[2]) == sum(len(r[2]) for r in rows) > 0
@@ -192,21 +181,6 @@ class TestPoissonBracket:
                     x, xi)
                 assert analytic == pytest.approx(num, rel=1e-6, abs=1e-4)
 
-    def test_variable_metric_bracket(self, rng):
-        metric = VARIABLE_METRIC
-        wf = make_wf2d()
-        for _ in range(15):
-            x = rng.uniform(0.1, 0.9, size=2)
-            xi = rng.normal(size=2)
-            tau, sigma = 1.1, 0.3
-            qs, qa = symbol_jets(wf, x, xi, tau, sigma, 1, metric)
-            analytic = poisson_bracket(qs, qa)
-            num = fd_bracket(
-                lambda a, b: symbol_jets(wf, a, b, tau, sigma, 1, metric)[0].value,
-                lambda a, b: symbol_jets(wf, a, b, tau, sigma, 1, metric)[1].value,
-                x, xi)
-            assert analytic == pytest.approx(num, rel=1e-5, abs=1e-4)
-
     def test_degree_three_homogeneity(self, rng):
         wf = make_wf2d()
         x = np.array([0.4, 0.5])
@@ -228,8 +202,8 @@ class TestCharacteristicSet:
         # the sampled band must reach it
         wf = WeightField(PARABOLA, 2.0)
         x, xi, tau, sigma, qs_c, qa_c = characteristic_points(
-            wf, np.array([0.2]), 2, ratios=[0.0, 0.3, 4.0], taus=(1.0, 2.0))
-        assert len(tau) == 2
+            wf, np.array([0.2]), 2, ratios=[0.0, 0.3, 4.0])
+        assert len(tau) == 1
         qs, qa = symbol_jets(wf, x, xi, tau, sigma, 2)
         assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
         lam2 = np.sum(xi * xi, axis=1) + tau ** 2
@@ -244,12 +218,24 @@ class TestCharacteristicSet:
         wf = make_wf2d()
         for j in (1, 2):
             x, xi, tau, sigma, qs_c, qa_c = characteristic_points(
-                wf, np.array([0.4, 0.3]), j, ratios=[0.0, 0.4], taus=(1.0,))
+                wf, np.array([0.4, 0.3]), j, ratios=[0.0, 0.4])
             assert len(tau)
             qs, qa = symbol_jets(wf, x, xi, tau, sigma, j)
             assert same_jet(qs_c, qs) and same_jet(qa_c, qa)
             assert np.all(np.hypot(qs.value, qa.value) <=
                           1e-9 * (np.sum(xi * xi, axis=1) + tau ** 2))
+
+    def test_overflowed_symbol_is_refused(self):
+        # phi and its derivatives are finite, but tau^2 |dphi|^2 is not: the
+        # samples are refused, not dropped into a vacuous pass
+        wf = make_wf2d(400.0)
+        x = np.array([0.5, 0.5])
+        assert all(np.isfinite(a).all() for a in wf.phi_jet(x))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                OverflowError, match="q\\^1 overflows on the characteristic set"):
+            characteristic_points(wf, x, 1, ratios=[0.0, 0.4])
+        with pytest.raises(OverflowError, match="overflows"):
+            subellipticity_check(wf, 1, [x], (0.5, 8.0))
 
 
 class TestSubellipticity:
@@ -273,12 +259,19 @@ class TestSubellipticity:
         assert rep.margin == math.inf
 
     def test_margin_dilation_invariance(self):
+        # the check samples at tau = 1; dilating its samples by t leaves the
+        # margin {q_s, q_a}/lambda^3 unchanged
         wf = WeightField(PARABOLA, 2.0)
-        reps = [subellipticity_check(wf, 2, REGION, (TAU0, 1e4), tau0=TAU0,
-                                     taus=(t,), refine=False).margin
-                for t in (0.5, 1.0, 4.0)]
-        assert reps[0] == pytest.approx(reps[1], rel=1e-9)
-        assert reps[2] == pytest.approx(reps[1], rel=1e-9)
+        rep = subellipticity_check(wf, 2, REGION, (TAU0, 1e4), tau0=TAU0,
+                                   refine=False)
+        x, xi, tau, sigma = rep.samples[:, :1], rep.samples[:, 1:2], \
+            rep.samples[:, 2], rep.samples[:, 3]
+        assert len(tau) and np.all(tau == 1.0)
+        for t in (0.5, 4.0):
+            qs, qa = symbol_jets(wf, x, t * xi, t * tau, t * sigma, 2)
+            lam = t * np.sqrt(xi[:, 0] ** 2 + tau ** 2)
+            assert np.min(poisson_bracket(qs, qa) / lam ** 3) == \
+                pytest.approx(rep.margin, rel=1e-9)
 
     def test_2d_refines_and_reports_its_minimum(self):
         wf = make_wf2d()
@@ -372,19 +365,14 @@ class TestMuSearch:
                           target=out.target)
         assert fresh.mu <= 2 * out.mu
 
-    def test_negative_control_aborts(self):
+    def test_negative_control_aborts(self, monkeypatch):
+        monkeypatch.setattr("platelab.weights.MU_MAX", 2 ** 10)
         wf = WeightField(PARABOLA, 1.0)
         with pytest.raises(MuSearchError) as err:
-            mu_search(wf, 2, REGION, tau0=TAU0, nsphere=100, target=0.05,
-                      mu_max=2 ** 10)
+            mu_search(wf, 2, REGION, tau0=TAU0, nsphere=100, target=0.05)
         assert err.value.mu_max == 2 ** 10
         assert err.value.worst < 0.05
         assert len(err.value.worst_point) == 4
-
-    def test_mu_max_below_first_candidate_rejected(self):
-        wf = WeightField(PARABOLA, 2.0)
-        with pytest.raises(ValueError, match="mu_max"):
-            mu_search(wf, 2, REGION, tau0=TAU0, nsphere=20, mu_max=0.5)
 
     def test_t_homogeneity_degree_four(self, rng):
         wf = WeightField(PARABOLA, 2.0)
